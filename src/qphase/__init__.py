@@ -63,6 +63,7 @@ from .states import (
 from .system import PhaseSpaceSystem, build_system
 from .tomography import (
     CountsRecord,
+    InvalidCountsError,
     MeasurementPlan,
     ReconstructionReport,
     ScalingPoint,

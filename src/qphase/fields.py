@@ -139,6 +139,8 @@ class FieldContext:
 
     Immutable after construction and safe to share across threads; all
     arithmetic goes through pure functions backed by log/antilog tables.
+    The one write after construction fills a cache of structures derived
+    from the context alone; two threads racing on it build equal values.
     """
 
     def __init__(self, n: int, modulus: int | None = None):
@@ -182,6 +184,9 @@ class FieldContext:
         self.labels = tuple(self._label_for(i) for i in range(self.order))
         self._parse = {lab: bits for lab, bits in zip(self.labels, element_bits)}
         self._elements = tuple(FieldElement(self, b) for b in element_bits)
+        # Structures derived from this context alone (the striations), built
+        # once on first use by the module that owns them.
+        self._derived: dict[str, object] = {}
 
         if n <= _SELF_TEST_MAX_DEGREE:
             self._self_test()

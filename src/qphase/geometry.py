@@ -9,7 +9,7 @@ breaks this geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fields import ContextMismatchError, FieldContext, FieldElement
 
@@ -59,12 +59,13 @@ class Line:
 
     The triple is canonicalized so that the first nonzero coefficient of
     (a, b) equals 1; points are sorted ascending by canonical element order.
+    The canonical triple determines the points, so only it is hashed.
     """
 
     a: FieldElement
     b: FieldElement
     c: FieldElement
-    points: tuple[Point, ...]
+    points: tuple[Point, ...] = field(hash=False)
 
     @property
     def ctx(self) -> FieldContext:
@@ -125,7 +126,16 @@ def enumerate_striations(ctx: FieldContext) -> tuple[Striation, ...]:
     Order: vertical lines (q = const) first, horizontal lines (p = const)
     second, then slopes s = 1, w, w2, ... with lines p = s*q + c.  Within a
     striation, lines are ordered by the constant c in canonical element order.
+    The context fully determines the result, so it is built once per context
+    and the same tuple is returned on later calls.
     """
+    cached = ctx._derived.get("striations")
+    if cached is None:
+        cached = ctx._derived["striations"] = _build_striations(ctx)
+    return cached
+
+
+def _build_striations(ctx: FieldContext) -> tuple[Striation, ...]:
     one, zero = ctx.one, ctx.zero
     striations = []
 

@@ -6,6 +6,11 @@ factors (for the p component).  Which tensor slot each field-basis coefficient
 drives is fixed by a QubitLabeling; the representation is projective, so
 products of translation unitaries close only up to fourth-root-of-unity
 phases.
+
+Two bit masks (x, z) fix such a Pauli string completely: tensor slot s
+carries sigma_x when bit n-1-s of x is set and sigma_z when that bit of z is
+set.  Acting on a vector it is a signed index permutation,
+(X^x Z^z v)[i] = (-1)^popcount((i ^ x) & z) v[i ^ x].
 """
 
 from __future__ import annotations
@@ -92,6 +97,23 @@ def _expansion_matrix(basis: Sequence[FieldElement]) -> list[int]:
         raise ValueError("basis elements are linearly dependent over Z2") from None
 
 
+def _parity(a):
+    """Parity of the number of set bits, for an int or an int array (< 2^32)."""
+    for shift in (16, 8, 4, 2, 1):
+        a = a ^ (a >> shift)
+    return a & 1
+
+
+def pauli_permutation(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign arrays with (X^x Z^z v)[i] = sign[i] * v[src[i]].
+
+    x and z are bit masks, as ints or as int arrays; for arrays the result
+    gains their shape as leading axes, one permutation per mask pair.
+    """
+    src = np.arange(dim) ^ np.asarray(x)[..., None]
+    return src, 1 - 2 * _parity(src & np.asarray(z)[..., None])
+
+
 def _coords(bits: int, inverse_rows: list[int], n: int) -> tuple[int, ...]:
     out = []
     for r in range(n):
@@ -131,6 +153,10 @@ class QubitLabeling:
     Z2); the coefficient of basis element i drives tensor slot
     factor_order[i].  The default order puts the most significant basis
     element in the leftmost slot.
+
+    The x and z masks of every field element (its q and p coordinates placed
+    in their slots, slot 0 as the most significant bit) are tabulated once
+    at construction, indexed by the element's bits.
     """
 
     ctx: FieldContext
@@ -139,6 +165,8 @@ class QubitLabeling:
     factor_order: tuple[int, ...]
     _q_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _p_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _x_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _z_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.ctx.n
@@ -149,6 +177,16 @@ class QubitLabeling:
                 raise ContextMismatchError("labeling basis elements belong to a different context")
         object.__setattr__(self, "_q_inv", tuple(_expansion_matrix(self.q_basis)))
         object.__setattr__(self, "_p_inv", tuple(_expansion_matrix(self.p_basis)))
+        object.__setattr__(self, "_x_masks", self._mask_table(self._q_inv))
+        object.__setattr__(self, "_z_masks", self._mask_table(self._p_inv))
+
+    def _mask_table(self, inverse_rows: tuple[int, ...]) -> tuple[int, ...]:
+        n, rows = self.n, list(inverse_rows)
+        slot_bits = [1 << (n - 1 - slot) for slot in self.factor_order]
+        return tuple(
+            sum(bit for bit, c in zip(slot_bits, _coords(bits, rows, n)) if c)
+            for bits in range(self.dim)
+        )
 
     @property
     def n(self) -> int:
@@ -164,6 +202,10 @@ class QubitLabeling:
 
     def p_coords(self, e: FieldElement) -> tuple[int, ...]:
         return _coords(e.bits, list(self._p_inv), self.n)
+
+    def masks(self, v: Point) -> tuple[int, int]:
+        """Pauli masks (x, z) of the translation by v: U_v = X^x Z^z."""
+        return self._x_masks[v.q.bits], self._z_masks[v.p.bits]
 
 
 def polynomial_basis(ctx: FieldContext) -> tuple[FieldElement, ...]:
@@ -218,25 +260,17 @@ class TranslationOperator:
 
 
 def translation_unitary(v: Point, labeling: QubitLabeling) -> TranslationOperator:
-    """U_v = H_q V_p with sigma_x factors from q and sigma_z factors from p."""
+    """U_v = H_q V_p with sigma_x factors from q and sigma_z factors from p.
+
+    Built from the masks as a signed permutation matrix,
+    U[j ^ x, j] = (-1)^popcount(j & z).
+    """
     if v.ctx is not labeling.ctx:
         raise ContextMismatchError("translation vector and labeling use different contexts")
-    n = labeling.n
-    a = labeling.q_coords(v.q)
-    b = labeling.p_coords(v.p)
-    x_by_slot = [0] * n
-    z_by_slot = [0] * n
-    for i in range(n):
-        x_by_slot[labeling.factor_order[i]] = a[i]
-        z_by_slot[labeling.factor_order[i]] = b[i]
-    u = np.ones((1, 1), dtype=complex)
-    for slot in range(n):
-        f = np.eye(2, dtype=complex)
-        if x_by_slot[slot]:
-            f = f @ _PAULI["X"]
-        if z_by_slot[slot]:
-            f = f @ _PAULI["Z"]
-        u = np.kron(u, f)
+    x, z = labeling.masks(v)
+    src, sign = pauli_permutation(x, z, labeling.dim)
+    u = np.zeros((labeling.dim, labeling.dim), dtype=complex)
+    u[np.arange(labeling.dim), src] = sign
     op = TranslationOperator(v, labeling, u)
     dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if dev > UNITARITY_TOL:

@@ -17,12 +17,14 @@ class InvalidStateError(ValueError):
 
 
 def validate_density_matrix(rho: np.ndarray, dim: int | None = None, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; returns rho unchanged."""
+    """Check finiteness, Hermiticity, unit trace and positivity; returns rho unchanged."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvalidStateError(f"density matrix has dimension {rho.shape[0]}, expected {dim}")
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("density matrix has a NaN or infinite entry")
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise InvalidStateError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > tol:
@@ -86,6 +88,8 @@ def _complex_from_pair(pair) -> complex:
         or not all(isinstance(x, (int, float)) for x in pair)
     ):
         raise InvalidStateError(f"expected a [re, im] pair, got {pair!r}")
+    if not all(math.isfinite(x) for x in pair):
+        raise InvalidStateError(f"expected finite numbers, got {pair!r}")
     return complex(pair[0], pair[1])
 
 

@@ -55,6 +55,10 @@ class MeasurementPlan:
         return self.shots_per_basis == 0
 
 
+class InvalidCountsError(ValueError):
+    """A counts payload does not describe one measurement per conjugate basis."""
+
+
 @dataclass(eq=False)
 class CountsRecord:
     """Per-striation outcome counts (or exact frequencies when shots = 0)."""
@@ -94,10 +98,34 @@ class CountsRecord:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CountsRecord":
-        shots = int(payload["shots"])
-        dtype = float if shots == 0 else np.int64
-        counts = {int(k): np.array(v, dtype=dtype) for k, v in payload["counts"].items()}
-        return cls(n=int(payload["n"]), shots=shots, seed=int(payload["seed"]), counts=counts)
+        """Inverse of to_json_dict.
+
+        Raises InvalidCountsError unless the striation keys are exactly
+        0..N, every vector has N = 2^n finite non-negative entries, and,
+        when shots > 0, each striation's counts are whole and sum to shots.
+        """
+        n, shots = int(payload["n"]), int(payload["shots"])
+        dim = 1 << n
+        try:
+            raw = {int(k): np.array(v, dtype=float) for k, v in payload["counts"].items()}
+        except (TypeError, ValueError) as exc:
+            raise InvalidCountsError(f"counts must map striation numbers to lists of numbers ({exc})") from None
+        if sorted(raw) != list(range(dim + 1)):
+            raise InvalidCountsError(f"counts need striation keys 0..{dim}, got {sorted(raw)}")
+        counts = {}
+        for s, c in raw.items():
+            if c.shape != (dim,):
+                raise InvalidCountsError(f"striation {s} has {c.size} outcomes, expected {dim}")
+            if not (np.isfinite(c) & (c >= 0)).all():
+                raise InvalidCountsError(f"striation {s} has a negative or non-finite entry")
+            if shots > 0:
+                if (c != np.round(c)).any():
+                    raise InvalidCountsError(f"striation {s} has a fractional count")
+                if c.sum() != shots:
+                    raise InvalidCountsError(f"striation {s} counts sum to {c.sum():g}, expected {shots}")
+                c = c.astype(np.int64)
+            counts[s] = c
+        return cls(n=n, shots=shots, seed=int(payload["seed"]), counts=counts)
 
 
 def outcome_probabilities(rho: np.ndarray, basis: StriationBasis | np.ndarray) -> np.ndarray:
@@ -193,7 +221,13 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def project_to_physical(rho: np.ndarray) -> np.ndarray:
-    """Nearest physical state by eigenvalue truncation: clip negatives, renormalize."""
+    """A physical state from eigenvalue truncation: clip negatives, renormalize.
+
+    The result keeps the eigenvectors of the Hermitian part of rho.  It is
+    not in general the nearest physical state: for eigenvalues
+    (0.7, 0.5, -0.2, 0) it lies at Frobenius distance 0.2461, while
+    (0.6, 0.4, 0, 0) lies at 0.2449.
+    """
     rho = 0.5 * (rho + rho.conj().T)
     eigvals, eigvecs = np.linalg.eigh(rho)
     eigvals = np.clip(eigvals, 0.0, None)

@@ -17,7 +17,7 @@ import numpy as np
 from .fields import ContextMismatchError, FieldContext
 from .geometry import Line, Point, Striation, enumerate_striations
 from .mub import StriationBasis
-from .operators import QubitLabeling, translation_unitary
+from .operators import QubitLabeling, pauli_permutation
 from .serialize import round_float
 from .states import validate_density_matrix
 
@@ -48,14 +48,13 @@ def _ray_vectors_2q() -> list[np.ndarray]:
     ]
 
 
-def _hermitian_form(u: np.ndarray) -> np.ndarray:
-    """Rescale a translation unitary to a Hermitian involution (u or i*u)."""
-    if np.max(np.abs(u - u.conj().T)) < 1e-9:
-        return u
-    t = 1j * u
-    if np.max(np.abs(t - t.conj().T)) > 1e-9:
-        raise NetConstructionError("translation unitary is neither Hermitian nor anti-Hermitian")
-    return t
+def _hermitian_phase(x: int, z: int) -> complex:
+    """Scalar c in {1, i} that makes c * X^x Z^z a Hermitian involution.
+
+    (sigma_x sigma_z)^dag = -sigma_x sigma_z, so the string is Hermitian when
+    an even number of slots carry both factors and anti-Hermitian otherwise.
+    """
+    return 1j if (x & z).bit_count() & 1 else 1
 
 
 def _lex_sign_ray_vector(striation: Striation, basis: StriationBasis, labeling: QubitLabeling) -> np.ndarray:
@@ -66,24 +65,18 @@ def _lex_sign_ray_vector(striation: Striation, basis: StriationBasis, labeling: 
     eigenvalues.  The vector whose sign tuple is lexicographically first
     (+1 before -1, stabilizers in canonical ray-point order) is selected.
     """
-    forms = [
-        _hermitian_form(translation_unitary(v, labeling).unitary)
-        for v in striation.stabilizer_vectors
-    ]
-    best: tuple[tuple[int, ...], np.ndarray] | None = None
-    for k in range(basis.vectors.shape[0]):
-        v = basis.vectors[k]
-        signs = []
-        for t in forms:
-            val = float(np.real(np.vdot(v, t @ v)))
-            if abs(abs(val) - 1.0) > 1e-6:
-                raise NetConstructionError("basis vector is not a stabilizer eigenvector")
-            signs.append(0 if val > 0 else 1)
-        key = tuple(signs)
-        if best is None or key < best[0]:
-            best = (key, v)
-    assert best is not None
-    return best[1]
+    vectors = basis.vectors
+    signs = []
+    for w in striation.stabilizer_vectors:
+        x, z = labeling.masks(w)
+        src, sign = pauli_permutation(x, z, labeling.dim)
+        moved = vectors[:, src] * sign
+        vals = np.real(_hermitian_phase(x, z) * np.einsum("ki,ki->k", vectors.conj(), moved))
+        if np.max(np.abs(np.abs(vals) - 1.0)) > 1e-6:
+            raise NetConstructionError("basis vector is not a stabilizer eigenvector")
+        signs.append(vals < 0)
+    keys = np.array(signs).T.tolist()
+    return vectors[min(range(len(keys)), key=lambda k: keys[k])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +84,8 @@ class QuantumNet:
     """Covariant assignment of basis vectors to lines.
 
     vector_index maps each line to the index of its vector within the
-    striation's basis; projectors and phase-point operators are cached after
-    construction, which makes the net safe for concurrent reads.
+    striation's basis.  The outcome table and the phase-point stack are
+    built on first use and then shared read-only.
     """
 
     ctx: FieldContext
@@ -102,7 +95,6 @@ class QuantumNet:
     vector_index: dict[Line, int]
     striation_of: dict[Line, int]
     _lines_through: dict[Point, tuple[Line, ...]] = field(repr=False, compare=False)
-    _aops: dict[Point, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     _aux: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -116,26 +108,34 @@ class QuantumNet:
         return self._lines_through[pt]
 
     def phase_point_matrix(self, pt: Point) -> np.ndarray:
-        cached = self._aops.get(pt)
-        if cached is None:
-            a = -np.eye(self.dim, dtype=complex)
-            for line in self.lines_through(pt):
-                a = a + self.projector(line)
-            trace = complex(np.trace(a))
-            if abs(trace - 1.0) > CLOSURE_TOL:
-                raise NetConstructionError(f"phase-point operator at {pt} has trace {trace}")
-            a.setflags(write=False)
-            self._aops[pt] = cached = a
-        return cached
+        """A at pt: a read-only row of phase_point_stack()."""
+        if pt.ctx is not self.ctx:
+            raise ContextMismatchError("point and net use different field contexts")
+        return self.phase_point_stack()[pt.q.index * self.dim + pt.p.index]
 
     def phase_point_stack(self) -> np.ndarray:
-        """All A operators as one array, indexed [q_index * N + p_index]."""
+        """All A operators as one array, indexed [q_index * N + p_index].
+
+        Each A starts at -I and gains the projectors of the lines through
+        its point in striation order; every A must have trace 1.
+        """
         cached = self._aux.get("stack")
         if cached is None:
-            elements = self.ctx.elements()
-            cached = np.array(
-                [self.phase_point_matrix(Point(q, p)) for q in elements for p in elements]
-            )
+            table = self.outcome_index_table()
+            cached = np.empty((len(table), self.dim, self.dim), dtype=complex)
+            cached[:] = -np.eye(self.dim, dtype=complex)
+            for s, basis in enumerate(self.bases):
+                for k in range(self.dim):
+                    cached[table[:, s] == k] += basis.projector(k)
+            traces = np.trace(cached, axis1=1, axis2=2)
+            bad = np.flatnonzero(np.abs(traces - 1.0) > CLOSURE_TOL)
+            if bad.size:
+                elements = self.ctx.elements()
+                q, p = divmod(int(bad[0]), self.ctx.order)
+                raise NetConstructionError(
+                    f"phase-point operator at {Point(elements[q], elements[p])} "
+                    f"has trace {complex(traces[bad[0]])}"
+                )
             cached.setflags(write=False)
             self._aux["stack"] = cached
         return cached
@@ -145,13 +145,12 @@ class QuantumNet:
         index of the line through that point in striation s."""
         cached = self._aux.get("outcome_table")
         if cached is None:
-            elements = self.ctx.elements()
             n_elems = self.ctx.order
             table = np.empty((n_elems * n_elems, len(self.striations)), dtype=np.intp)
-            for qi, q in enumerate(elements):
-                for pi, p in enumerate(elements):
-                    for s, line in enumerate(self.lines_through(Point(q, p))):
-                        table[qi * n_elems + pi, s] = self.vector_index[line]
+            for s, striation in enumerate(self.striations):
+                for line in striation.lines:
+                    rows = [pt.q.index * n_elems + pt.p.index for pt in line.points]
+                    table[rows, s] = self.vector_index[line]
             table.setflags(write=False)
             self._aux["outcome_table"] = cached = table
         return cached
@@ -197,46 +196,53 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
                 f"ray vector for striation {striation.direction} is not a basis vector "
                 f"(best overlap {overlaps.max():.6f})"
             )
-        ray_k = int(np.argmax(overlaps))
-        proj_ray = basis.projector(ray_k)
+        ray = basis.vectors[int(np.argmax(overlaps))]
 
-        taken: dict[int, Line] = {}
-        for line in striation.lines:
-            # Any point of the line translates the ray onto it; all such
-            # paths must agree (projective phases cancel on projectors).
-            candidates = []
-            for w in line.points:
-                u = translation_unitary(w, labeling).unitary
-                candidates.append(u @ proj_ray @ u.conj().T)
-            reference = candidates[0]
-            for other in candidates[1:]:
-                if np.max(np.abs(other - reference)) > CLOSURE_TOL:
-                    raise NetConstructionError(
-                        f"covariance closure is path-dependent on line {line} "
-                        f"of striation {striation.direction}"
-                    )
-            fit = np.real(np.einsum("ki,ij,kj->k", basis.vectors.conj(), reference, basis.vectors))
-            k = int(np.argmax(fit))
-            if fit[k] < 1.0 - CLOSURE_TOL:
+        # moved[l, m] = U_w ray for the m-th point w of line l: any point of a
+        # line translates the ray onto it, and all such paths must agree up
+        # to a phase.
+        masks = np.array([[labeling.masks(w) for w in line.points] for line in striation.lines])
+        src, sign = pauli_permutation(masks[..., 0], masks[..., 1], ctx.order)
+        moved = ray[src] * sign
+        reference = moved[:, 0]
+        agreement = np.abs(np.einsum("li,lmi->lm", reference.conj(), moved)) ** 2
+        for line, worst in zip(striation.lines, agreement.min(axis=1)):
+            if worst < 1.0 - CLOSURE_TOL:
+                raise NetConstructionError(
+                    f"covariance closure is path-dependent on line {line} "
+                    f"of striation {striation.direction}"
+                )
+
+        # fit[k, l] = |<v_k|U_w ray>|^2 = <v_k|U_w P_ray U_w^dag|v_k>.
+        fit = np.abs(basis.vectors.conj() @ reference.T) ** 2
+        taken: set[int] = set()
+        for line, column in zip(striation.lines, fit.T):
+            k = int(np.argmax(column))
+            if column[k] < 1.0 - CLOSURE_TOL:
                 raise NetConstructionError(
                     f"translated ray projector matches no basis vector on striation "
-                    f"{striation.direction} (best fit {fit[k]:.6f})"
+                    f"{striation.direction} (best fit {column[k]:.6f})"
                 )
             if k in taken:
                 raise NetConstructionError(
                     f"striation {striation.direction} maps two lines to one vector"
                 )
-            taken[k] = line
+            taken.add(k)
             vector_index[line] = k
             striation_of[line] = striation.direction
 
-    lines_through: dict[Point, tuple[Line, ...]] = {}
-    for q in ctx.elements():
-        for p in ctx.elements():
-            pt = Point(q, p)
-            lines_through[pt] = tuple(
-                next(line for line in s.lines if pt in line) for s in striations
-            )
+    # Each point lies on exactly one line of each striation; walking the
+    # lines in striation order lists them in that order.  Keyed by the
+    # coordinate bits while walking, since hashing a Point is far slower.
+    through: dict[tuple[int, int], list[Line]] = {}
+    for striation in striations:
+        for line in striation.lines:
+            for pt in line.points:
+                through.setdefault((pt.q.bits, pt.p.bits), []).append(line)
+    elements = ctx.elements()
+    lines_through = {
+        Point(q, p): tuple(through[(q.bits, p.bits)]) for q in elements for p in elements
+    }
 
     return QuantumNet(
         ctx=ctx,

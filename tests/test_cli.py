@@ -120,6 +120,22 @@ class TestWigner:
         assert out.returncode == 2
         assert "usage:" in out.stderr
 
+    def test_nan_state_exits_2(self):
+        out = run_cli("wigner", "1", "--state", "[[NaN,0],[0,0]]")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "finite" in out.stderr
+
+    def test_infinite_matrix_entry_exits_2(self):
+        spec = (
+            "[[[1,0],[0,0],[0,0],[0,0]],[[0,0],[Infinity,0],[0,0],[0,0]],"
+            "[[0,0],[0,0],[0,0],[0,0]],[[0,0],[0,0],[0,0],[0,0]]]"
+        )
+        out = run_cli("wigner", "2", "--state", spec)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "finite" in out.stderr
+
     def test_csv_grid(self):
         out = run_cli("wigner", "1", "--state", "up", "--format", "csv")
         lines = out.stdout.strip().splitlines()

@@ -11,6 +11,7 @@ from qphase.operators import (
     joint_eigenbasis,
     kron,
     pauli,
+    pauli_permutation,
     polynomial_basis,
     projective_check,
     same_basis_labeling,
@@ -228,3 +229,42 @@ class TestJointEigenbasis:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             joint_eigenbasis([])
+
+
+def kron_translation(v, lab):
+    """Reference U_v: the n-fold np.kron of I / X / Z / XZ factors, one per
+    tensor slot, read from the labeling's coordinates and factor order."""
+    n = lab.n
+    x_by_slot, z_by_slot = [0] * n, [0] * n
+    for i, (a, b) in enumerate(zip(lab.q_coords(v.q), lab.p_coords(v.p))):
+        x_by_slot[lab.factor_order[i]] = a
+        z_by_slot[lab.factor_order[i]] = b
+    factors = {(0, 0): I2, (1, 0): X, (0, 1): Z, (1, 1): X @ Z}
+    u = np.ones((1, 1), dtype=complex)
+    for slot in range(n):
+        u = np.kron(u, factors[x_by_slot[slot], z_by_slot[slot]])
+    return u
+
+
+class TestPauliMasksAgainstKron:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make", [same_basis_labeling, trace_dual_labeling])
+    def test_translation_unitary_equals_kron_product(self, n, make):
+        ctx = field_create(n)
+        lab = make(ctx)
+        for v in all_points(ctx):
+            assert np.array_equal(translation_unitary(v, lab).unitary, kron_translation(v, lab)), v
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_permutation_of_mask_arrays_applies_each_translation(self, n):
+        ctx = field_create(n)
+        lab = trace_dual_labeling(ctx)
+        points = all_points(ctx)
+        masks = np.array([lab.masks(v) for v in points]).reshape(ctx.order, ctx.order, 2)
+        src, sign = pauli_permutation(masks[..., 0], masks[..., 1], ctx.order)
+        assert src.shape == sign.shape == (ctx.order, ctx.order, ctx.order)
+        rng = np.random.default_rng(5)
+        vec = rng.standard_normal(ctx.order) + 1j * rng.standard_normal(ctx.order)
+        moved = (vec[src] * sign).reshape(-1, ctx.order)
+        for v, row in zip(points, moved):
+            assert np.array_equal(row, kron_translation(v, lab) @ vec), v

@@ -101,6 +101,18 @@ class TestParseSpec:
         with pytest.raises(InvalidStateError):
             parse_state_spec("[[0, 0], [0, 0]]", 1)
 
+    def test_nan_vector_entry(self):
+        with pytest.raises(InvalidStateError, match="finite"):
+            parse_state_spec("[[NaN, 0], [0, 0]]", 1)
+
+    def test_infinite_matrix_entry(self):
+        spec = (
+            "[[[1,0],[0,0],[0,0],[0,0]],[[0,0],[Infinity,0],[0,0],[0,0]],"
+            "[[0,0],[0,0],[0,0],[0,0]],[[0,0],[0,0],[0,0],[0,0]]]"
+        )
+        with pytest.raises(InvalidStateError, match="finite"):
+            parse_state_spec(spec, 2)
+
 
 class TestValidation:
     def test_accepts_mixed_state(self):
@@ -109,6 +121,13 @@ class TestValidation:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidStateError):
             validate_density_matrix(np.zeros((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        rho = np.array([[1, 0], [0, 0]], dtype=complex)
+        rho[1, 1] = bad
+        with pytest.raises(InvalidStateError, match="NaN or infinite"):
+            validate_density_matrix(rho, 2)
 
     def test_random_density_matrices_are_physical(self):
         rng = np.random.default_rng(0)

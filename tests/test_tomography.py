@@ -8,6 +8,7 @@ from qphase.states import InvalidStateError, random_density_matrix, registry_vec
 from qphase.system import build_system
 from qphase.tomography import (
     CountsRecord,
+    InvalidCountsError,
     MeasurementPlan,
     error_scaling_study,
     estimate_state,
@@ -112,6 +113,66 @@ class TestSimulateCounts:
         assert back == exact
 
 
+class TestCountsValidation:
+    GOOD = {"n": 1, "shots": 10, "seed": 0, "counts": {"0": [5, 5], "1": [10, 0], "2": [5, 5]}}
+
+    def payload(self, **counts):
+        return {**self.GOOD, "counts": {**self.GOOD["counts"], **counts}}
+
+    def test_valid_payload_accepted(self):
+        record = CountsRecord.from_json_dict(self.GOOD)
+        assert record.counts[1].tolist() == [10, 0]
+        assert record.counts[1].dtype == np.int64
+
+    def test_negative_counts_rejected(self):
+        # Sums to shots in every striation; without the check estimate_state
+        # returned rho_raw = [[-0.5, 0.5], [0.5, 1.5]].
+        with pytest.raises(InvalidCountsError, match="negative"):
+            CountsRecord.from_json_dict(self.payload(**{"0": [-5, 15]}))
+
+    def test_negative_frequency_rejected_in_exact_mode(self):
+        payload = {"n": 1, "shots": 0, "seed": 0,
+                   "counts": {"0": [1.5, -0.5], "1": [1.0, 0.0], "2": [0.5, 0.5]}}
+        with pytest.raises(InvalidCountsError, match="negative"):
+            CountsRecord.from_json_dict(payload)
+
+    def test_non_finite_frequency_rejected(self):
+        payload = {"n": 1, "shots": 0, "seed": 0,
+                   "counts": {"0": [float("nan"), 1.0], "1": [1.0, 0.0], "2": [0.5, 0.5]}}
+        with pytest.raises(InvalidCountsError, match="non-finite"):
+            CountsRecord.from_json_dict(payload)
+
+    def test_fractional_count_rejected(self):
+        with pytest.raises(InvalidCountsError, match="fractional"):
+            CountsRecord.from_json_dict(self.payload(**{"0": [5.5, 4.5]}))
+
+    def test_non_numeric_entries_and_keys_rejected(self):
+        with pytest.raises(InvalidCountsError):
+            CountsRecord.from_json_dict(self.payload(**{"0": ["five", 5]}))
+        with pytest.raises(InvalidCountsError):
+            CountsRecord.from_json_dict({**self.GOOD, "counts": {"x": [5, 5]}})
+
+    def test_total_must_equal_shots(self):
+        with pytest.raises(InvalidCountsError, match="sum to 9"):
+            CountsRecord.from_json_dict(self.payload(**{"1": [9, 0]}))
+
+    def test_vector_length_must_be_dimension(self):
+        with pytest.raises(InvalidCountsError, match="3 outcomes"):
+            CountsRecord.from_json_dict(self.payload(**{"2": [5, 5, 0]}))
+
+    @pytest.mark.parametrize("keys", [["0", "1"], ["0", "1", "2", "3"], ["0", "1", "3"]])
+    def test_striation_keys_must_be_complete(self, keys):
+        payload = {**self.GOOD, "counts": {k: [5, 5] for k in keys}}
+        with pytest.raises(InvalidCountsError, match="keys 0..2"):
+            CountsRecord.from_json_dict(payload)
+
+    def test_error_is_a_value_error_exported_from_package(self):
+        import qphase
+
+        assert qphase.InvalidCountsError is InvalidCountsError
+        assert issubclass(InvalidCountsError, ValueError)
+
+
 class TestEstimateWigner:
     def test_exact_up_reproduces_table(self):
         sys = build_system(1)
@@ -212,6 +273,15 @@ class TestMetrics:
     def test_trace_distance_extremes(self):
         assert trace_distance(rho_of("up"), rho_of("up")) == pytest.approx(0.0)
         assert trace_distance(rho_of("up"), rho_of("down")) == pytest.approx(1.0)
+
+    def test_projection_clips_and_renormalizes(self):
+        # Eigenvalue truncation, which is not the nearest physical state:
+        # (0.6, 0.4, 0, 0) is closer to this input than the result.
+        rho = np.diag([0.7, 0.5, -0.2, 0.0]).astype(complex)
+        out = project_to_physical(rho)
+        assert np.allclose(out, np.diag([0.7, 0.5, 0.0, 0.0]) / 1.2, atol=1e-12)
+        assert np.linalg.norm(out - rho) == pytest.approx(0.2461, abs=1e-4)
+        assert np.linalg.norm(np.diag([0.6, 0.4, 0, 0]) - rho) < np.linalg.norm(out - rho)
 
     def test_projection_idempotent_on_physical(self):
         rng = np.random.default_rng(3)

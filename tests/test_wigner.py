@@ -319,3 +319,54 @@ class TestValidationAndRendering:
         line = line_from_equation(other.one, other.one, other.zero)
         with pytest.raises(Exception):
             line_sum(grid_of(1, "up"), line)
+
+
+def dense_vector_index(system):
+    """Line -> basis index by the dense construction: the lexicographic
+    stabilizer-sign ray, then argmax_k <v_k|U_w P_ray U_w^dag|v_k> for
+    every point w of the line (all of which must agree)."""
+    lab = system.labeling
+    index = {}
+    for striation, basis in zip(system.striations, system.bases):
+        vectors = basis.vectors
+        forms = []
+        for w in striation.stabilizer_vectors:
+            u = translation_unitary(w, lab).unitary
+            forms.append(u if np.allclose(u, u.conj().T) else 1j * u)
+        keys = [tuple(int(np.real(np.vdot(v, t @ v)) < 0) for t in forms) for v in vectors]
+        ray = vectors[keys.index(min(keys))]
+        proj = np.outer(ray, ray.conj())
+        for line in striation.lines:
+            picks = set()
+            for w in line.points:
+                u = translation_unitary(w, lab).unitary
+                fit = np.real(np.einsum("ki,ij,kj->k", vectors.conj(), u @ proj @ u.conj().T, vectors))
+                picks.add(int(np.argmax(fit)))
+            assert len(picks) == 1, line
+            index[line] = picks.pop()
+    return index
+
+
+class TestNetAgainstDenseReference:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_vector_index_matches_dense_closure(self, n):
+        system = build_system(n)
+        assert system.net.vector_index == dense_vector_index(system)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lines_through_table_and_stack_agree_with_membership(self, n):
+        system = build_system(n)
+        net = system.net
+        table = net.outcome_index_table()
+        stack = net.phase_point_stack()
+        for q in system.ctx.elements():
+            for p in system.ctx.elements():
+                pt = Point(q, p)
+                row = q.index * system.dim + p.index
+                member = [next(ln for ln in s.lines if pt in ln) for s in system.striations]
+                assert net.lines_through(pt) == tuple(member)
+                assert table[row].tolist() == [net.vector_index[ln] for ln in member]
+                a = -np.eye(system.dim, dtype=complex)
+                for line in member:
+                    a = a + net.projector(line)
+                assert stack[row].tobytes() == a.tobytes(), pt
