@@ -25,12 +25,10 @@ from .geometry import (
     ring_line_points,
     striation_ascii,
     striation_to_json_dict,
-    translate,
 )
 from .mub import (
     ConjugacyReport,
     LabelingError,
-    MubConfigurationError,
     StriationBasis,
     basis_for_striation,
     bell_reference_basis,
@@ -43,7 +41,6 @@ from .operators import (
     TranslationOperator,
     default_labeling,
     joint_eigenbasis,
-    kron,
     pauli,
     projective_check,
     same_basis_labeling,
@@ -79,13 +76,11 @@ from .tomography import (
 )
 from .wigner import (
     NetConstructionError,
-    PhasePointOperator,
     QuantumNet,
     WignerGrid,
     default_net,
     grid_ascii,
     line_sum,
-    phase_point_operator,
     state_from_wigner,
     translate_grid,
     wigner_from_state,

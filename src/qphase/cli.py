@@ -13,7 +13,7 @@ import os
 import sys
 
 from .fields import FieldError, field_create
-from .mub import LabelingError, MubConfigurationError, check_conjugacy
+from .mub import LabelingError, check_conjugacy
 from .serialize import dumps_canonical, matrix_to_json, round_float, vector_to_json
 from .states import InvalidStateError, parse_state_spec
 from .system import build_system
@@ -493,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2
-    except (FieldError, LabelingError, MubConfigurationError, NetConstructionError) as exc:
+    except (FieldError, LabelingError, NetConstructionError) as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -48,11 +48,6 @@ class Point:
         return f"({self.q},{self.p})"
 
 
-def translate(pt: Point, v: Point) -> Point:
-    """Shift a point by the vector v (componentwise field addition)."""
-    return pt + v
-
-
 @dataclass(frozen=True)
 class Line:
     """Solution set of a*q + b*p = c, in canonical form.

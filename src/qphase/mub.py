@@ -20,7 +20,6 @@ from .operators import (
     TranslationOperator,
     default_labeling,
     joint_eigenbasis,
-    trace_dual_labeling,
     translation_unitary,
 )
 
@@ -37,10 +36,6 @@ class LabelingError(RuntimeError):
             f"labeling invalid: stabilizers of striation {striation} do not commute "
             f"(pair {cause.pair}, deviation {cause.deviation:.3e})"
         )
-
-
-class MubConfigurationError(RuntimeError):
-    """No tried labeling yields commuting stabilizers for every striation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,28 +76,12 @@ def basis_for_striation(striation: Striation, labeling: QubitLabeling) -> Striat
 def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> list[StriationBasis]:
     """One basis per striation, N+1 in all, in striation order.
 
-    With no explicit labeling, the default is tried first and the trace-dual
-    labeling is the fallback; an explicit labeling is never substituted.
+    The labeling defaults to default_labeling(ctx), which always yields
+    commuting stabilizers; a labeling that does not raises LabelingError.
     """
-    striations = enumerate_striations(ctx)
-
-    def attempt(lab: QubitLabeling) -> list[StriationBasis]:
-        return [basis_for_striation(s, lab) for s in striations]
-
-    if labeling is not None:
-        return attempt(labeling)
-
-    first = default_labeling(ctx)
-    try:
-        return attempt(first)
-    except LabelingError as exc:
-        fallback = trace_dual_labeling(ctx)
-        if fallback == first:
-            raise MubConfigurationError(f"default labeling failed and no fallback remains: {exc}") from exc
-        try:
-            return attempt(fallback)
-        except LabelingError as exc2:
-            raise MubConfigurationError(f"trace-dual fallback also failed: {exc2}") from exc2
+    if labeling is None:
+        labeling = default_labeling(ctx)
+    return [basis_for_striation(s, labeling) for s in enumerate_striations(ctx)]
 
 
 @dataclass

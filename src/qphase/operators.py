@@ -53,11 +53,6 @@ def pauli(name: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli name {name!r}; expected one of I, X, Y, Z") from None
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product; dimensions multiply."""
-    return np.kron(a, b)
-
-
 # -- GF(2) linear algebra for basis expansions -----------------------------
 
 

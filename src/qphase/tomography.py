@@ -2,9 +2,11 @@
 
 Counts come from deterministic counter-based streams keyed by (seed,
 striation), so per-basis simulation is reproducible bit-exactly and
-order-insensitive.  Reconstruction is linear inversion through line sums:
-W_a = (sum of the empirical line probabilities through a, minus 1)/N, then
-rho = sum_a W_a A_a, with optional projection back to the physical set.
+order-insensitive.  Reconstruction is linear inversion through the same line
+probabilities as the exact Wigner map (see wigner): W_a = (sum of the
+empirical line probabilities through a, minus 1)/N, then
+rho = sum_l (line sum of W) |v_l><v_l| - I, with optional projection back to
+the physical set.  No step builds the dense phase-point stack.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import numpy as np
 
 from .mub import StriationBasis
 from .states import InvalidStateError, validate_density_matrix
-from .wigner import QuantumNet, WignerGrid, state_from_wigner, wigner_from_state
-
-PROB_DRIFT_TOL = 1e-9
+from .wigner import PROB_DRIFT_TOL, QuantumNet, WignerGrid, basis_probabilities, grid_from_probabilities
+from .wigner import state_from_wigner, wigner_from_state
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -100,17 +101,20 @@ class CountsRecord:
     def from_json_dict(cls, payload: dict) -> "CountsRecord":
         """Inverse of to_json_dict.
 
-        Raises InvalidCountsError unless the striation keys are exactly
-        0..N, every vector has N = 2^n finite non-negative entries, and,
-        when shots > 0, each striation's counts are whole and sum to shots.
+        Raises InvalidCountsError unless n >= 1, shots >= 0 and seed are
+        whole numbers, the striation keys are exactly 0..N, and every vector
+        has N = 2^n finite non-negative entries that, when shots > 0, are
+        whole and sum to shots, and otherwise sum to 1 within PROB_DRIFT_TOL.
         """
-        n, shots = int(payload["n"]), int(payload["shots"])
+        n = _whole_number(payload, "n", minimum=1)
+        shots = _whole_number(payload, "shots", minimum=0)
+        seed = _whole_number(payload, "seed")
         dim = 1 << n
         try:
             raw = {int(k): np.array(v, dtype=float) for k, v in payload["counts"].items()}
-        except (TypeError, ValueError) as exc:
-            raise InvalidCountsError(f"counts must map striation numbers to lists of numbers ({exc})") from None
-        if sorted(raw) != list(range(dim + 1)):
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidCountsError(f"counts must map striation numbers to lists of numbers ({exc!r})") from None
+        if len(raw) != dim + 1 or sorted(raw) != list(range(dim + 1)):
             raise InvalidCountsError(f"counts need striation keys 0..{dim}, got {sorted(raw)}")
         counts = {}
         for s, c in raw.items():
@@ -124,24 +128,32 @@ class CountsRecord:
                 if c.sum() != shots:
                     raise InvalidCountsError(f"striation {s} counts sum to {c.sum():g}, expected {shots}")
                 c = c.astype(np.int64)
+            elif abs(c.sum() - 1.0) >= PROB_DRIFT_TOL:
+                raise InvalidCountsError(f"striation {s} frequencies sum to {float(c.sum())!r}, expected 1")
             counts[s] = c
-        return cls(n=n, shots=shots, seed=int(payload["seed"]), counts=counts)
+        return cls(n=n, shots=shots, seed=seed, counts=counts)
+
+
+def _whole_number(payload: dict, key: str, minimum: int | None = None) -> int:
+    """payload[key] as an int; InvalidCountsError if missing, fractional or below minimum."""
+    value = payload.get(key) if isinstance(payload, dict) else None
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidCountsError(f"{key} must be a whole number{bound}, got {value!r}")
+    return int(value)
 
 
 def outcome_probabilities(rho: np.ndarray, basis: StriationBasis | np.ndarray) -> np.ndarray:
     """p_k = <v_k| rho |v_k>, clipped to [0, 1] and renormalized.
 
-    Probability drift beyond 1e-9 (before renormalization) means the input
-    was not a physical state and raises.
+    basis_probabilities for one basis, or one row per basis for stacked
+    vectors[s, k]: probability drift of PROB_DRIFT_TOL or more (before
+    renormalization) means the input was not a physical state and raises.
     """
     vectors = basis.vectors if isinstance(basis, StriationBasis) else np.asarray(basis)
-    rho = validate_density_matrix(rho, vectors.shape[1])
-    p = np.real(np.einsum("ki,ij,kj->k", vectors.conj(), rho, vectors))
-    drift = abs(float(p.sum()) - 1.0)
-    if drift >= PROB_DRIFT_TOL:
-        raise InvalidStateError(f"outcome probabilities drift from 1 by {drift:.3e}")
-    p = np.clip(p, 0.0, 1.0)
-    return p / p.sum()
+    p = np.clip(basis_probabilities(rho, vectors), 0.0, 1.0)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _basis_stream(seed: int, striation: int) -> np.random.Generator:
@@ -166,9 +178,9 @@ def simulate_counts(rho: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     independent of the order the bases are processed in.
     """
     n = int(np.log2(plan.dim))
+    probs = outcome_probabilities(rho, np.stack([b.vectors for b in plan.bases]))
     counts: dict[int, np.ndarray] = {}
-    for basis in plan.bases:
-        p = outcome_probabilities(rho, basis)
+    for basis, p in zip(plan.bases, probs):
         if plan.exact:
             counts[basis.striation] = p
         else:
@@ -182,19 +194,15 @@ def estimate_wigner(counts: CountsRecord, net: QuantumNet) -> WignerGrid:
 
     W_a = (sum over the N+1 lines through a of the empirical probability of
     the outcome assigned to that line, minus 1) / N.  With exact frequencies
-    this reproduces wigner_from_state exactly.
+    this reproduces wigner_from_state up to rounding.
     """
-    dim = net.dim
+    if counts.n != net.ctx.n:
+        raise InvalidCountsError(f"counts are for n = {counts.n}, the net for n = {net.ctx.n}")
     missing = [s.direction for s in net.striations if s.direction not in counts.counts]
     if missing:
         raise ValueError(f"counts record is missing striations {missing}")
-    table = net.outcome_index_table()
-    totals = np.zeros(len(table))
-    for col, striation in enumerate(net.striations):
-        freq = np.asarray(counts.frequencies(striation.direction), dtype=float)
-        totals += freq[table[:, col]]
-    values = ((totals - 1.0) / dim).reshape(net.ctx.order, net.ctx.order)
-    return WignerGrid(net.ctx, values)
+    freqs = [np.asarray(counts.frequencies(s.direction), dtype=float) for s in net.striations]
+    return grid_from_probabilities(np.stack(freqs), net)
 
 
 # -- distance measures ------------------------------------------------------
@@ -279,11 +287,11 @@ def estimate_state(
         seed=counts.seed,
     )
     if truth is not None:
-        truth = validate_density_matrix(truth, net.dim)
+        true_grid = wigner_from_state(truth, net)
+        truth = np.asarray(truth, dtype=complex)
         estimate = report.estimate
         report.fidelity = min(fidelity(truth, estimate), 1.0)
         report.trace_distance = trace_distance(truth, estimate)
-        true_grid = wigner_from_state(truth, net)
         report.max_wigner_error = float(np.max(np.abs(grid.values - true_grid.values)))
     return report
 

@@ -1,11 +1,12 @@
 """Line-to-state assignments, phase-point operators, and Wigner grids.
 
-A quantum net assigns one basis vector (as a rank-1 projector) to every line
-so that translated lines carry translated vectors.  Summing the N+1
-projectors through a point and subtracting the identity gives the Hermitian
-phase-point operator A of that point; W = tr(rho A)/N maps states to real
-N x N grids whose line sums are measurement probabilities, and
-rho = sum_a W_a A_a inverts the map exactly.
+A quantum net assigns one basis vector v_l to every line l so that translated
+lines carry translated vectors.  Both directions of the Wigner map go through
+the line probabilities p_l = <v_l|rho|v_l>: W_a = (sum of p_l over the N+1
+lines through a, minus 1)/N, and rho = sum_l p_l |v_l><v_l| - I with p_l the
+line sums of the grid.  These are W_a = tr(rho A_a)/N and rho = sum_a W_a A_a
+for the phase-point operators A_a (the line projectors through a, minus the
+identity), whose dense stack of 16 N^4 bytes is built only on request.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .geometry import Line, Point, Striation, enumerate_striations
 from .mub import StriationBasis
 from .operators import QubitLabeling, pauli_permutation
 from .serialize import round_float
-from .states import validate_density_matrix
+from .states import InvalidStateError, validate_density_matrix
 
 CLOSURE_TOL = 1e-9
-IMAG_RESIDUE_TOL = 1e-9
+PROB_DRIFT_TOL = 1e-9
 
 
 class NetConstructionError(RuntimeError):
@@ -84,8 +85,8 @@ class QuantumNet:
     """Covariant assignment of basis vectors to lines.
 
     vector_index maps each line to the index of its vector within the
-    striation's basis.  The outcome table and the phase-point stack are
-    built on first use and then shared read-only.
+    striation's basis.  The outcome table, the stacked basis vectors and
+    the phase-point stack are built on first use and shared read-only.
     """
 
     ctx: FieldContext
@@ -140,6 +141,20 @@ class QuantumNet:
             self._aux["stack"] = cached
         return cached
 
+    def _vectors(self) -> np.ndarray:
+        """vectors[s, k]: vector k of the basis of striation s."""
+        cached = self._aux.get("vectors")
+        if cached is None:
+            cached = np.stack([b.vectors for b in self.bases])
+            cached.setflags(write=False)
+            self._aux["vectors"] = cached
+        return cached
+
+    def _line_ids(self) -> np.ndarray:
+        """[q_index * N + p_index, s] -> s * N + k for the line through that
+        point in striation s, whose vector is k: a flat index into p[s, k]."""
+        return self.outcome_index_table() + self.dim * np.arange(len(self.bases))
+
     def outcome_index_table(self) -> np.ndarray:
         """outcome_index_table()[q_index * N + p_index, s] is the basis-vector
         index of the line through that point in striation s."""
@@ -154,14 +169,6 @@ class QuantumNet:
             table.setflags(write=False)
             self._aux["outcome_table"] = cached = table
         return cached
-
-
-@dataclass(frozen=True, eq=False)
-class PhasePointOperator:
-    """Hermitian operator A attached to one phase-space point."""
-
-    point: Point
-    matrix: np.ndarray
 
 
 def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[StriationBasis]) -> QuantumNet:
@@ -255,13 +262,6 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     )
 
 
-def phase_point_operator(alpha: Point, net: QuantumNet) -> PhasePointOperator:
-    """A_alpha = sum of the N+1 line projectors through alpha, minus identity."""
-    if alpha.ctx is not net.ctx:
-        raise ContextMismatchError("point and net use different field contexts")
-    return PhasePointOperator(alpha, net.phase_point_matrix(alpha))
-
-
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Real quasi-probability values on the N x N grid, indexed [q][p].
@@ -295,31 +295,57 @@ class WignerGrid:
         }
 
 
+def basis_probabilities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """p[s, k] = <v_sk|rho|v_sk> for stacked bases vectors[s, k], unclipped.
+
+    rho is validated once (Hermitian, unit trace, PSD within 1e-9); a basis
+    whose probabilities drift from 1 by PROB_DRIFT_TOL or more raises
+    InvalidStateError.
+    """
+    vectors = np.asarray(vectors)
+    rho = validate_density_matrix(rho, vectors.shape[-1])
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    p = ((flat.conj() @ rho) * flat).sum(1).real.reshape(vectors.shape[:-1])
+    drift = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
+    if drift >= PROB_DRIFT_TOL:
+        raise InvalidStateError(f"outcome probabilities drift from 1 by {drift:.3e}")
+    return p
+
+
+def grid_from_probabilities(p: np.ndarray, net: QuantumNet) -> WignerGrid:
+    """W_a = (sum_s p[s, k_s(a)] - 1) / N, where k_s(a) is the outcome of
+    striation s assigned to the line through a."""
+    n_elems = net.ctx.order
+    p = np.asarray(p, dtype=float)
+    expected = (len(net.bases), net.dim)
+    if p.shape != expected:
+        raise ValueError(f"line probabilities must have shape {expected}, got {p.shape}")
+    totals = sum(p.reshape(-1)[ids] for ids in net._line_ids().T)  # in striation order
+    return WignerGrid(net.ctx, ((totals - 1.0) / net.dim).reshape(n_elems, n_elems))
+
+
 def wigner_from_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
-    """W_a = tr(rho A_a) / N for every grid point.
+    """W_a = tr(rho A_a) / N for every grid point, from the line probabilities.
 
     The input must be a physical state (Hermitian, unit trace, PSD within
-    1e-9); a large imaginary residue in any W value signals a broken net and
-    raises rather than being dropped.
+    1e-9); otherwise InvalidStateError.
     """
-    rho = validate_density_matrix(rho, net.dim)
-    n_elems = net.ctx.order
-    stack = net.phase_point_stack()
-    w = np.einsum("aij,ji->a", stack, rho) / net.dim
-    residue = float(np.max(np.abs(w.imag)))
-    if residue > IMAG_RESIDUE_TOL:
-        raise NetConstructionError(f"Wigner value has imaginary residue {residue:.3e}")
-    return WignerGrid(net.ctx, w.real.reshape(n_elems, n_elems).copy())
+    return grid_from_probabilities(basis_probabilities(rho, net._vectors()), net)
 
 
 def state_from_wigner(grid: WignerGrid, net: QuantumNet) -> np.ndarray:
-    """rho = sum_a W_a A_a; exact inverse of wigner_from_state."""
+    """rho = sum_a W_a A_a, the exact inverse of wigner_from_state, computed
+    as sum_l p_l |v_l><v_l| - (sum_a W_a) I with p_l the line sums of W."""
     if grid.ctx is not net.ctx:
         raise ContextMismatchError("grid and net use different field contexts")
-    if abs(grid.total - 1.0) > 1e-6:
-        raise ValueError(f"grid sums to {grid.total!r}, expected 1")
-    stack = net.phase_point_stack()
-    return np.einsum("a,aij->ij", grid.values.reshape(-1).astype(complex), stack)
+    total = grid.total
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"grid sums to {total!r}, expected 1")
+    # Every line has N points, so each line id occurs and p has N(N+1) entries.
+    weights = np.repeat(grid.values.reshape(-1), len(net.bases))
+    p = np.bincount(net._line_ids().reshape(-1), weights=weights)
+    vectors = net._vectors().reshape(-1, net.dim)
+    return (vectors.T * p) @ vectors.conj() - total * np.eye(net.dim)
 
 
 def line_sum(grid: WignerGrid, line: Line) -> float:

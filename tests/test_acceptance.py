@@ -18,7 +18,7 @@ from qphase.geometry import (
     ring_line_points,
 )
 from qphase.mub import check_conjugacy
-from qphase.operators import kron, pauli, translation_unitary
+from qphase.operators import pauli, translation_unitary
 from qphase.states import random_density_matrix, registry_vector
 from qphase.system import build_system
 from qphase.tomography import (
@@ -87,13 +87,13 @@ def test_criterion_03_two_qubit_translation_operators():
         return translation_unitary(Point(q, p), sys.labeling).unitary
 
     dev = max(
-        float(np.max(np.abs(u(one, zero) - kron(pauli("I"), X)))),
-        float(np.max(np.abs(u(w, zero) - kron(X, pauli("I"))))),
-        float(np.max(np.abs(u(zero, one) - kron(pauli("I"), Z)))),
-        float(np.max(np.abs(u(zero, w) - kron(Z, pauli("I"))))),
+        float(np.max(np.abs(u(one, zero) - np.kron(pauli("I"), X)))),
+        float(np.max(np.abs(u(w, zero) - np.kron(X, pauli("I"))))),
+        float(np.max(np.abs(u(zero, one) - np.kron(pauli("I"), Z)))),
+        float(np.max(np.abs(u(zero, w) - np.kron(Z, pauli("I"))))),
     )
     combined = u(one, w2)
-    ref = -1j * kron(Z, Y)
+    ref = -1j * np.kron(Z, Y)
     phase = np.vdot(ref.reshape(-1), combined.reshape(-1)) / 4
     dev_phase = float(np.max(np.abs(combined - phase * ref)))
     ok = dev <= 1e-12 and abs(abs(phase) - 1) <= 1e-12 and dev_phase <= 1e-12
@@ -166,7 +166,7 @@ def test_criterion_08_phase_point_operator_golden():
     sys = build_system(2)
     ctx = sys.ctx
     a00 = sys.net.phase_point_matrix(Point(ctx.zero, ctx.zero))
-    ref = kron(
+    ref = np.kron(
         np.array([[1, (1 - 1j) / 2], [(1 + 1j) / 2, 0]]),
         np.array([[1, (1 + 1j) / 2], [(1 - 1j) / 2, 0]]),
     )

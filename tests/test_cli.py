@@ -221,3 +221,14 @@ class TestMainFunction:
         assert main(["field", "0"]) == 2
         assert main(["--precision", "99", "field", "2"]) == 2
         assert main(["nonsense"]) == 2
+
+    def test_labeling_error_exits_3(self, monkeypatch):
+        import qphase.cli
+        from qphase.mub import LabelingError
+        from qphase.operators import NonCommutingError
+
+        def broken(n):
+            raise LabelingError(1, NonCommutingError(0, 1, 2.0))
+
+        monkeypatch.setattr(qphase.cli, "build_system", broken)
+        assert qphase.cli.main(["wigner", "1", "--state", "up"]) == 3

@@ -14,7 +14,6 @@ from qphase.geometry import (
     ring_line_points,
     striation_ascii,
     striation_to_json_dict,
-    translate,
 )
 
 
@@ -146,19 +145,19 @@ class TestIntersection:
 class TestTranslate:
     def test_origin_translation(self):
         ctx = field_create(2)
-        moved = translate(pt(ctx, "0", "0"), pt(ctx, "1", "w"))
+        moved = pt(ctx, "0", "0") + pt(ctx, "1", "w")
         assert moved == pt(ctx, "1", "w")
 
     def test_identity_translation(self):
         ctx = field_create(2)
         p = pt(ctx, "w", "w2")
-        assert translate(p, pt(ctx, "0", "0")) == p
+        assert p + pt(ctx, "0", "0") == p
 
     def test_translation_is_bijection(self):
         ctx = field_create(2)
         v = pt(ctx, "w", "1")
         grid = [Point(q, p) for q in ctx.elements() for p in ctx.elements()]
-        images = {translate(g, v) for g in grid}
+        images = {g + v for g in grid}
         assert len(images) == len(grid)
 
 

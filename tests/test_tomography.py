@@ -166,6 +166,31 @@ class TestCountsValidation:
         with pytest.raises(InvalidCountsError, match="keys 0..2"):
             CountsRecord.from_json_dict(payload)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shots", -10), ("shots", 10.7), ("n", -1), ("n", 0), ("seed", 0.5), ("seed", "0"), ("n", True)],
+    )
+    def test_header_must_be_whole_numbers_in_range(self, field, value):
+        with pytest.raises(InvalidCountsError, match=field):
+            CountsRecord.from_json_dict({**self.GOOD, field: value})
+
+    @pytest.mark.parametrize("field", ["n", "shots", "seed", "counts"])
+    def test_missing_key_rejected(self, field):
+        payload = {k: v for k, v in self.GOOD.items() if k != field}
+        with pytest.raises(InvalidCountsError):
+            CountsRecord.from_json_dict(payload)
+
+    def test_whole_float_header_accepted(self):
+        assert CountsRecord.from_json_dict({**self.GOOD, "shots": 10.0}).shots == 10
+
+    def test_exact_frequencies_must_sum_to_one(self):
+        payload = {"n": 1, "shots": 0, "seed": 0,
+                   "counts": {"0": [0.5, 0.4], "1": [1.0, 0.0], "2": [0.5, 0.5]}}
+        with pytest.raises(InvalidCountsError, match="sum to 0.9"):
+            CountsRecord.from_json_dict(payload)
+        payload["counts"]["0"] = [0.5, 0.5 + 1e-12]
+        assert CountsRecord.from_json_dict(payload).counts[0][1] == 0.5 + 1e-12
+
     def test_error_is_a_value_error_exported_from_package(self):
         import qphase
 
@@ -212,6 +237,13 @@ class TestEstimateWigner:
         del counts.counts[2]
         with pytest.raises(ValueError):
             estimate_wigner(counts, sys.net)
+
+    def test_counts_for_another_size_rejected(self):
+        # Only the first two entries of each vector would be read: the
+        # estimate came out as I/2 without an error.
+        record = CountsRecord(n=2, shots=0, seed=0, counts={s: np.array([0.5, 0.5, 0, 0]) for s in range(5)})
+        with pytest.raises(InvalidCountsError, match="n = 2"):
+            estimate_state(record, build_system(1).net)
 
     def test_grid_sums_to_one_even_at_finite_shots(self):
         sys = build_system(1)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qphase.fields import field_create
 from qphase.geometry import Point, line_from_equation
-from qphase.operators import pauli, kron, translation_unitary
+from qphase.operators import pauli, translation_unitary
 from qphase.states import (
     InvalidStateError,
     random_density_matrix,
@@ -13,11 +14,15 @@ from qphase.states import (
     validate_density_matrix,
 )
 from qphase.system import build_system
+from qphase.tomography import MeasurementPlan, estimate_state, simulate_counts
 from qphase.wigner import (
+    QuantumNet,
     WignerGrid,
+    basis_probabilities,
+    default_net,
+    grid_from_probabilities,
     grid_ascii,
     line_sum,
-    phase_point_operator,
     state_from_wigner,
     translate_grid,
     wigner_from_state,
@@ -98,15 +103,15 @@ class TestPhasePointOperators:
         expected = -np.eye(2, dtype=complex)
         for s in sys.striations:
             expected += sys.net.projector(s.ray)
-        a00 = phase_point_operator(Point(sys.ctx.zero, sys.ctx.zero), sys.net).matrix
+        a00 = sys.net.phase_point_matrix(Point(sys.ctx.zero, sys.ctx.zero))
         assert np.max(np.abs(a00 - expected)) < 1e-12
         assert np.allclose(np.diag(a00), [1, 0])
         assert np.max(np.abs(a00 - 0.5 * (np.eye(2) + X + Y + Z))) < 1e-12
 
     def test_origin_operator_2q_golden(self):
         sys = build_system(2)
-        a00 = phase_point_operator(Point(sys.ctx.zero, sys.ctx.zero), sys.net).matrix
-        ref = kron(
+        a00 = sys.net.phase_point_matrix(Point(sys.ctx.zero, sys.ctx.zero))
+        ref = np.kron(
             np.array([[1, (1 - 1j) / 2], [(1 + 1j) / 2, 0]]),
             np.array([[1, (1 + 1j) / 2], [(1 - 1j) / 2, 0]]),
         )
@@ -370,3 +375,53 @@ class TestNetAgainstDenseReference:
                 for line in member:
                     a = a + net.projector(line)
                 assert stack[row].tobytes() == a.tobytes(), pt
+
+
+class TestPhasePointReference:
+    """The line-probability formulas against the dense phase-point stack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+    def test_grid_and_inverse_match_stack(self, n, seed, pure):
+        sys = build_system(n)
+        rng = np.random.default_rng(seed)
+        if pure:
+            v = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+            v /= np.linalg.norm(v)
+            rho = np.outer(v, v.conj())
+        else:
+            rho = random_density_matrix(rng, sys.dim)
+        stack = sys.net.phase_point_stack()
+        grid = wigner_from_state(rho, sys.net)
+        ref = np.einsum("aij,ji->a", stack, rho).real / sys.dim
+        assert np.max(np.abs(grid.values.reshape(-1) - ref)) < 1e-12
+        back = state_from_wigner(grid, sys.net)
+        assert np.max(np.abs(back - np.einsum("a,aij->ij", grid.values.reshape(-1), stack))) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_stack_on_the_hot_path(self, n, monkeypatch):
+        sys = build_system(n)
+        net = default_net(sys.ctx, sys.labeling, list(sys.bases))
+
+        def refuse(self):
+            raise AssertionError("phase-point stack built")
+
+        monkeypatch.setattr(QuantumNet, "phase_point_stack", refuse)
+        rho = random_density_matrix(np.random.default_rng(n), sys.dim)
+        back = state_from_wigner(wigner_from_state(rho, net), net)
+        assert np.max(np.abs(back - rho)) < 1e-12
+        for shots in (0, 64):
+            counts = simulate_counts(rho, MeasurementPlan(bases=sys.bases, shots_per_basis=shots, seed=1))
+            estimate_state(counts, net, truth=rho)
+
+    def test_drifting_probabilities_rejected(self):
+        sys = build_system(1)
+        vectors = np.stack([b.vectors for b in sys.bases])
+        vectors[1] *= 1.001  # no longer unit vectors
+        with pytest.raises(InvalidStateError, match="drift"):
+            basis_probabilities(rho_of("up"), vectors)
+
+    def test_grid_needs_one_row_per_striation(self):
+        sys = build_system(1)
+        with pytest.raises(ValueError, match="shape"):
+            grid_from_probabilities(np.full((2, 2), 0.5), sys.net)
