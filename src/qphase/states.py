@@ -28,7 +28,7 @@ def validate_density_matrix(rho: np.ndarray, dim: int | None = None, tol: float 
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise InvalidStateError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > tol:
-        raise InvalidStateError(f"density matrix trace {np.trace(rho).real!r} is not 1")
+        raise InvalidStateError(f"density matrix trace {float(np.trace(rho).real)!r} is not 1")
     if np.linalg.eigvalsh(rho).min() < -tol:
         raise InvalidStateError("density matrix has a negative eigenvalue")
     return rho
@@ -85,12 +85,16 @@ def _complex_from_pair(pair) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(x, (int, float)) for x in pair)
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
         raise InvalidStateError(f"expected a [re, im] pair, got {pair!r}")
-    if not all(math.isfinite(x) for x in pair):
+    try:
+        re, im = float(pair[0]), float(pair[1])
+    except OverflowError:
+        re = im = math.inf
+    if not (math.isfinite(re) and math.isfinite(im)):
         raise InvalidStateError(f"expected finite numbers, got {pair!r}")
-    return complex(pair[0], pair[1])
+    return complex(re, im)
 
 
 def parse_state_spec(spec: str, n: int) -> tuple[np.ndarray, list[str]]:
@@ -99,7 +103,8 @@ def parse_state_spec(spec: str, n: int) -> tuple[np.ndarray, list[str]]:
     The spec is either a registry name or inline JSON: a vector as a list of
     [re, im] pairs, or a density matrix as a list of such rows.  Vectors off
     unit norm by more than 1e-9 are renormalized with a warning.  Returns
-    (rho, warnings).
+    (rho, warnings).  Malformed, non-finite or unphysical input raises
+    InvalidStateError.
     """
     dim = 1 << n
     warnings: list[str] = []
@@ -113,21 +118,30 @@ def parse_state_spec(spec: str, n: int) -> tuple[np.ndarray, list[str]]:
         if not isinstance(payload, list) or not payload:
             raise InvalidStateError("inline state must be a non-empty JSON array")
         if isinstance(payload[0], list) and payload[0] and isinstance(payload[0][0], list):
+            if not all(isinstance(row, list) and len(row) == len(payload) for row in payload):
+                raise InvalidStateError("inline matrix must be a square list of rows of [re, im] pairs")
             rows = [[_complex_from_pair(entry) for entry in row] for row in payload]
             rho = np.array(rows, dtype=complex)
             if rho.shape != (dim, dim):
                 raise InvalidStateError(f"inline matrix has shape {rho.shape}, expected {(dim, dim)}")
-            trace = np.trace(rho).real
-            if abs(trace - 1.0) > DENSITY_TOL:
-                if trace <= DENSITY_TOL:
-                    raise InvalidStateError("inline density matrix has non-positive trace")
-                warnings.append(f"density matrix trace {trace:.6g} renormalized to 1")
-                rho = rho / trace
-            return validate_density_matrix(rho, dim), warnings
+            # entries near the float limit overflow to inf, which the checks reject
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = float(np.trace(rho).real)
+                if not math.isfinite(trace):
+                    raise InvalidStateError("inline density matrix trace is not finite")
+                if abs(trace - 1.0) > DENSITY_TOL:
+                    if trace <= DENSITY_TOL:
+                        raise InvalidStateError("inline density matrix has non-positive trace")
+                    warnings.append(f"density matrix trace {trace:.6g} renormalized to 1")
+                    rho = rho / trace
+                return validate_density_matrix(rho, dim), warnings
         vec = np.array([_complex_from_pair(entry) for entry in payload], dtype=complex)
         if vec.shape != (dim,):
             raise InvalidStateError(f"inline vector has length {vec.shape[0]}, expected {dim}")
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if not math.isfinite(norm):
+            raise InvalidStateError("inline vector norm is not finite")
         if norm <= DENSITY_TOL:
             raise InvalidStateError("inline vector has zero norm")
         if abs(norm - 1.0) > DENSITY_TOL:

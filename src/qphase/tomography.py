@@ -2,9 +2,11 @@
 
 Counts come from deterministic counter-based streams keyed by (seed,
 striation), so per-basis simulation is reproducible bit-exactly and
-order-insensitive.  Reconstruction is linear inversion through the same line
-probabilities as the exact Wigner map (see wigner): W_a = (sum of the
-empirical line probabilities through a, minus 1)/N, then
+order-insensitive.  Each basis sorts its draws once and counts the outcomes
+with one search of the N cumulative edges; the counts are exactly those of
+placing every shot by inverse transform.  Reconstruction is linear inversion
+through the same line probabilities as the exact Wigner map (see wigner):
+W_a = (sum of the empirical line probabilities through a, minus 1)/N, then
 rho = sum_l (line sum of W) |v_l><v_l| - I, with optional projection back to
 the physical set.  No step builds the dense phase-point stack.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from .mub import StriationBasis
 from .states import InvalidStateError, validate_density_matrix
 from .wigner import PROB_DRIFT_TOL, QuantumNet, WignerGrid, basis_probabilities, grid_from_probabilities
-from .wigner import state_from_wigner, wigner_from_state
+from .wigner import _valid_state_probabilities, state_from_wigner, wigner_from_state
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -152,7 +154,11 @@ def outcome_probabilities(rho: np.ndarray, basis: StriationBasis | np.ndarray) -
     renormalization) means the input was not a physical state and raises.
     """
     vectors = basis.vectors if isinstance(basis, StriationBasis) else np.asarray(basis)
-    p = np.clip(basis_probabilities(rho, vectors), 0.0, 1.0)
+    return _clip_renormalise(basis_probabilities(rho, vectors))
+
+
+def _clip_renormalise(p: np.ndarray) -> np.ndarray:
+    p = np.clip(p, 0.0, 1.0)
     return p / p.sum(axis=-1, keepdims=True)
 
 
@@ -163,22 +169,38 @@ def _basis_stream(seed: int, striation: int) -> np.random.Generator:
 
 
 def _sample_counts(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Categorical draws via inverse transform; shot i uses stream position i."""
+    """Outcome counts of `shots` categorical draws; shot i uses stream position i.
+
+    Inverse transform places draw u at the first k with u < edges[k].  The
+    float cumsum never decreases, and forcing edges[-1] = 1 can only put the
+    last edge below an earlier one that is already >= 1; every u is below 1.
+    So outcome(u) <= k exactly when u < edges[k], and the number of draws
+    below each edge, found with one search of the N edges into the sorted
+    draws, gives the per-shot counts exactly, without a search per shot.
+    """
     edges = np.cumsum(p)
     edges[-1] = 1.0
     u = rng.random(shots)
-    outcomes = np.searchsorted(edges, u, side="right")
-    return np.bincount(outcomes, minlength=len(p)).astype(np.int64)
+    u.sort()
+    below = np.searchsorted(u, edges, side="left")
+    return np.diff(below, prepend=0).astype(np.int64, copy=False)
 
 
 def simulate_counts(rho: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     """Measure shots_per_basis copies in each conjugate basis.
 
     Deterministic: the same (rho, plan) always yields the identical record,
-    independent of the order the bases are processed in.
+    independent of the order the bases are processed in.  Each basis counts
+    its sorted draws against the cumulative outcome probabilities, which
+    gives the same counts as placing every shot by inverse transform.
     """
-    n = int(np.log2(plan.dim))
     probs = outcome_probabilities(rho, np.stack([b.vectors for b in plan.bases]))
+    return _record_from_probabilities(probs, plan)
+
+
+def _record_from_probabilities(probs: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
+    """simulate_counts from clipped, renormalised probabilities probs[s, k]."""
+    n = int(np.log2(plan.dim))
     counts: dict[int, np.ndarray] = {}
     for basis, p in zip(plan.bases, probs):
         if plan.exact:
@@ -288,12 +310,16 @@ def estimate_state(
     )
     if truth is not None:
         true_grid = wigner_from_state(truth, net)
-        truth = np.asarray(truth, dtype=complex)
-        estimate = report.estimate
-        report.fidelity = min(fidelity(truth, estimate), 1.0)
-        report.trace_distance = trace_distance(truth, estimate)
-        report.max_wigner_error = float(np.max(np.abs(grid.values - true_grid.values)))
+        _score(report, np.asarray(truth, dtype=complex), true_grid)
     return report
+
+
+def _score(report: ReconstructionReport, truth: np.ndarray, true_grid: WignerGrid) -> None:
+    """Fill the report's metrics against a validated truth and its grid."""
+    estimate = report.estimate
+    report.fidelity = min(fidelity(truth, estimate), 1.0)
+    report.trace_distance = trace_distance(truth, estimate)
+    report.max_wigner_error = float(np.max(np.abs(report.wigner.values - true_grid.values)))
 
 
 @dataclass(frozen=True)
@@ -315,7 +341,10 @@ def error_scaling_study(
     """Mean reconstruction errors across seeds for each ensemble size.
 
     shot_list must be ascending; the expected statistical behavior is a
-    log-log slope near -1/2 for both error measures.
+    log-log slope near -1/2 for both error measures.  rho and the bases are
+    fixed, so rho is validated and its line probabilities and true grid are
+    computed once; each trial only samples, reconstructs and measures, with
+    results identical to simulate_counts and estimate_state(truth=rho).
     """
     if sorted(shot_list) != list(shot_list):
         raise ValueError("shot_list must be ascending")
@@ -323,13 +352,16 @@ def error_scaling_study(
         raise ValueError("need at least one seed")
     rho = validate_density_matrix(rho, net.dim)
     bases = tuple(mub_set)
+    MeasurementPlan(bases=bases, shots_per_basis=0, seed=0)  # rejects a malformed basis set
+    probs = _clip_renormalise(_valid_state_probabilities(rho, np.stack([b.vectors for b in bases])))
+    true_grid = grid_from_probabilities(_valid_state_probabilities(rho, net._vectors()), net)
     rows = []
     for shots in shot_list:
         dw, td = [], []
         for seed in seeds:
             plan = MeasurementPlan(bases=bases, shots_per_basis=shots, seed=seed)
-            counts = simulate_counts(rho, plan)
-            report = estimate_state(counts, net, project=True, truth=rho)
+            report = estimate_state(_record_from_probabilities(probs, plan), net, project=True)
+            _score(report, rho, true_grid)
             dw.append(report.max_wigner_error)
             td.append(report.trace_distance)
         rows.append(ScalingPoint(shots, float(np.mean(dw)), float(np.mean(td))))

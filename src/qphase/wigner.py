@@ -303,7 +303,11 @@ def basis_probabilities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     InvalidStateError.
     """
     vectors = np.asarray(vectors)
-    rho = validate_density_matrix(rho, vectors.shape[-1])
+    return _valid_state_probabilities(validate_density_matrix(rho, vectors.shape[-1]), vectors)
+
+
+def _valid_state_probabilities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """basis_probabilities for a rho that the caller has already validated."""
     flat = vectors.reshape(-1, vectors.shape[-1])
     p = ((flat.conj() @ rho) * flat).sum(1).real.reshape(vectors.shape[:-1])
     drift = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))

@@ -136,6 +136,21 @@ class TestWigner:
         assert "Traceback" not in out.stderr
         assert "finite" in out.stderr
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("[[[1,0],[0,0]],[[0,0]]]", "square"),  # ragged rows
+            ("[[true,false],[0,0]]", "pair"),  # JSON booleans
+            ("[[1e308,0],[1e308,0]]", "not finite"),  # the norm overflows
+        ],
+    )
+    def test_malformed_inline_state_exits_2(self, spec, message):
+        out = run_cli("wigner", "1", "--state", spec)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+        assert message in out.stderr
+
     def test_csv_grid(self):
         out = run_cli("wigner", "1", "--state", "up", "--format", "csv")
         lines = out.stdout.strip().splitlines()

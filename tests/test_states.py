@@ -1,8 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qphase.operators import pauli
 from qphase.states import (
@@ -112,6 +114,74 @@ class TestParseSpec:
         )
         with pytest.raises(InvalidStateError, match="finite"):
             parse_state_spec(spec, 2)
+
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(InvalidStateError, match="square"):
+            parse_state_spec("[[[1,0],[0,0]],[[0,0]]]", 1)
+        with pytest.raises(InvalidStateError, match="square"):
+            parse_state_spec("[[[1,0],[0,0]],5]", 1)
+
+    @pytest.mark.parametrize("spec", ["[[true,false],[0,0]]", "[[1,0],[0,false]]", "[[[true,0],[0,0]],[[0,0],[0,0]]]"])
+    def test_boolean_entries_rejected(self, spec):
+        with pytest.raises(InvalidStateError, match="pair"):
+            parse_state_spec(spec, 1)
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidStateError, match="finite"):
+            parse_state_spec(f"[[{10**400},0],[0,0]]", 1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["[[1e308,0],[1e308,0]]", "[[[1e308,0],[0,0]],[[0,0],[1e308,0]]]"],
+    )
+    def test_overflowing_norm_or_trace_rejected_without_warnings(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="not finite"):
+                parse_state_spec(spec, 1)
+
+    def test_overflowing_matrix_entries_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="Hermitian"):
+                parse_state_spec("[[[0.5,0],[1e308,0]],[[-1e308,0],[0.5,0]]]", 1)
+
+    def test_trace_message_prints_a_plain_float(self):
+        with pytest.raises(InvalidStateError, match=r"trace 0\.5 is not 1"):
+            validate_density_matrix(np.diag([0.5, 0.0]).astype(complex), 2)
+
+
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.just(10**400),
+    st.floats(),
+    st.booleans(),
+)
+_ENTRIES = st.one_of(st.lists(_NUMBERS, min_size=2, max_size=2), st.lists(_NUMBERS, max_size=3), _NUMBERS)
+_VECTORS = st.lists(_ENTRIES, min_size=1, max_size=5)
+_MATRICES = st.lists(st.one_of(_VECTORS, _NUMBERS), min_size=1, max_size=5)
+_ANY_JSON = st.recursive(
+    st.one_of(st.none(), _NUMBERS, st.text(max_size=4)),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=16,
+)
+
+
+class TestParseSpecFuzz:
+    @given(payload=st.one_of(_ANY_JSON, _VECTORS, _MATRICES), n=st.integers(1, 2))
+    def test_inline_json_raises_only_invalid_state_error(self, payload, n):
+        # arbitrary JSON (NaN, Infinity and integers beyond float range
+        # included) either parses to a finite 2^n x 2^n matrix or raises
+        # InvalidStateError, without numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rho, _ = parse_state_spec(json.dumps(payload), n)
+            except InvalidStateError:
+                return
+        assert rho.shape == (1 << n, 1 << n)
+        assert np.isfinite(rho).all()
 
 
 class TestValidation:

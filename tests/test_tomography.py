@@ -2,14 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qphase.tomography
+import qphase.wigner
 from qphase.geometry import Point
-from qphase.states import InvalidStateError, random_density_matrix, registry_vector
+from qphase.states import (
+    InvalidStateError,
+    random_density_matrix,
+    random_pure_state,
+    registry_vector,
+    validate_density_matrix,
+)
 from qphase.system import build_system
 from qphase.tomography import (
     CountsRecord,
     InvalidCountsError,
     MeasurementPlan,
+    _basis_stream,
+    _sample_counts,
     error_scaling_study,
     estimate_state,
     estimate_wigner,
@@ -111,6 +122,105 @@ class TestSimulateCounts:
         exact = simulate_counts(rho_of("y+"), plan_for(sys, 0, seed=9))
         back = CountsRecord.from_json_dict(exact.to_json_dict())
         assert back == exact
+
+
+def per_shot_counts(p, u):
+    """Reference sampler: inverse transform with one binary search per draw."""
+    edges = np.cumsum(p)
+    edges[-1] = 1.0
+    return np.bincount(np.searchsorted(edges, u, side="right"), minlength=len(p))
+
+
+class FixedDraws:
+    """Stands in for a Generator whose next draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shots):
+        assert shots == len(self.u)
+        return self.u.copy()
+
+
+def state_of_kind(kind, dim, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        v = random_pure_state(rng, dim)
+        return np.outer(v, v.conj())
+    if kind == "wishart":
+        return random_density_matrix(rng, dim)
+    rho = np.zeros((dim, dim), dtype=complex)  # a computational-basis state
+    k = int(rng.integers(dim))
+    rho[k, k] = 1.0
+    return rho
+
+
+class TestSortedDrawCounting:
+    """simulate_counts counts sorted draws; the counts must equal per-shot placement."""
+
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(1, 4),
+        shots=st.sampled_from([1, 2, 63, 4096]),
+        kind=st.sampled_from(["haar", "wishart", "basis"]),
+        state_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_counts_equal_per_shot_inverse_transform(self, n, shots, kind, state_seed, seed):
+        sys = build_system(n)
+        rho = state_of_kind(kind, sys.dim, state_seed)
+        record = simulate_counts(rho, plan_for(sys, shots, seed))
+        probs = outcome_probabilities(rho, np.stack([b.vectors for b in sys.bases]))
+        for basis, p in zip(sys.bases, probs):
+            got = record.counts[basis.striation]
+            ref = per_shot_counts(p, _basis_stream(seed, basis.striation).random(shots))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
+
+    def test_cumsum_past_one_before_a_trailing_zero(self):
+        # the float cumsum of this p exceeds 1 at the second-to-last edge, so
+        # forcing the last edge to 1 leaves it below its predecessor
+        p = np.append(np.random.default_rng(0).random(7), 0.0)
+        p /= p.sum()
+        assert np.cumsum(p)[-2] > 1.0
+        for seed in range(5):
+            got = _sample_counts(p, 4096, _basis_stream(seed, 3))
+            assert np.array_equal(got, per_shot_counts(p, _basis_stream(seed, 3).random(4096)))
+        u = [0.0, 0.5, 1 - 2**-20, np.nextafter(1.0, 0.0), 1 - 2**-53]
+        got = _sample_counts(p, len(u), FixedDraws(u))
+        assert np.array_equal(got, per_shot_counts(p, u))
+        assert got[-1] == 0
+
+    def test_cumsum_short_of_one(self):
+        # the float cumsum ends just below 1; the largest draw still lands
+        # in the last outcome because the last edge is forced to 1
+        p = np.random.default_rng(1).random(5)
+        p /= p.sum()
+        assert np.cumsum(p)[-1] < 1.0
+        u = [np.nextafter(1.0, 0.0), 0.5]
+        got = _sample_counts(p, len(u), FixedDraws(u))
+        assert got.sum() == 2 and got[-1] == 1
+        assert np.array_equal(got, per_shot_counts(p, u))
+
+    def test_draws_exactly_on_the_edges(self):
+        # edges [0.25, 0.5, 0.5, 1]: a draw equal to an edge belongs to the
+        # next outcome with nonzero probability
+        p = np.array([0.25, 0.25, 0.0, 0.5])
+        u = [0.5, 0.0, 0.25, 0.75, 0.25, np.nextafter(1.0, 0.0), 0.5]
+        got = _sample_counts(p, len(u), FixedDraws(u))
+        assert got.tolist() == [1, 2, 0, 4]
+        assert np.array_equal(got, per_shot_counts(p, u))
+
+    def test_pinned_record(self):
+        # a literal record: any change to the streams or the sampling rule shows here
+        sys = build_system(1)
+        record = simulate_counts(rho_of("tilted-111"), plan_for(sys, 100, seed=42))
+        assert record.to_json_dict() == {
+            "n": 1,
+            "shots": 100,
+            "seed": 42,
+            "counts": {"0": [19, 81], "1": [21, 79], "2": [74, 26]},
+        }
 
 
 class TestCountsValidation:
@@ -372,6 +482,38 @@ class TestScaling:
         ratio = rows[1].mean_max_wigner_error / rows[0].mean_max_wigner_error
         target = 1 / math.sqrt(2)
         assert abs(ratio - target) < 0.2 * target
+
+    @pytest.mark.parametrize("n,kind", [(1, "haar"), (2, "wishart"), (3, "haar")])
+    def test_study_equals_per_trial_pipeline(self, n, kind):
+        sys = build_system(n)
+        rho = state_of_kind(kind, sys.dim, 5)
+        shot_list, seeds = [16, 256], list(range(4))
+        rows = error_scaling_study(rho, sys.net, list(sys.bases), shot_list, seeds)
+        for row, shots in zip(rows, shot_list):
+            reports = [
+                estimate_state(simulate_counts(rho, plan_for(sys, shots, seed)), sys.net, truth=rho)
+                for seed in seeds
+            ]
+            assert row.mean_max_wigner_error == float(np.mean([r.max_wigner_error for r in reports]))
+            assert row.mean_trace_distance == float(np.mean([r.trace_distance for r in reports]))
+
+    def test_study_validates_rho_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return validate_density_matrix(*args, **kwargs)
+
+        for module in (qphase.tomography, qphase.wigner):
+            monkeypatch.setattr(module, "validate_density_matrix", counting)
+        sys = build_system(2)
+        error_scaling_study(rho_of("singlet"), sys.net, list(sys.bases), [64, 256], seeds=[0, 1, 2])
+        assert len(calls) == 1
+
+    def test_study_rejects_unphysical_state(self):
+        sys = build_system(1)
+        with pytest.raises(InvalidStateError):
+            error_scaling_study(np.diag([1.2, -0.2]).astype(complex), sys.net, list(sys.bases), [16], seeds=[0])
 
     def test_shot_list_must_ascend(self):
         sys = build_system(1)
