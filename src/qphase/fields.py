@@ -4,12 +4,17 @@ Elements are polynomials over Z2, stored as integer bit masks (bit i is the
 coefficient of x^i) and reduced modulo a fixed irreducible polynomial.  Each
 context fixes a canonical element order -- zero followed by ascending powers
 of the generator w, the class of x -- which downstream code relies on for
-axis labels, grid indexing and serialization.
+axis labels, grid indexing and serialization.  ``FieldContext.index_tables``
+gives the addition and multiplication tables on those order indices as numpy
+arrays, built from the log/antilog tables, for code that works on whole
+arrays of elements at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -184,8 +189,8 @@ class FieldContext:
         self.labels = tuple(self._label_for(i) for i in range(self.order))
         self._parse = {lab: bits for lab, bits in zip(self.labels, element_bits)}
         self._elements = tuple(FieldElement(self, b) for b in element_bits)
-        # Structures derived from this context alone (the striations), built
-        # once on first use by the module that owns them.
+        # Structures derived from this context alone (index tables,
+        # striations), built once on first use by the code that owns them.
         self._derived: dict[str, object] = {}
 
         if n <= _SELF_TEST_MAX_DEGREE:
@@ -210,27 +215,48 @@ class FieldContext:
         return "w" if index == 2 else f"w{index - 1}"
 
     def _self_test(self) -> None:
-        """Exhaustive axiom check: associativity, distributivity, inverses."""
-        elems = self._order_bits
-        one = 1
-        for a in elems:
-            if a ^ a != 0:
-                raise FieldError("additive self-inverse failed")
-            if self._mul_bits(a, one) != a:
-                raise FieldError("multiplicative identity failed")
-            if a and self._mul_bits(a, self._inv_bits(a)) != one:
-                raise FieldError("multiplicative inverse failed")
-        for a in elems:
-            for b in elems:
-                if self._mul_bits(a, b) != self._mul_bits(b, a):
-                    raise FieldError("commutativity failed")
-                for c in elems:
-                    if self._mul_bits(self._mul_bits(a, b), c) != self._mul_bits(a, self._mul_bits(b, c)):
-                        raise FieldError("associativity failed")
-                    if self._mul_bits(a, b ^ c) != self._mul_bits(a, b) ^ self._mul_bits(a, c):
-                        raise FieldError("distributivity failed")
+        """Exhaustive axiom check over the index tables: additive self-inverse,
+        identity, inverses, commutativity, associativity, distributivity."""
+        add, mul = self.index_tables()
+        idx = np.arange(self.order)
+        if np.any(add[idx, idx] != 0):
+            raise FieldError("additive self-inverse failed")
+        if np.any(mul[:, 1] != idx):
+            raise FieldError("multiplicative identity failed")
+        inv = np.array([self._index[self._inv_bits(b)] for b in self._order_bits[1:]], dtype=np.intp)
+        if np.any(mul[idx[1:], inv] != 1):
+            raise FieldError("multiplicative inverse failed")
+        if np.any(mul != mul.T):
+            raise FieldError("commutativity failed")
+        # [a, b, c] entries: (a*b)*c against a*(b*c), a*(b+c) against a*b + a*c
+        if np.any(mul[mul] != mul[:, mul]):
+            raise FieldError("associativity failed")
+        if np.any(mul[:, add] != add[mul[:, :, None], mul[:, None, :]]):
+            raise FieldError("distributivity failed")
 
     # -- public API -------------------------------------------------------
+
+    def index_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(add, mul): add[i, j] and mul[i, j] are the canonical-order indices
+        of e_i + e_j and e_i * e_j, as read-only N x N intp arrays.
+
+        Sums come from XOR on the coefficient bits, products from the
+        log/antilog tables; built on first use and cached on the context.
+        """
+        cached = self._derived.get("index_tables")
+        if cached is None:
+            bits = np.array(self._order_bits, dtype=np.intp)
+            index_of = np.empty(self.order, dtype=np.intp)
+            index_of[bits] = np.arange(self.order)
+            add = index_of[bits[:, None] ^ bits[None, :]]
+            logs = np.array([self._log[b] for b in self._order_bits[1:]], dtype=np.intp)
+            exp = np.array(self._exp, dtype=np.intp)
+            mul = np.zeros_like(add)
+            mul[1:, 1:] = index_of[exp[(logs[:, None] + logs[None, :]) % (self.order - 1)]]
+            add.setflags(write=False)
+            mul.setflags(write=False)
+            cached = self._derived["index_tables"] = (add, mul)
+        return cached
 
     def element(self, bits: int) -> FieldElement:
         """Element with the given coefficient bit mask."""

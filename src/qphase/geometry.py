@@ -5,11 +5,20 @@ classes (striations) partition the grid, and because the coordinates live in
 a field rather than a ring, two distinct lines meet in at most one point.
 ``ring_line_points`` exists solely to demonstrate that the mod-N analogue
 breaks this geometry.
+
+The striations are computed as integer index arrays: a point is the integer
+q_index * N + p_index, and ``striation_points`` gives the (N+1, N, N) array of
+every line's points, built with a few gathers from the field's index tables.
+The ``Point``/``Line``/``Striation`` objects are views of that array, built
+from the shared grid points without any sorting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+import numpy as np
 
 from .fields import ContextMismatchError, FieldContext, FieldElement
 
@@ -130,21 +139,53 @@ def enumerate_striations(ctx: FieldContext) -> tuple[Striation, ...]:
     return cached
 
 
+def striation_points(ctx: FieldContext) -> np.ndarray:
+    """points[s, l, m] = q_index * N + p_index of point m of line l of
+    striation s, in the order of ``enumerate_striations``; read-only, cached
+    on the context.
+
+    With e_i the element of index i, line l of striation s >= 2 is
+    p = e_(s-1) * q + e_l and its point m has q = e_m, so the points come out
+    sorted by (q index, p index); the vertical and horizontal striations are
+    plain index grids.
+    """
+    cached = ctx._derived.get("striation_points")
+    if cached is None:
+        n_elems = ctx.order
+        add, mul = ctx.index_tables()
+        idx = np.arange(n_elems)
+        cached = np.empty((n_elems + 1, n_elems, n_elems), dtype=np.intp)
+        cached[0] = idx[:, None] * n_elems + idx[None, :]
+        cached[1] = idx[None, :] * n_elems + idx[:, None]
+        cached[2:] = idx * n_elems + add[mul[1:, None, :], idx[None, :, None]]
+        cached.setflags(write=False)
+        ctx._derived["striation_points"] = cached
+    return cached
+
+
 def _build_striations(ctx: FieldContext) -> tuple[Striation, ...]:
+    elements = ctx.elements()
     one, zero = ctx.one, ctx.zero
+    grid = [Point(q, p) for q in elements for p in elements]
+    points = striation_points(ctx)
+    _, mul = ctx.index_tables()
+    # The canonical triple of p = s*q + c is (1, 1/s, c/s).
+    inverse = (mul == 1).argmax(axis=1)
     striations = []
-
-    def build(direction: int, eqs: list[tuple[FieldElement, FieldElement, FieldElement]]) -> Striation:
-        lines = tuple(line_from_equation(a, b, c) for a, b, c in eqs)
-        ray = next(ln for ln in lines if Point(zero, zero) in ln)
-        stab = tuple(pt for pt in ray.points if not pt.is_origin)
-        return Striation(direction, lines, ray, stab)
-
-    striations.append(build(0, [(one, zero, c) for c in ctx.elements()]))
-    striations.append(build(1, [(zero, one, c) for c in ctx.elements()]))
-    for k, s in enumerate(ctx.nonzero_elements()):
-        # p = s*q + c  <=>  s*q + p = c in characteristic 2.
-        striations.append(build(2 + k, [(s, one, c) for c in ctx.elements()]))
+    for s, rows in enumerate(points.tolist()):
+        if s == 0:
+            triples = [(one, zero, c) for c in elements]
+        elif s == 1:
+            triples = [(zero, one, c) for c in elements]
+        else:
+            inv_s = int(inverse[s - 1])
+            b = elements[inv_s]
+            triples = [(one, b, elements[c]) for c in mul[inv_s].tolist()]
+        lines = tuple(
+            Line(a, b, c, itemgetter(*row)(grid)) for (a, b, c), row in zip(triples, rows)
+        )
+        # Line 0 (c = 0) is the ray, and the origin is its first point.
+        striations.append(Striation(s, lines, lines[0], lines[0].points[1:]))
     return tuple(striations)
 
 

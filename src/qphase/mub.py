@@ -4,11 +4,19 @@ Each striation's line-preserving translations commute (given a valid axis
 labeling), and their joint eigenbasis is the orthonormal basis attached to
 that striation.  The N+1 bases so produced are pairwise conjugate: every
 cross-basis overlap magnitude equals 1/sqrt(N).
+
+A basis is built from the stabilizers' Pauli masks alone
+(``operators.stabilizer_eigenbasis``): commutation is the exact symplectic
+parity test, the N sign patterns of n independent stabilizers fix the N
+vectors and the integer exponents k of their eigenvalues i^k on every
+stabilizer, the vectors are ordered by those integer tuples (stabilizers in
+ray order), and each is read off its exact projector.  No dense stabilizer
+matrix is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +27,7 @@ from .operators import (
     QubitLabeling,
     TranslationOperator,
     default_labeling,
-    joint_eigenbasis,
+    stabilizer_eigenbasis,
     translation_unitary,
 )
 
@@ -43,12 +51,15 @@ class StriationBasis:
     """Orthonormal basis attached to one striation.
 
     vectors[k] is the k-th unit vector; every vector is a simultaneous
-    eigenvector of all the striation's stabilizer unitaries.
+    eigenvector of all the striation's stabilizer unitaries, with
+    stabilizers[i] v_k = i^exponents[k, i] v_k.  A basis assembled by hand
+    may leave exponents as None.
     """
 
     striation: int
     vectors: np.ndarray
     stabilizers: tuple[TranslationOperator, ...]
+    exponents: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -66,11 +77,12 @@ def basis_for_striation(striation: Striation, labeling: QubitLabeling) -> Striat
     striation) when the stabilizers do not commute under this labeling.
     """
     stabilizers = tuple(translation_unitary(v, labeling) for v in striation.stabilizer_vectors)
+    x, z = np.array([op.masks for op in stabilizers]).T
     try:
-        vectors = joint_eigenbasis([op.unitary for op in stabilizers])
+        vectors, exponents = stabilizer_eigenbasis(x, z, labeling.dim)
     except NonCommutingError as exc:
         raise LabelingError(striation.direction, exc) from exc
-    return StriationBasis(striation.direction, vectors, stabilizers)
+    return StriationBasis(striation.direction, vectors, stabilizers, exponents)
 
 
 def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> list[StriationBasis]:

@@ -1,4 +1,4 @@
-"""Translation unitaries on state space and the dense linear algebra behind them.
+"""Translation unitaries on state space, and the joint eigenbases of commuting ones.
 
 A phase-space translation by (q0, p0) acts on the 2^n-dimensional state space
 as a tensor product of sigma_x factors (for the q component) times sigma_z
@@ -11,11 +11,25 @@ Two bit masks (x, z) fix such a Pauli string completely: tensor slot s
 carries sigma_x when bit n-1-s of x is set and sigma_z when that bit of z is
 set.  Acting on a vector it is a signed index permutation,
 (X^x Z^z v)[i] = (-1)^popcount((i ^ x) & z) v[i ^ x].
+
+Two such strings commute exactly when popcount(x1 & z2 ^ z1 & x2) is even,
+and X^a Z^b X^c Z^d = (-1)^popcount(b & c) X^(a^c) Z^(b^d).
+``stabilizer_eigenbasis`` builds the joint eigenbasis of a commuting group
+of N-1 strings from these rules alone.  It picks n independent generators;
+each of the N sign patterns of the generators (the N ways of splitting the
+identity by (I +- c_j X^x Z^z)/2, c_j in {1, i}) fixes one joint
+eigenvector, and the integer exponent k of its eigenvalue i^k on every
+string follows from those signs and the phase of each string as a product
+of generators.  The vectors are sorted on the integer tuples and read off
+the exact group-average projectors (1/N) sum_i i^-k_i U_i.
+``joint_eigenbasis`` is the dense eigendecomposition of the same problem, kept
+as an independent reference for the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +38,11 @@ from .fields import ContextMismatchError, FieldContext, FieldElement
 from .geometry import Point
 
 UNITARITY_TOL = 1e-12
+EIGEN_RESIDUAL_TOL = 1e-12
 COMMUTE_TOL = 1e-10
 EIGEN_CLUSTER_TOL = 1e-6
+# i^k for k in Z4
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 class NonCommutingError(ValueError):
@@ -92,11 +109,15 @@ def _expansion_matrix(basis: Sequence[FieldElement]) -> list[int]:
         raise ValueError("basis elements are linearly dependent over Z2") from None
 
 
+# Parity of every byte value.
+_PARITY8 = np.array([i.bit_count() & 1 for i in range(256)], dtype=np.intp)
+
+
 def _parity(a):
     """Parity of the number of set bits, for an int or an int array (< 2^32)."""
-    for shift in (16, 8, 4, 2, 1):
-        a = a ^ (a >> shift)
-    return a & 1
+    a = np.asarray(a)
+    a = a ^ a >> 16
+    return _PARITY8[(a ^ a >> 8) & 0xFF]
 
 
 def pauli_permutation(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +183,8 @@ class QubitLabeling:
     _p_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _x_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _z_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _x_by_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _z_by_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.ctx.n
@@ -174,6 +197,9 @@ class QubitLabeling:
         object.__setattr__(self, "_p_inv", tuple(_expansion_matrix(self.p_basis)))
         object.__setattr__(self, "_x_masks", self._mask_table(self._q_inv))
         object.__setattr__(self, "_z_masks", self._mask_table(self._p_inv))
+        order_bits = [e.bits for e in self.ctx.elements()]
+        object.__setattr__(self, "_x_by_index", np.array(self._x_masks, dtype=np.intp)[order_bits])
+        object.__setattr__(self, "_z_by_index", np.array(self._z_masks, dtype=np.intp)[order_bits])
 
     def _mask_table(self, inverse_rows: tuple[int, ...]) -> tuple[int, ...]:
         n, rows = self.n, list(inverse_rows)
@@ -201,6 +227,12 @@ class QubitLabeling:
     def masks(self, v: Point) -> tuple[int, int]:
         """Pauli masks (x, z) of the translation by v: U_v = X^x Z^z."""
         return self._x_masks[v.q.bits], self._z_masks[v.p.bits]
+
+    def point_masks(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Mask arrays (x, z) of the translations by grid points given as
+        integers q_index * N + p_index, in any array shape."""
+        q, p = np.divmod(np.asarray(points), self.dim)
+        return self._x_by_index[q], self._z_by_index[p]
 
 
 def polynomial_basis(ctx: FieldContext) -> tuple[FieldElement, ...]:
@@ -242,35 +274,44 @@ class TranslationOperator:
 
     Always a tensor product of I / sigma_x / sigma_z / sigma_x*sigma_z
     factors; the global phase is fixed by the all-X-then-all-Z composition
-    order.
+    order.  The operator is its masks; the dense matrix is built, and its
+    unitarity checked, when ``unitary`` is first read.
     """
 
     vector: Point
     labeling: QubitLabeling
-    unitary: np.ndarray
+
+    @property
+    def masks(self) -> tuple[int, int]:
+        """(x, z) with U = X^x Z^z."""
+        return self.labeling.masks(self.vector)
 
     @property
     def dim(self) -> int:
-        return self.unitary.shape[0]
+        return self.labeling.dim
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """The signed permutation matrix U[j ^ x, j] = (-1)^popcount(j & z)."""
+        x, z = self.masks
+        src, sign = pauli_permutation(x, z, self.dim)
+        u = np.zeros((self.dim, self.dim), dtype=complex)
+        u[np.arange(self.dim), src] = sign
+        dev = np.max(np.abs(u @ u.conj().T - np.eye(self.dim)))
+        if dev > UNITARITY_TOL:
+            raise AssertionError(f"translation operator failed unitarity by {dev:.3e}")
+        return u
 
 
 def translation_unitary(v: Point, labeling: QubitLabeling) -> TranslationOperator:
     """U_v = H_q V_p with sigma_x factors from q and sigma_z factors from p.
 
-    Built from the masks as a signed permutation matrix,
-    U[j ^ x, j] = (-1)^popcount(j & z).
+    Its dense matrix is the signed permutation U[j ^ x, j] =
+    (-1)^popcount(j & z) of the masks, built on first use.
     """
     if v.ctx is not labeling.ctx:
         raise ContextMismatchError("translation vector and labeling use different contexts")
-    x, z = labeling.masks(v)
-    src, sign = pauli_permutation(x, z, labeling.dim)
-    u = np.zeros((labeling.dim, labeling.dim), dtype=complex)
-    u[np.arange(labeling.dim), src] = sign
-    op = TranslationOperator(v, labeling, u)
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > UNITARITY_TOL:
-        raise AssertionError(f"translation operator failed unitarity by {dev:.3e}")
-    return op
+    return TranslationOperator(v, labeling)
 
 
 def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
@@ -287,6 +328,91 @@ def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
     if abs(abs(lam) - 1) > 1e-9 or np.max(np.abs(prod - lam * target)) > 1e-9:
         raise AssertionError(f"product of translations is not proportional to U_(v+w) at {u.vector}+{w.vector}")
     return lam
+
+
+def stabilizer_eigenbasis(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joint eigenbasis of the commuting Pauli strings U_i = X^x[i] Z^z[i].
+
+    The masks must be the N-1 nonzero elements of an n-generator group, N =
+    dim = 2^n.  Returns (vectors, exponents) with U_i v_k = i^exponents[k, i]
+    v_k, rows sorted by the exponent tuple: the order of eigenvalue angles
+    that ``joint_eigenbasis`` sorts by.  Each vector is the column of its
+    projector at the first of its largest diagonal entries, scaled to unit
+    norm, which makes that component real positive.  Raises
+    NonCommutingError for the first pair (i < j) whose symplectic product is
+    odd (deviation 2, the entrywise norm of U_i U_j - U_j U_i).
+    """
+    x = np.asarray(x, dtype=np.intp)
+    z = np.asarray(z, dtype=np.intp)
+    if len(x) != dim - 1:
+        raise ValueError(f"need {dim - 1} stabilizer masks for dimension {dim}, got {len(x)}")
+    odd = _parity((x[:, None] & z[None, :]) ^ (z[:, None] & x[None, :]))
+    bad = np.argwhere(np.triu(odd, 1))
+    if len(bad):
+        raise NonCommutingError(int(bad[0, 0]), int(bad[0, 1]), 2.0)
+    n = dim.bit_length() - 1
+
+    # Generators: the first n strings whose (x, z) are independent over GF(2).
+    keys = (x << n) | z
+    gens: list[int] = []
+    echelon: list[int] = []  # reduced keys, leading bits distinct and descending
+    for i, key in enumerate(keys.tolist()):
+        for row in echelon:
+            key = min(key, key ^ row)
+        if key:
+            gens.append(i)
+            echelon = sorted([*echelon, key], reverse=True)
+            if len(gens) == n:
+                break
+    if len(gens) != n:
+        raise ValueError(f"stabilizer masks span fewer than {n} generators")
+    gx, gz = x[gens], z[gens]
+    herm = _parity(gx & gz)  # c_j = i^herm[j] makes H_j = c_j U_gj Hermitian
+
+    # combo runs over 0..N-1 as generator subsets, sign patterns and vector
+    # positions alike.  For every subset c of the generators (bit j =
+    # generator j), the ordered product of its U_gj is (-1)^sign[c] X^a Z^b,
+    # since X^a Z^b X^x Z^z = (-1)^popcount(b & x) X^(a^x) Z^(b^z).  So the
+    # stabilizer with masks (a, b) is i^(2 sign[c] - hsum[c]) times the
+    # product of its H_j.
+    combo = np.arange(dim)
+    a, b = np.zeros(dim, np.intp), np.zeros(dim, np.intp)
+    sign, hsum = np.zeros(dim, np.intp), np.zeros(dim, np.intp)
+    for j in range(n):
+        on = combo >> j & 1
+        sign ^= on & _parity(b & gx[j])
+        a ^= on * gx[j]
+        b ^= on * gz[j]
+        hsum += on * herm[j]
+    subset_of = np.full(1 << 2 * n, -1, dtype=np.intp)
+    subset_of[(a << n) | b] = combo
+    subset = subset_of[keys]
+    if np.any(subset < 0):
+        raise ValueError("stabilizer masks are not closed under products")
+
+    # The joint eigenvector on which H_j = (-1)^(bit j of beta) gives U_i the
+    # eigenvalue i^k with k = 2 sign - hsum + 2 parity(beta & subset), mod 4.
+    exponents = ((2 * sign - hsum)[subset] + 2 * _parity(combo[:, None] & subset)) % 4
+    exponents = exponents[np.lexsort(exponents.T[::-1])]
+
+    # Its projector is the group average P = (1/N) sum_i i^-k_i U_i (with U_0
+    # = I), whose entries are exact: diagonal only from strings with x = 0,
+    # and column c from U_i[c ^ x_i, c] = (-1)^popcount(c & z_i).
+    xs, zs = np.append(0, x), np.append(0, z)
+    weights = _I_POWERS[-np.insert(exponents, 0, 0, axis=1) % 4]
+    diagonal = xs == 0
+    diag = (weights[:, diagonal] @ (1 - 2 * _parity(zs[diagonal, None] & combo))).real / dim
+    col = diag.argmax(axis=1)
+    column = (weights * (1 - 2 * _parity(col[:, None] & zs))) @ (xs[:, None] == combo)
+    vectors = column[combo[:, None], combo ^ col[:, None]] / dim / np.sqrt(diag[combo, col])[:, None]
+
+    # Float guard: every vector has its eigenvalue on every generator.
+    src, flip = pauli_permutation(gx, gz, dim)
+    residual = vectors[:, src] * flip - _I_POWERS[exponents[:, gens]][..., None] * vectors[:, None]
+    dev = float(np.max(np.linalg.norm(residual, axis=-1)))
+    if dev > EIGEN_RESIDUAL_TOL:
+        raise AssertionError(f"stabilizer basis vector fails its eigenvalue by {dev:.3e}")
+    return vectors, exponents.astype(np.int8)
 
 
 def check_pairwise_commuting(ops: Sequence[np.ndarray], tol: float = COMMUTE_TOL) -> None:

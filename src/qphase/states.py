@@ -16,8 +16,19 @@ class InvalidStateError(ValueError):
     """State specification is malformed or not physical."""
 
 
+def _real_trace(rho: np.ndarray) -> float:
+    """Real part of the trace; inf or nan, without a warning, when entries
+    near the float limit overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.trace(rho).real)
+
+
 def validate_density_matrix(rho: np.ndarray, dim: int | None = None, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit trace and positivity; returns rho unchanged."""
+    """Check finiteness, Hermiticity, unit trace and positivity; returns rho unchanged.
+
+    Finite entries near the float limit can overflow in the checks; the
+    overflowed deviation or trace is not finite and fails its check.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
@@ -25,10 +36,13 @@ def validate_density_matrix(rho: np.ndarray, dim: int | None = None, tol: float 
         raise InvalidStateError(f"density matrix has dimension {rho.shape[0]}, expected {dim}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("density matrix has a NaN or infinite entry")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = float(np.max(np.abs(rho - rho.conj().T)))
+    if not asymmetry <= tol:
         raise InvalidStateError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise InvalidStateError(f"density matrix trace {float(np.trace(rho).real)!r} is not 1")
+    trace = _real_trace(rho)
+    if not abs(trace - 1.0) <= tol:
+        raise InvalidStateError(f"density matrix trace {trace!r} is not 1")
     if np.linalg.eigvalsh(rho).min() < -tol:
         raise InvalidStateError("density matrix has a negative eigenvalue")
     return rho
@@ -101,8 +115,10 @@ def parse_state_spec(spec: str, n: int) -> tuple[np.ndarray, list[str]]:
     """Resolve a state spec to a density matrix of dimension 2^n.
 
     The spec is either a registry name or inline JSON: a vector as a list of
-    [re, im] pairs, or a density matrix as a list of such rows.  Vectors off
-    unit norm by more than 1e-9 are renormalized with a warning.  Returns
+    [re, im] pairs, or a density matrix as a list of such rows.  A vector
+    whose squared norm (the trace of its density matrix) is off 1 by more
+    than 1e-9 is renormalized with a warning, and so is a matrix whose trace
+    is.  Returns
     (rho, warnings).  Malformed, non-finite or unphysical input raises
     InvalidStateError.
     """
@@ -124,17 +140,15 @@ def parse_state_spec(spec: str, n: int) -> tuple[np.ndarray, list[str]]:
             rho = np.array(rows, dtype=complex)
             if rho.shape != (dim, dim):
                 raise InvalidStateError(f"inline matrix has shape {rho.shape}, expected {(dim, dim)}")
-            # entries near the float limit overflow to inf, which the checks reject
-            with np.errstate(over="ignore", invalid="ignore"):
-                trace = float(np.trace(rho).real)
-                if not math.isfinite(trace):
-                    raise InvalidStateError("inline density matrix trace is not finite")
-                if abs(trace - 1.0) > DENSITY_TOL:
-                    if trace <= DENSITY_TOL:
-                        raise InvalidStateError("inline density matrix has non-positive trace")
-                    warnings.append(f"density matrix trace {trace:.6g} renormalized to 1")
-                    rho = rho / trace
-                return validate_density_matrix(rho, dim), warnings
+            trace = _real_trace(rho)
+            if not math.isfinite(trace):
+                raise InvalidStateError("inline density matrix trace is not finite")
+            if abs(trace - 1.0) > DENSITY_TOL:
+                if trace <= DENSITY_TOL:
+                    raise InvalidStateError("inline density matrix has non-positive trace")
+                warnings.append(f"density matrix trace {trace:.6g} renormalized to 1")
+                rho = rho / trace
+            return validate_density_matrix(rho, dim), warnings
         vec = np.array([_complex_from_pair(entry) for entry in payload], dtype=complex)
         if vec.shape != (dim,):
             raise InvalidStateError(f"inline vector has length {vec.shape[0]}, expected {dim}")
@@ -144,10 +158,13 @@ def parse_state_spec(spec: str, n: int) -> tuple[np.ndarray, list[str]]:
             raise InvalidStateError("inline vector norm is not finite")
         if norm <= DENSITY_TOL:
             raise InvalidStateError("inline vector has zero norm")
-        if abs(norm - 1.0) > DENSITY_TOL:
+        # Keep the vector only if its density matrix has unit trace within
+        # DENSITY_TOL, which a norm within DENSITY_TOL of 1 does not ensure.
+        rho = density_from_vector(vec) if abs(norm - 1.0) <= DENSITY_TOL else None
+        if rho is None or abs(_real_trace(rho) - 1.0) > DENSITY_TOL:
             warnings.append(f"vector norm {norm:.6g} renormalized to 1")
-            vec = vec / norm
-        return density_from_vector(vec), warnings
+            rho = density_from_vector(vec / norm)
+        return rho, warnings
 
     state_n, vec = registry_vector(spec)
     if state_n != n:

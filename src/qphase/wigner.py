@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ContextMismatchError, FieldContext
-from .geometry import Line, Point, Striation, enumerate_striations
+from .geometry import Line, Point, Striation, enumerate_striations, striation_points
 from .mub import StriationBasis
 from .operators import QubitLabeling, pauli_permutation
 from .serialize import round_float
@@ -49,35 +49,20 @@ def _ray_vectors_2q() -> list[np.ndarray]:
     ]
 
 
-def _hermitian_phase(x: int, z: int) -> complex:
-    """Scalar c in {1, i} that makes c * X^x Z^z a Hermitian involution.
-
-    (sigma_x sigma_z)^dag = -sigma_x sigma_z, so the string is Hermitian when
-    an even number of slots carry both factors and anti-Hermitian otherwise.
-    """
-    return 1j if (x & z).bit_count() & 1 else 1
-
-
-def _lex_sign_ray_vector(striation: Striation, basis: StriationBasis, labeling: QubitLabeling) -> np.ndarray:
+def _lex_sign_ray_index(basis: StriationBasis) -> int:
     """Ray vector for n >= 3: lexicographically-first stabilizer sign pattern.
 
-    Each stabilizer unitary is rescaled by a fourth root of unity to a
-    Hermitian involution; each basis vector then carries a tuple of +-1
-    eigenvalues.  The vector whose sign tuple is lexicographically first
-    (+1 before -1, stabilizers in canonical ray-point order) is selected.
+    Each stabilizer X^x Z^z, rescaled by i^h with h = parity(x & z), is a
+    Hermitian involution, so vector k has sign -1 on stabilizer i exactly when
+    (exponents[k, i] + h_i) mod 4 = 2.  The vector whose sign tuple is
+    lexicographically first (+1 before -1, stabilizers in canonical ray-point
+    order) is selected.
     """
-    vectors = basis.vectors
-    signs = []
-    for w in striation.stabilizer_vectors:
-        x, z = labeling.masks(w)
-        src, sign = pauli_permutation(x, z, labeling.dim)
-        moved = vectors[:, src] * sign
-        vals = np.real(_hermitian_phase(x, z) * np.einsum("ki,ki->k", vectors.conj(), moved))
-        if np.max(np.abs(np.abs(vals) - 1.0)) > 1e-6:
-            raise NetConstructionError("basis vector is not a stabilizer eigenvector")
-        signs.append(vals < 0)
-    keys = np.array(signs).T.tolist()
-    return vectors[min(range(len(keys)), key=lambda k: keys[k])]
+    if basis.exponents is None:
+        raise NetConstructionError(f"basis of striation {basis.striation} carries no stabilizer eigenvalues")
+    herm = [(x & z).bit_count() & 1 for x, z in (op.masks for op in basis.stabilizers)]
+    negative = (basis.exponents + np.array(herm, dtype=np.int8)) % 4 == 2
+    return int(np.lexsort(negative.T[::-1])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +70,11 @@ class QuantumNet:
     """Covariant assignment of basis vectors to lines.
 
     vector_index maps each line to the index of its vector within the
-    striation's basis.  The outcome table, the stacked basis vectors and
-    the phase-point stack are built on first use and shared read-only.
+    striation's basis.  The same assignment is kept as index arrays:
+    _line_of[s, q_index * N + p_index] is the line of striation s through
+    that point and _line_vector[s, l] the vector of line l.  The outcome
+    table, the stacked basis vectors and the phase-point stack are built on
+    first use and shared read-only.
     """
 
     ctx: FieldContext
@@ -95,7 +83,8 @@ class QuantumNet:
     bases: tuple[StriationBasis, ...]
     vector_index: dict[Line, int]
     striation_of: dict[Line, int]
-    _lines_through: dict[Point, tuple[Line, ...]] = field(repr=False, compare=False)
+    _line_of: np.ndarray = field(repr=False, compare=False)
+    _line_vector: np.ndarray = field(repr=False, compare=False)
     _aux: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -106,7 +95,11 @@ class QuantumNet:
         return self.bases[self.striation_of[line]].projector(self.vector_index[line])
 
     def lines_through(self, pt: Point) -> tuple[Line, ...]:
-        return self._lines_through[pt]
+        """The N+1 lines through pt, one per striation in striation order."""
+        if pt.ctx is not self.ctx:
+            raise ContextMismatchError("point and net use different field contexts")
+        ids = self._line_of[:, pt.q.index * self.dim + pt.p.index].tolist()
+        return tuple(s.lines[l] for s, l in zip(self.striations, ids))
 
     def phase_point_matrix(self, pt: Point) -> np.ndarray:
         """A at pt: a read-only row of phase_point_stack()."""
@@ -160,12 +153,7 @@ class QuantumNet:
         index of the line through that point in striation s."""
         cached = self._aux.get("outcome_table")
         if cached is None:
-            n_elems = self.ctx.order
-            table = np.empty((n_elems * n_elems, len(self.striations)), dtype=np.intp)
-            for s, striation in enumerate(self.striations):
-                for line in striation.lines:
-                    rows = [pt.q.index * n_elems + pt.p.index for pt in line.points]
-                    table[rows, s] = self.vector_index[line]
+            table = np.take_along_axis(self._line_vector, self._line_of, axis=1).T.copy()
             table.setflags(write=False)
             self._aux["outcome_table"] = cached = table
         return cached
@@ -183,19 +171,20 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     striations = enumerate_striations(ctx)
     if len(mub_set) != len(striations):
         raise NetConstructionError(f"expected {len(striations)} bases, got {len(mub_set)}")
+    n_elems = ctx.order
+    points = striation_points(ctx)
 
     if ctx.n == 1:
         rays = _ray_vectors_1q()
     elif ctx.n == 2:
         rays = _ray_vectors_2q()
     else:
-        rays = [
-            _lex_sign_ray_vector(s, b, labeling) for s, b in zip(striations, mub_set)
-        ]
+        rays = [b.vectors[_lex_sign_ray_index(b)] for b in mub_set]
 
     vector_index: dict[Line, int] = {}
     striation_of: dict[Line, int] = {}
-    for striation, basis, ray_vec in zip(striations, mub_set, rays):
+    line_vector = np.empty((len(striations), n_elems), dtype=np.intp)
+    for striation, basis, ray_vec, line_points in zip(striations, mub_set, rays, points):
         # The declared ray vector must be one of the striation's basis vectors.
         overlaps = np.abs(basis.vectors.conj() @ ray_vec) ** 2
         if overlaps.max() < 1.0 - CLOSURE_TOL:
@@ -208,48 +197,41 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         # moved[l, m] = U_w ray for the m-th point w of line l: any point of a
         # line translates the ray onto it, and all such paths must agree up
         # to a phase.
-        masks = np.array([[labeling.masks(w) for w in line.points] for line in striation.lines])
-        src, sign = pauli_permutation(masks[..., 0], masks[..., 1], ctx.order)
+        src, sign = pauli_permutation(*labeling.point_masks(line_points), n_elems)
         moved = ray[src] * sign
         reference = moved[:, 0]
         agreement = np.abs(np.einsum("li,lmi->lm", reference.conj(), moved)) ** 2
-        for line, worst in zip(striation.lines, agreement.min(axis=1)):
-            if worst < 1.0 - CLOSURE_TOL:
-                raise NetConstructionError(
-                    f"covariance closure is path-dependent on line {line} "
-                    f"of striation {striation.direction}"
-                )
+        bad = np.flatnonzero(agreement.min(axis=1) < 1.0 - CLOSURE_TOL)
+        if bad.size:
+            raise NetConstructionError(
+                f"covariance closure is path-dependent on line {striation.lines[bad[0]]} "
+                f"of striation {striation.direction}"
+            )
 
         # fit[k, l] = |<v_k|U_w ray>|^2 = <v_k|U_w P_ray U_w^dag|v_k>.
         fit = np.abs(basis.vectors.conj() @ reference.T) ** 2
+        best = fit.argmax(axis=0)
         taken: set[int] = set()
-        for line, column in zip(striation.lines, fit.T):
-            k = int(np.argmax(column))
-            if column[k] < 1.0 - CLOSURE_TOL:
+        for k, k_fit in zip(best.tolist(), fit[best, np.arange(n_elems)].tolist()):
+            if k_fit < 1.0 - CLOSURE_TOL:
                 raise NetConstructionError(
                     f"translated ray projector matches no basis vector on striation "
-                    f"{striation.direction} (best fit {column[k]:.6f})"
+                    f"{striation.direction} (best fit {k_fit:.6f})"
                 )
             if k in taken:
                 raise NetConstructionError(
                     f"striation {striation.direction} maps two lines to one vector"
                 )
             taken.add(k)
-            vector_index[line] = k
-            striation_of[line] = striation.direction
+        line_vector[striation.direction] = best
+        vector_index.update(zip(striation.lines, best.tolist()))
+        striation_of.update(dict.fromkeys(striation.lines, striation.direction))
 
-    # Each point lies on exactly one line of each striation; walking the
-    # lines in striation order lists them in that order.  Keyed by the
-    # coordinate bits while walking, since hashing a Point is far slower.
-    through: dict[tuple[int, int], list[Line]] = {}
-    for striation in striations:
-        for line in striation.lines:
-            for pt in line.points:
-                through.setdefault((pt.q.bits, pt.p.bits), []).append(line)
-    elements = ctx.elements()
-    lines_through = {
-        Point(q, p): tuple(through[(q.bits, p.bits)]) for q in elements for p in elements
-    }
+    # Each point lies on exactly one line of each striation.
+    line_of = np.empty((len(striations), n_elems * n_elems), dtype=np.intp)
+    line_of[np.arange(len(striations))[:, None, None], points] = np.arange(n_elems)[:, None]
+    line_vector.setflags(write=False)
+    line_of.setflags(write=False)
 
     return QuantumNet(
         ctx=ctx,
@@ -258,7 +240,8 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         bases=tuple(mub_set),
         vector_index=vector_index,
         striation_of=striation_of,
-        _lines_through=lines_through,
+        _line_of=line_of,
+        _line_vector=line_vector,
     )
 
 

@@ -115,6 +115,13 @@ class TestWigner:
         out = run_cli("wigner", "1", "--state", "[[1,0],[0,0]]")
         assert out.returncode == 0
 
+    def test_inline_vector_with_trace_just_off_one_is_renormalized(self):
+        # the norm 1 + 9e-10 is within 1e-9 of 1, its trace 1 + 1.8e-9 is not
+        out = run_cli("wigner", "1", "--state", "[[1.0000000009,0],[0,0]]")
+        assert out.returncode == 0
+        assert out.stdout == run_cli("wigner", "1", "--state", "up").stdout
+        assert "renormalized" in out.stderr
+
     def test_invalid_state_exits_2_with_usage(self):
         out = run_cli("wigner", "1", "--state", "sideways")
         assert out.returncode == 2

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qphase.fields import (
@@ -76,6 +77,53 @@ class TestAxioms:
     def test_inverse_of_omega_gf4(self):
         ctx = gf(2)
         assert ctx.omega.inverse() == ctx.elements()[3]
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tables_match_element_arithmetic(self, n):
+        ctx = gf(n)
+        add, mul = ctx.index_tables()
+        elems = ctx.elements()
+        assert add.shape == mul.shape == (ctx.order, ctx.order)
+        for a in elems:
+            for b in elems:
+                assert elems[add[a.index, b.index]] == a + b
+                assert elems[mul[a.index, b.index]] == a * b
+
+    def test_tables_are_cached_and_read_only(self):
+        ctx = gf(3)
+        add, mul = ctx.index_tables()
+        assert ctx.index_tables()[1] is mul
+        with pytest.raises(ValueError):
+            mul[1, 1] = 0
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda add, mul: add.__setitem__((3, 3), 1), "additive self-inverse"),
+            (lambda add, mul: mul.__setitem__((5, 1), 4), "multiplicative identity"),
+            (lambda add, mul: mul.__setitem__((2, 3), 6), "commutativity"),
+        ],
+    )
+    def test_self_test_rejects_a_corrupted_table(self, corrupt, message):
+        ctx = gf(3)
+        add, mul = (t.copy() for t in ctx.index_tables())
+        corrupt(add, mul)
+        ctx._derived["index_tables"] = (add, mul)
+        with pytest.raises(FieldError, match=message):
+            ctx._self_test()
+
+    def test_self_test_rejects_a_non_associative_table(self):
+        # swapping two products keeps the table symmetric with identity and
+        # inverses intact, but breaks associativity
+        ctx = gf(3)
+        add, mul = (t.copy() for t in ctx.index_tables())
+        mul[2, 3], mul[2, 4] = mul[2, 4], mul[2, 3]
+        mul[3, 2], mul[4, 2] = mul[2, 3], mul[2, 4]
+        ctx._derived["index_tables"] = (add, mul)
+        with pytest.raises(FieldError, match="associativity"):
+            ctx._self_test()
 
 
 class TestEnumerationAndLabels:

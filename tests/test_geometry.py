@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from qphase.fields import field_create
 from qphase.geometry import (
     DegenerateLineError,
     Point,
+    Striation,
     enumerate_striations,
     find_wraparound_witness,
     intersect,
@@ -13,6 +15,7 @@ from qphase.geometry import (
     line_glyph_rows,
     ring_line_points,
     striation_ascii,
+    striation_points,
     striation_to_json_dict,
 )
 
@@ -140,6 +143,56 @@ class TestIntersection:
         for s in striations:
             for l1, l2 in itertools.combinations(s.lines, 2):
                 assert len(intersect(l1, l2)) == 0
+
+
+def striations_from_equations(ctx):
+    """The striations built line by line with line_from_equation, in the
+    documented order, the ray found by membership of the origin."""
+    one, zero = ctx.one, ctx.zero
+    origin = Point(zero, zero)
+
+    def build(direction, eqs):
+        lines = tuple(line_from_equation(a, b, c) for a, b, c in eqs)
+        ray = next(ln for ln in lines if origin in ln)
+        return Striation(direction, lines, ray, tuple(p for p in ray.points if not p.is_origin))
+
+    out = [build(0, [(one, zero, c) for c in ctx.elements()]), build(1, [(zero, one, c) for c in ctx.elements()])]
+    for k, slope in enumerate(ctx.nonzero_elements()):
+        out.append(build(2 + k, [(slope, one, c) for c in ctx.elements()]))
+    return tuple(out)
+
+
+class TestIntegerStriations:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equal_to_equation_build(self, n):
+        ctx = field_create(n)
+        built = enumerate_striations(ctx)
+        reference = striations_from_equations(ctx)
+        assert built == reference
+        for s_built, s_ref in zip(built, reference):
+            assert [(ln.a, ln.b, ln.c) for ln in s_built.lines] == [(ln.a, ln.b, ln.c) for ln in s_ref.lines]
+            assert s_built.ray == s_ref.ray
+            assert s_built.stabilizer_vectors == s_ref.stabilizer_vectors
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_index_array_lists_the_line_points(self, n):
+        ctx = field_create(n)
+        points = striation_points(ctx)
+        assert points.shape == (ctx.order + 1, ctx.order, ctx.order)
+        expected = [
+            [[pt.q.index * ctx.order + pt.p.index for pt in ln.points] for ln in s.lines]
+            for s in enumerate_striations(ctx)
+        ]
+        assert points.tolist() == expected
+        assert striation_points(ctx) is points
+        with pytest.raises(ValueError):
+            points[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_each_striation_partitions_the_grid(self, n):
+        ctx = field_create(n)
+        for lines in striation_points(ctx):
+            assert np.array_equal(np.sort(lines.reshape(-1)), np.arange(ctx.order**2))
 
 
 class TestTranslate:

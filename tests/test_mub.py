@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qphase import mub, operators
 from qphase.fields import field_create
 from qphase.geometry import enumerate_striations
 from qphase.mub import (
@@ -11,7 +12,17 @@ from qphase.mub import (
     check_conjugacy,
     full_mub_set,
 )
-from qphase.operators import default_labeling, pauli, same_basis_labeling
+from qphase.operators import (
+    NonCommutingError,
+    TranslationOperator,
+    check_pairwise_commuting,
+    default_labeling,
+    joint_eigenbasis,
+    pauli,
+    same_basis_labeling,
+    translation_unitary,
+)
+from qphase.system import build_system
 
 X, Y, Z = pauli("X"), pauli("Y"), pauli("Z")
 
@@ -145,6 +156,65 @@ class TestLabelingFallback:
         bases = full_mub_set(field_create(3))
         assert len(bases) == 9
         assert check_conjugacy(bases).all_conjugate
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_same_basis_error_text_matches_dense_check(self, n):
+        ctx = field_create(n)
+        lab = same_basis_labeling(ctx)
+        with pytest.raises(LabelingError) as err:
+            full_mub_set(ctx, lab)
+        for s in enumerate_striations(ctx):
+            try:
+                check_pairwise_commuting([translation_unitary(v, lab).unitary for v in s.stabilizer_vectors])
+            except NonCommutingError as exc:
+                expected = str(LabelingError(s.direction, exc))
+                break
+        assert str(err.value) == expected
+        assert expected.endswith("(pair (0, 1), deviation 2.000e+00)")
+
+
+I4 = np.array([1, 1j, -1, -1j])
+
+
+class TestAgainstDenseEigenbasis:
+    """The bases from Pauli generators against the dense joint eigenbasis."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_vectors_in_same_order(self, n):
+        ctx = field_create(n)
+        lab = default_labeling(ctx)
+        for s in enumerate_striations(ctx):
+            basis = basis_for_striation(s, lab)
+            dense = joint_eigenbasis([op.unitary for op in basis.stabilizers])
+            assert np.max(np.abs(basis.vectors - dense)) <= 1e-14, s.direction
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_vector_has_its_integer_eigenvalue(self, n):
+        for basis in full_mub_set(field_create(n)):
+            assert basis.exponents.shape == (basis.dim, basis.dim - 1)
+            for i, op in enumerate(basis.stabilizers):
+                lam = I4[basis.exponents[:, i]]
+                residual = basis.vectors @ op.unitary.T - lam[:, None] * basis.vectors
+                assert np.max(np.abs(residual)) <= 1e-12, (basis.striation, i)
+
+
+class TestBuildWithoutDenseAlgebra:
+    def test_no_eig_and_no_dense_stabilizer_on_the_build(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra on the build")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(operators, "joint_eigenbasis", refuse)
+        monkeypatch.setattr(TranslationOperator, "unitary", property(refuse))
+        build_system.cache_clear()
+        try:
+            for n in range(1, 6):
+                system = build_system(n)
+                system.net.outcome_index_table()
+                assert len(system.bases) == system.dim + 1
+        finally:
+            build_system.cache_clear()
+        assert not hasattr(mub, "joint_eigenbasis")
 
 
 class TestBellReference:

@@ -1,12 +1,16 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qphase.fields import field_create
 from qphase.geometry import Point
 from qphase.operators import (
     NonCommutingError,
+    TranslationOperator,
+    check_pairwise_commuting,
     default_labeling,
     joint_eigenbasis,
     pauli,
@@ -14,6 +18,7 @@ from qphase.operators import (
     polynomial_basis,
     projective_check,
     same_basis_labeling,
+    stabilizer_eigenbasis,
     trace_dual_basis,
     trace_dual_labeling,
     translation_unitary,
@@ -267,3 +272,99 @@ class TestPauliMasksAgainstKron:
         moved = (vec[src] * sign).reshape(-1, ctx.order)
         for v, row in zip(points, moved):
             assert np.array_equal(row, kron_translation(v, lab) @ vec), v
+
+
+class TestLazyUnitary:
+    def test_unitary_built_on_first_read_and_kept(self):
+        ctx = field_create(2)
+        op = translation_unitary(Point(ctx.omega, ctx.one), default_labeling(ctx))
+        assert "unitary" not in vars(op)
+        u = op.unitary
+        assert op.unitary is u
+        assert op.dim == 4
+        assert np.array_equal(u, kron_translation(op.vector, op.labeling))
+
+    def test_masks_match_labeling(self):
+        ctx = field_create(3)
+        lab = trace_dual_labeling(ctx)
+        for v in all_points(ctx):
+            assert TranslationOperator(v, lab).masks == lab.masks(v)
+
+
+def pauli_string(x, z, n):
+    """X^x Z^z as an n-fold kron product, slot 0 on the most significant bit."""
+    u = np.ones((1, 1), dtype=complex)
+    for slot in range(n):
+        bit = 1 << (n - 1 - slot)
+        u = np.kron(u, (X if x & bit else I2) @ (Z if z & bit else I2))
+    return u
+
+
+class TestStabilizerEigenbasis:
+    def test_bell_basis_from_zz_xx(self):
+        # ZZ, XX and their product XZ.XZ = -YY: the four Bell states
+        x, z = [0b00, 0b11, 0b11], [0b11, 0b00, 0b11]
+        vectors, exponents = stabilizer_eigenbasis(x, z, 4)
+        dense = joint_eigenbasis([pauli_string(a, b, 2) for a, b in zip(x, z)])
+        assert np.max(np.abs(vectors - dense)) <= 1e-15
+        assert exponents.tolist() == [[0, 0, 0], [0, 2, 2], [2, 0, 2], [2, 2, 0]]
+
+    def test_eigenvalue_exponents_of_anti_hermitian_strings(self):
+        # XZ.I, I.Z and their product XZ.Z; XZ = -iY has eigenvalues +-i
+        x, z = [0b10, 0b00, 0b10], [0b10, 0b01, 0b11]
+        vectors, exponents = stabilizer_eigenbasis(x, z, 4)
+        assert sorted(exponents[:, 0].tolist()) == [1, 1, 3, 3]
+        for i, (a, b) in enumerate(zip(x, z)):
+            u = pauli_string(a, b, 2)
+            lam = np.array([1, 1j, -1, -1j])[exponents[:, i]]
+            assert np.max(np.abs(vectors @ u.T - lam[:, None] * vectors)) <= 1e-15
+
+    def test_first_odd_pair_raises_like_the_dense_check(self):
+        x, z = [0b00, 0b11, 0b00], [0b11, 0b00, 0b10]  # ZZ, XX, ZI: only (1, 2) anticommutes
+        masks = list(zip(x, z))
+        dense = [pauli_string(a, b, 2) for a, b in masks]
+        with pytest.raises(NonCommutingError) as expected:
+            check_pairwise_commuting(dense)
+        with pytest.raises(NonCommutingError) as err:
+            stabilizer_eigenbasis(x, z, 4)
+        assert err.value.pair == expected.value.pair == (1, 2)
+        assert str(err.value) == str(expected.value)
+
+    def test_wrong_number_of_strings_rejected(self):
+        with pytest.raises(ValueError, match="need 3"):
+            stabilizer_eigenbasis([0b11], [0b00], 4)
+
+    def test_dependent_strings_rejected(self):
+        with pytest.raises(ValueError, match="generators"):
+            stabilizer_eigenbasis([0, 0, 0], [0b01, 0b01, 0b01], 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_dual(n):
+    return trace_dual_labeling(field_create(n))
+
+
+def ray_points(ctx, s):
+    """The ray of striation s from field arithmetic: q = 0, p = 0, or p = slope * q."""
+    elements = ctx.elements()
+    if s == 0:
+        return [Point(ctx.zero, p) for p in elements]
+    if s == 1:
+        return [Point(q, ctx.zero) for q in elements]
+    slope = elements[s - 1]
+    return [Point(q, slope * q) for q in elements]
+
+
+class TestTraceDualCommutation:
+    @settings(max_examples=120)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_stabilizers_commute_symplectically(self, n, data):
+        lab = _trace_dual(n)
+        s = data.draw(st.integers(0, lab.dim), label="striation")
+        masks = [lab.masks(w) for w in ray_points(lab.ctx, s)[1:]]
+        odd = [
+            (i, j)
+            for (i, (x1, z1)), (j, (x2, z2)) in itertools.combinations(enumerate(masks), 2)
+            if (x1 & z2 ^ z1 & x2).bit_count() & 1
+        ]
+        assert odd == [], (n, s)

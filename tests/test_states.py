@@ -151,6 +151,19 @@ class TestParseSpec:
         with pytest.raises(InvalidStateError, match=r"trace 0\.5 is not 1"):
             validate_density_matrix(np.diag([0.5, 0.0]).astype(complex), 2)
 
+    def test_vector_with_unit_norm_but_trace_off_is_renormalized(self):
+        # norm 1 + 9e-10 is within the tolerance, its trace 1 + 1.8e-9 is not
+        rho, warnings = parse_state_spec("[[1.0000000009,0],[0,0]]", 1)
+        assert warnings == ["vector norm 1 renormalized to 1"]
+        assert abs(np.trace(rho).real - 1.0) <= 1e-15
+        validate_density_matrix(rho, 2)
+
+    @pytest.mark.parametrize("re", [1.0, 1.0000000004, 0.9999999996, 1 - 1e-16])
+    def test_vector_with_trace_within_tolerance_is_kept_as_is(self, re):
+        rho, warnings = parse_state_spec(json.dumps([[re, 0], [0, 0]]), 1)
+        assert warnings == []
+        assert rho.tobytes() == np.diag([re * re, 0.0]).astype(complex).tobytes()
+
 
 _NUMBERS = st.one_of(
     st.integers(),
@@ -198,6 +211,33 @@ class TestValidation:
         rho[1, 1] = bad
         with pytest.raises(InvalidStateError, match="NaN or infinite"):
             validate_density_matrix(rho, 2)
+
+    @pytest.mark.parametrize(
+        "rho,message",
+        [
+            ([[0.5, 1e308], [-1e308, 0.5]], "Hermitian"),  # the difference overflows
+            ([[1e308, 0], [0, 1e308]], "trace"),  # the trace overflows
+        ],
+    )
+    def test_entries_near_float_limit_rejected_without_warnings(self, rho, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match=message):
+                validate_density_matrix(np.array(rho, dtype=complex))
+
+    def test_library_entry_points_reject_overflowing_matrix_without_warnings(self):
+        from qphase.system import build_system
+        from qphase.tomography import MeasurementPlan, simulate_counts
+        from qphase.wigner import wigner_from_state
+
+        system = build_system(1)
+        rho = np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="Hermitian"):
+                wigner_from_state(rho, system.net)
+            with pytest.raises(InvalidStateError, match="Hermitian"):
+                simulate_counts(rho, MeasurementPlan(bases=system.bases, shots_per_basis=16, seed=0))
 
     def test_random_density_matrices_are_physical(self):
         rng = np.random.default_rng(0)

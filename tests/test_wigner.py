@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qphase.fields import field_create
+from qphase.fields import ContextMismatchError, field_create
 from qphase.geometry import Point, line_from_equation
-from qphase.operators import pauli, translation_unitary
+from qphase.operators import pauli, pauli_permutation, translation_unitary
 from qphase.states import (
     InvalidStateError,
     random_density_matrix,
@@ -352,7 +352,51 @@ def dense_vector_index(system):
     return index
 
 
+def float_lex_sign_reference(system):
+    """Line -> basis index and the outcome table by the float rule: each
+    vector's signs on the Hermitian-scaled stabilizers from gathers, the
+    lexicographically first sign tuple as the ray, each line's vector as
+    argmax_k |<v_k|U_w ray>|^2 for its first point w, and the table filled
+    point by point."""
+    lab, dim = system.labeling, system.dim
+    index = {}
+    for striation, basis in zip(system.striations, system.bases):
+        vectors = basis.vectors
+        signs = []
+        for w in striation.stabilizer_vectors:
+            x, z = lab.masks(w)
+            src, sign = pauli_permutation(x, z, dim)
+            scale = 1j if (x & z).bit_count() & 1 else 1
+            vals = np.real(scale * np.einsum("ki,ki->k", vectors.conj(), vectors[:, src] * sign))
+            assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-6
+            signs.append(vals < 0)
+        keys = np.array(signs).T.tolist()
+        ray = vectors[min(range(len(keys)), key=lambda k: keys[k])]
+        for line in striation.lines:
+            src, sign = pauli_permutation(*lab.masks(line.points[0]), dim)
+            index[line] = int(np.argmax(np.abs(vectors.conj() @ (ray[src] * sign)) ** 2))
+    table = np.empty((dim * dim, len(system.striations)), dtype=np.intp)
+    for s, striation in enumerate(system.striations):
+        for line in striation.lines:
+            for pt in line.points:
+                table[pt.q.index * dim + pt.p.index, s] = index[line]
+    return index, table
+
+
 class TestNetAgainstDenseReference:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_vector_index_and_table_match_float_lex_sign_rule(self, n):
+        system = build_system(n)
+        index, table = float_lex_sign_reference(system)
+        assert system.net.vector_index == index
+        assert np.array_equal(system.net.outcome_index_table(), table)
+        assert system.net.outcome_index_table().flags.c_contiguous
+
+    def test_lines_through_rejects_a_foreign_point(self):
+        other = field_create(2)
+        with pytest.raises(ContextMismatchError):
+            build_system(2).net.lines_through(Point(other.zero, other.one))
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_vector_index_matches_dense_closure(self, n):
         system = build_system(n)
