@@ -7,7 +7,9 @@ of the generator w, the class of x -- which downstream code relies on for
 axis labels, grid indexing and serialization.  ``FieldContext.index_tables``
 gives the addition and multiplication tables on those order indices as numpy
 arrays, built from the log/antilog tables, for code that works on whole
-arrays of elements at once.
+arrays of elements at once.  ``field_axiom_failure`` checks the field axioms
+on any such pair of tables; the construction self-test and ``verify`` both
+use it.
 """
 
 from __future__ import annotations
@@ -215,24 +217,13 @@ class FieldContext:
         return "w" if index == 2 else f"w{index - 1}"
 
     def _self_test(self) -> None:
-        """Exhaustive axiom check over the index tables: additive self-inverse,
-        identity, inverses, commutativity, associativity, distributivity."""
-        add, mul = self.index_tables()
-        idx = np.arange(self.order)
-        if np.any(add[idx, idx] != 0):
-            raise FieldError("additive self-inverse failed")
-        if np.any(mul[:, 1] != idx):
-            raise FieldError("multiplicative identity failed")
-        inv = np.array([self._index[self._inv_bits(b)] for b in self._order_bits[1:]], dtype=np.intp)
-        if np.any(mul[idx[1:], inv] != 1):
-            raise FieldError("multiplicative inverse failed")
-        if np.any(mul != mul.T):
-            raise FieldError("commutativity failed")
-        # [a, b, c] entries: (a*b)*c against a*(b*c), a*(b+c) against a*b + a*c
-        if np.any(mul[mul] != mul[:, mul]):
-            raise FieldError("associativity failed")
-        if np.any(mul[:, add] != add[mul[:, :, None], mul[:, None, :]]):
-            raise FieldError("distributivity failed")
+        """Exhaustive field axioms over the index tables, with the inverses
+        from the log/antilog tables; raises FieldError naming the first
+        failure."""
+        inv = [self._index[self._inv_bits(b)] for b in self._order_bits[1:]]
+        failure = field_axiom_failure(*self.index_tables(), inv)
+        if failure is not None:
+            raise FieldError(failure)
 
     # -- public API -------------------------------------------------------
 
@@ -299,6 +290,40 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"FieldContext(GF(2^{self.n}), modulus={bin(self.modulus)})"
+
+
+def field_axiom_failure(add, mul, inv=None) -> str | None:
+    """The first field axiom that the N x N tables break, or None.
+
+    add[i, j] and mul[i, j] are the indices of e_i + e_j and e_i * e_j, with
+    index 0 the zero and index 1 the one; inv[i - 1], if given, is the index
+    of the inverse of e_i for i >= 1, else every nonzero row of mul must
+    contain the one.  Checked exhaustively: additive self-inverse,
+    multiplicative identity, inverses, commutativity and associativity of
+    both operations, distributivity, and no zero divisors (which Z_N with
+    composite N has).  The associativity and distributivity checks build
+    N^3 index arrays.
+    """
+    add, mul = np.asarray(add), np.asarray(mul)
+    idx = np.arange(len(add))
+    if inv is None:
+        inv = (mul[1:] == 1).argmax(axis=1)
+    if (add[idx, idx] != 0).any():
+        return "additive self-inverse failed"
+    if (mul[:, 1] != idx).any():
+        return "multiplicative identity failed"
+    if (mul[idx[1:], inv] != 1).any():
+        return "multiplicative inverse failed"
+    if (add != add.T).any() or (mul != mul.T).any():
+        return "commutativity failed"
+    # [a, b, c] entries: (a o b) o c against a o (b o c), a*(b+c) against a*b + a*c
+    if (add[add] != add[:, add]).any() or (mul[mul] != mul[:, mul]).any():
+        return "associativity failed"
+    if (mul[:, add] != add[mul[:, :, None], mul[:, None, :]]).any():
+        return "distributivity failed"
+    if (mul[1:, 1:] == 0).any():
+        return "zero divisor found"
+    return None
 
 
 def field_create(n: int, modulus: int | None = None) -> FieldContext:

@@ -4,18 +4,40 @@ Each check re-derives a structural property from scratch (exhaustively for
 small n, sampled where the count explodes) and reports pass/fail with a
 short detail string.  The suite is deterministic: all sampling uses fixed
 seeds.
+
+The checks run as whole-array operations on what the library hands its
+users, not on its internal tables:
+
+- Field axioms run on addition and multiplication tables built from
+  ``FieldElement`` ``+`` and ``*`` (``fields.field_axiom_failure``, the
+  routine behind the construction self-test).
+- Geometry checks read ``Line.points`` once into an (N+1, N, N) array of
+  point indices q_index * N + p_index and an addition table from
+  ``FieldElement`` ``+``; point and pair incidences are ``bincount``s, and a
+  translation is a permutation of the point indices.
+- Operator checks stack the dense ``unitary`` matrices of the translations
+  (and of each basis's stabilizers) and test unitarity, the homomorphism
+  and projective closure with batched matrix products.  The dense matrices
+  stay the ground truth: no expected value comes from the Pauli masks.
+- Basis, phase-point and line-sum checks compare stacked projectors and
+  grids in single broadcasts.
+
+At n = 4 every temporary stays at about N^4 complex entries (1 MiB).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, find_wraparound_witness, intersect
+from .fields import field_axiom_failure
+from .geometry import Point, find_wraparound_witness
 from .mub import check_conjugacy
-from .operators import joint_eigenbasis, projective_check, translation_unitary
+from .operators import joint_eigenbasis, translation_unitary
 from .states import random_density_matrix, random_pure_state
 from .system import PhaseSpaceSystem, build_system
 from .tomography import (
@@ -24,7 +46,7 @@ from .tomography import (
     project_to_physical,
     simulate_counts,
 )
-from .wigner import line_sum, translate_grid, wigner_from_state
+from .wigner import translate_grid, wigner_from_state
 
 TOL = 1e-9
 
@@ -40,38 +62,92 @@ def _result(name: str, dev: float, tol: float = TOL) -> CheckResult:
     return CheckResult(name, dev <= tol, f"max deviation {dev:.3e} (tol {tol:.0e})")
 
 
+def _point(sys: PhaseSpaceSystem, index: int) -> Point:
+    """The grid point with index q_index * N + p_index."""
+    q, p = divmod(int(index), sys.dim)
+    elems = sys.ctx.elements()
+    return Point(elems[q], elems[p])
+
+
+def _point_index(pt: Point) -> int:
+    return pt.q.index * pt.ctx.order + pt.p.index
+
+
+def _table(sys: PhaseSpaceSystem, op) -> np.ndarray:
+    """t[i, j] = op(e_i, e_j).index, from the FieldElement operators."""
+    elems = sys.ctx.elements()
+    return np.array([[op(a, b).index for b in elems] for a in elems], dtype=np.intp)
+
+
+def _line_points(sys: PhaseSpaceSystem) -> np.ndarray | None:
+    """points[s, l, m]: index of point m of line l of striation s, read from
+    ``Line.points``; None unless the lines form N+1 striations of N lines of
+    N points."""
+    rows = [[[_point_index(pt) for pt in ln.points] for ln in s.lines] for s in sys.striations]
+    try:
+        points = np.array(rows, dtype=np.intp)
+    except ValueError:
+        return None
+    return points if points.shape == (sys.dim + 1, sys.dim, sys.dim) else None
+
+
+_NOT_A_PLANE = "lines do not form N+1 striations of N lines of N points"
+
+
+def _counts(rows: np.ndarray, n: int) -> np.ndarray:
+    """c[r, k]: how often k occurs in row r of an index array, 0 <= k < n."""
+    offset = np.arange(len(rows))[:, None] * n
+    return np.bincount((rows + offset).ravel(), minlength=len(rows) * n).reshape(len(rows), n)
+
+
+@functools.lru_cache(maxsize=1)
+def _unitary_stack(sys: PhaseSpaceSystem) -> np.ndarray:
+    """U[q_index * N + p_index]: the dense matrix of every grid translation,
+    read-only.  The four operator checks of one system share it; systems
+    hash by identity, so a modified copy gets its own."""
+    elems = sys.ctx.elements()
+    stack = np.array(
+        [translation_unitary(Point(q, p), sys.labeling).unitary for q in elems for p in elems]
+    )
+    stack.setflags(write=False)
+    return stack
+
+
+def _all_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """p[i, j] = a[i] @ b[j] for stacks of N x N matrices, as one matrix
+    product whose (i, j) block is a[i] @ b[j]."""
+    k, dim, _ = a.shape
+    m = len(b)
+    blocks = a.reshape(k * dim, dim) @ b.transpose(1, 0, 2).reshape(dim, m * dim)
+    return blocks.reshape(k, dim, m, dim).transpose(0, 2, 1, 3)
+
+
+def _phases(prods: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, bad) with prods ~ lam * targets over the trailing matrix axes:
+    lam = tr(target^dag prod) / N, and bad where |lam| is not 1 or the
+    product is not lam * target, both within 1e-9 (``projective_check``)."""
+    dim = prods.shape[-1]
+    lam = np.einsum("...ij,...ij->...", targets.conj(), prods) / dim
+    off = lam[..., None, None] * targets
+    off -= prods
+    return lam, (np.abs(np.abs(lam) - 1) > 1e-9) | (np.abs(off).max(axis=(-2, -1)) > 1e-9)
+
+
 # -- field ------------------------------------------------------------------
 
 
 def check_field_axioms(sys: PhaseSpaceSystem) -> CheckResult:
-    """Exhaustive field axioms plus the not-mod-N witness."""
-    ctx = sys.ctx
-    elems = ctx.elements()
+    """Exhaustive field axioms over the tables of FieldElement + and *."""
+    elems = sys.ctx.elements()
     try:
-        for a in elems:
-            if not (a + a).is_zero:
-                return CheckResult("field axioms", False, f"{a} + {a} != 0")
-            if not a.is_zero and not (a * a.inverse() == ctx.one):
-                return CheckResult("field axioms", False, f"{a} * inv({a}) != 1")
-        for a in elems:
-            for b in elems:
-                if a + b != b + a or a * b != b * a:
-                    return CheckResult("field axioms", False, "commutativity failed")
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-                        return CheckResult("field axioms", False, "associativity failed")
-                    if a * (b + c) != a * b + a * c:
-                        return CheckResult("field axioms", False, "distributivity failed")
-        # Z_N with composite N has zero divisors; GF(2^n) must not.
-        if ctx.n >= 2:
-            for a in elems[1:]:
-                for b in elems[1:]:
-                    if (a * b).is_zero:
-                        return CheckResult("field axioms", False, f"zero divisor {a}*{b}")
+        add = _table(sys, operator.add)
+        mul = _table(sys, operator.mul)
+        inv = [a.inverse().index for a in elems[1:]]
+        failure = field_axiom_failure(add, mul, inv)
     except Exception as exc:  # noqa: BLE001 - invariant suite reports, never raises
         return CheckResult("field axioms", False, repr(exc))
+    if failure is not None:
+        return CheckResult("field axioms", False, failure)
     return CheckResult("field axioms", True, f"exhaustive over {len(elems)} elements")
 
 
@@ -86,67 +162,79 @@ def check_label_bijection(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_affine_axioms(sys: PhaseSpaceSystem) -> CheckResult:
-    ctx = sys.ctx
-    n_pts = ctx.order**2
-    all_lines = [ln for s in sys.striations for ln in s.lines]
-    through: dict[Point, set[int]] = {}
-    for idx, ln in enumerate(all_lines):
-        for pt in ln.points:
-            through.setdefault(pt, set()).add(idx)
-
-    if any(len(ids) != ctx.order + 1 for ids in through.values()) or len(through) != n_pts:
+    """Every point on N+1 lines, every two points on exactly one common line
+    (so two lines share at most one point), every striation a partition."""
+    n_elems = sys.dim
+    n_pts = n_elems**2
+    points = _line_points(sys)
+    if points is None:
+        return CheckResult("affine axioms", False, _NOT_A_PLANE)
+    lines = points.reshape(-1, n_elems)
+    if np.any(np.bincount(lines.ravel(), minlength=n_pts) != n_elems + 1):
         return CheckResult("affine axioms", False, "some point is not on exactly N+1 lines")
 
-    pts = list(through)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if len(through[pts[i]] & through[pts[j]]) != 1:
-                return CheckResult(
-                    "affine axioms", False, f"points {pts[i]}, {pts[j]} share != 1 line"
-                )
+    # Each unordered pair of positions on each line, as lo * N^2 + hi; a
+    # line that repeats a point puts a count on the diagonal.
+    i, j = np.triu_indices(n_elems, 1)
+    a, b = lines[:, i], lines[:, j]
+    pairs = np.bincount((np.minimum(a, b) * n_pts + np.maximum(a, b)).ravel(), minlength=n_pts**2)
+    once = np.triu(np.ones((n_pts, n_pts), dtype=bool), 1)
+    bad = np.argwhere(pairs.reshape(n_pts, n_pts) != once)
+    if len(bad):
+        p1, p2 = (_point(sys, k) for k in bad[0])
+        detail = f"a line lists {p1} twice" if p1 == p2 else f"points {p1}, {p2} share != 1 line"
+        return CheckResult("affine axioms", False, detail)
 
-    for i in range(len(all_lines)):
-        for j in range(i + 1, len(all_lines)):
-            common = intersect(all_lines[i], all_lines[j])
-            if len(common) > 1:
-                return CheckResult(
-                    "affine axioms", False, f"distinct lines share {len(common)} points"
-                )
-
-    for s in sys.striations:
-        covered = set()
-        for ln in s.lines:
-            if covered & ln.point_set:
-                return CheckResult("affine axioms", False, f"striation {s.direction} overlaps")
-            covered |= ln.point_set
-        if len(covered) != n_pts:
-            return CheckResult("affine axioms", False, f"striation {s.direction} misses points")
+    for s, covered in zip(sys.striations, _counts(points.reshape(len(points), -1), n_pts)):
+        if np.any(covered != 1):
+            gap = "overlaps" if covered.max() > 1 else "misses points"
+            return CheckResult("affine axioms", False, f"striation {s.direction} {gap}")
     return CheckResult(
-        "affine axioms", True, f"{len(all_lines)} lines, {n_pts} points, exhaustive"
+        "affine axioms", True, f"{len(lines)} lines, {n_pts} points, exhaustive"
     )
 
 
 def check_translation_geometry(sys: PhaseSpaceSystem) -> CheckResult:
     """Translations map lines to lines of the same striation."""
     ctx = sys.ctx
-    line_class = {ln.point_set: s.direction for s in sys.striations for ln in s.lines}
-    elems = ctx.elements()
+    n_elems = ctx.order
+    n_pts = n_elems**2
+    points = _line_points(sys)
+    if points is None:
+        return CheckResult("translation geometry", False, _NOT_A_PLANE)
+    # line_of[s, point] = the line of striation s through the point.
+    line_of = np.empty((len(points), n_pts), dtype=np.intp)
+    covered = _counts(points.reshape(len(points), -1), n_pts)
+    for k, (s, rows) in enumerate(zip(sys.striations, points)):
+        if np.any(covered[k] != 1):
+            return CheckResult(
+                "translation geometry", False, f"striation {s.direction} is not a partition"
+            )
+        line_of[k, rows] = np.arange(n_elems)[:, None]
+
     if ctx.n <= 3:
-        vectors = [Point(q, p) for q in elems for p in elems]
+        vectors = [(q, p) for q in range(n_elems) for p in range(n_elems)]
     else:
         rng = np.random.default_rng(2024)
-        vectors = [
-            Point(elems[rng.integers(ctx.order)], elems[rng.integers(ctx.order)])
-            for _ in range(20)
-        ]
-    for v in vectors:
-        for s in sys.striations:
-            for ln in s.lines:
-                image = frozenset(pt + v for pt in ln.points)
-                if line_class.get(image) != s.direction:
-                    return CheckResult(
-                        "translation geometry", False, f"translate by {v} broke striation {s.direction}"
-                    )
+        vectors = [(rng.integers(n_elems), rng.integers(n_elems)) for _ in range(20)]
+    vq, vp = np.array(vectors, dtype=np.intp).T
+    add = _table(sys, operator.add)
+    # perm[v, point] = the index of point + v.
+    perm = add[:, vq].T[:, :, None] * n_elems + add[:, vp].T[:, None, :]
+    perm = perm.reshape(len(vectors), n_pts)
+    bijective = np.all(_counts(perm, n_pts) == 1, axis=1)
+    # The image of a line lies on one line of its striation; as the image
+    # has N distinct points, it is that line.
+    image = line_of[np.arange(len(points))[:, None, None], perm[:, points]]
+    broken = np.any(image != image[..., :1], axis=(2, 3)) | ~bijective[:, None]
+    if np.any(broken):
+        v, k = np.argwhere(broken)[0]
+        return CheckResult(
+            "translation geometry",
+            False,
+            f"translate by {_point(sys, vq[v] * n_elems + vp[v])} broke striation "
+            f"{sys.striations[k].direction}",
+        )
     return CheckResult("translation geometry", True, f"{len(vectors)} vectors checked")
 
 
@@ -169,69 +257,81 @@ def check_ring_witness(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_unitarity(sys: PhaseSpaceSystem) -> CheckResult:
-    ctx = sys.ctx
-    eye = np.eye(ctx.order)
-    dev = 0.0
-    for q in ctx.elements():
-        for p in ctx.elements():
-            u = translation_unitary(Point(q, p), sys.labeling).unitary
-            dev = max(dev, float(np.max(np.abs(u @ u.conj().T - eye))))
+    stack = _unitary_stack(sys)
+    gram = stack @ np.conj(np.transpose(stack, (0, 2, 1)))
+    dev = float(np.max(np.abs(gram - np.eye(sys.dim))))
     return _result("translation unitarity", dev, 1e-12)
 
 
 def check_translation_homomorphism(sys: PhaseSpaceSystem) -> CheckResult:
     """H_q H_q' = H_(q+q') exactly, and likewise for V."""
-    ctx = sys.ctx
-    zero = ctx.zero
-    for a in ctx.elements():
-        for b in ctx.elements():
-            ha = translation_unitary(Point(a, zero), sys.labeling).unitary
-            hb = translation_unitary(Point(b, zero), sys.labeling).unitary
-            target = translation_unitary(Point(a + b, zero), sys.labeling).unitary
-            if np.max(np.abs(ha @ hb - target)) != 0.0:
-                return CheckResult("translation homomorphism", False, f"H at {a},{b}")
-            vq = translation_unitary(Point(zero, a), sys.labeling).unitary
-            vp = translation_unitary(Point(zero, b), sys.labeling).unitary
-            vt = translation_unitary(Point(zero, a + b), sys.labeling).unitary
-            if np.max(np.abs(vq @ vp - vt)) != 0.0:
-                return CheckResult("translation homomorphism", False, f"V at {a},{b}")
+    n_elems = sys.dim
+    stack = _unitary_stack(sys)
+    add = _table(sys, operator.add)
+    # H_a = U_(a,0) and V_b = U_(0,b); bad[a, b] compares over all pairs.
+    bad = {}
+    for name, ops in (("H", stack[::n_elems]), ("V", stack[:n_elems])):
+        bad[name] = np.any(_all_products(ops, ops) != ops[add], axis=(2, 3))
+    either = bad["H"] | bad["V"]
+    if np.any(either):
+        a, b = np.argwhere(either)[0]
+        elems = sys.ctx.elements()
+        name = "H" if bad["H"][a, b] else "V"
+        return CheckResult("translation homomorphism", False, f"{name} at {elems[a]},{elems[b]}")
     return CheckResult("translation homomorphism", True, "entrywise exact")
 
 
 def check_projective_closure(sys: PhaseSpaceSystem) -> CheckResult:
+    """U_v U_w = lambda U_(v+w) with lambda a fourth root of unity."""
     ctx = sys.ctx
-    elems = ctx.elements()
-    points = [Point(q, p) for q in elems for p in elems]
+    n_elems = ctx.order
+    n_pts = n_elems**2
     if ctx.n <= 2:
-        pairs = [(v, w) for v in points for w in points]
+        v, w = np.divmod(np.arange(n_pts**2), n_pts)
     else:
         rng = np.random.default_rng(99)
-        pairs = [
-            (points[rng.integers(len(points))], points[rng.integers(len(points))])
-            for _ in range(300)
-        ]
-    fourth_roots = np.array([1, 1j, -1, -1j])
-    dev = 0.0
-    for v, w in pairs:
-        lam = projective_check(
-            translation_unitary(v, sys.labeling), translation_unitary(w, sys.labeling)
+        v, w = np.array([(rng.integers(n_pts), rng.integers(n_pts)) for _ in range(300)]).T
+    name = f"projective closure ({len(v)} pairs)"
+    stack = _unitary_stack(sys)
+    add = _table(sys, operator.add)
+    (vq, vp), (wq, wp) = np.divmod(v, n_elems), np.divmod(w, n_elems)
+    total = add[vq, wq] * n_elems + add[vp, wp]
+    lam, bad = _phases(stack[v] @ stack[w], stack[total])
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        return CheckResult(
+            name,
+            False,
+            f"U_v U_w not proportional to U_(v+w) at {_point(sys, v[k])}+{_point(sys, w[k])}",
         )
-        dev = max(dev, float(np.min(np.abs(fourth_roots - lam))))
-    return _result(f"projective closure ({len(pairs)} pairs)", dev)
+    fourth_roots = np.array([1, 1j, -1, -1j])
+    dev = float(np.max(np.min(np.abs(fourth_roots - lam[:, None]), axis=1)))
+    return _result(name, dev)
 
 
 def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
     """Each striation: N-1 stabilizers whose products stay on the ray up to phase."""
+    n_elems = sys.dim
+    stack = _unitary_stack(sys)
+    add = _table(sys, operator.add)
     for s, basis in zip(sys.striations, sys.bases):
-        if len(s.stabilizer_vectors) != sys.dim - 1:
+        if len(s.stabilizer_vectors) != n_elems - 1:
             return CheckResult("stabilizer group", False, f"striation {s.direction} count")
-        ray_pts = set(s.ray.points)
-        for op1 in basis.stabilizers:
-            for op2 in basis.stabilizers:
-                total = op1.vector + op2.vector
-                if total not in ray_pts:
-                    return CheckResult("stabilizer group", False, "product leaves ray")
-                projective_check(op1, op2)  # raises if not proportional to U_(v+w)
+        ops = basis.stabilizers
+        q, p = np.divmod(np.array([_point_index(op.vector) for op in ops], dtype=np.intp), n_elems)
+        total = add[q[:, None], q[None, :]] * n_elems + add[p[:, None], p[None, :]]
+        if not np.all(np.isin(total, [_point_index(pt) for pt in s.ray.points])):
+            return CheckResult("stabilizer group", False, "product leaves ray")
+        u = np.array([op.unitary for op in ops])
+        _, bad = _phases(_all_products(u, u), stack[total])
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            return CheckResult(
+                "stabilizer group",
+                False,
+                f"striation {s.direction}: U_v U_w not proportional to U_(v+w) "
+                f"at {ops[i].vector}+{ops[j].vector}",
+            )
     return CheckResult("stabilizer group", True, "closure up to phase verified")
 
 
@@ -252,11 +352,18 @@ def check_mub(sys: PhaseSpaceSystem) -> CheckResult:
 def check_eigenvector_residuals(sys: PhaseSpaceSystem) -> CheckResult:
     dev = 0.0
     for basis in sys.bases:
-        for op in basis.stabilizers:
-            for v in basis.vectors:
-                lam = np.vdot(v, op.unitary @ v)
-                dev = max(dev, float(np.linalg.norm(op.unitary @ v - lam * v)))
+        u = np.array([op.unitary for op in basis.stabilizers])
+        # uv[i, :, k] = U_i v_k, lam[i, k] = <v_k|U_i|v_k>
+        uv = u @ basis.vectors.T
+        lam = np.einsum("kj,ijk->ik", basis.vectors.conj(), uv)
+        residual = np.linalg.norm(uv - lam[:, None, :] * basis.vectors.T, axis=1)
+        dev = max(dev, float(np.max(residual)))
     return _result("stabilizer eigen-residuals", dev)
+
+
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """P[k] = |v_k><v_k| for the rows of vectors."""
+    return vectors[:, :, None] * vectors.conj()[:, None, :]
 
 
 def check_basis_uniqueness(sys: PhaseSpaceSystem) -> CheckResult:
@@ -264,12 +371,9 @@ def check_basis_uniqueness(sys: PhaseSpaceSystem) -> CheckResult:
     dev = 0.0
     for basis in sys.bases:
         redone = joint_eigenbasis([op.unitary for op in reversed(basis.stabilizers)])
-        for v in redone:
-            pv = np.outer(v, v.conj())
-            best = min(
-                float(np.max(np.abs(pv - np.outer(w, w.conj())))) for w in basis.vectors
-            )
-            dev = max(dev, best)
+        # gap[i, j] = max |P_i - P_j| between redone vector i and basis vector j
+        gap = np.abs(_projectors(redone)[:, None] - _projectors(basis.vectors)[None, :])
+        dev = max(dev, float(np.max(np.min(np.max(gap, axis=(2, 3)), axis=1))))
     return _result("basis uniqueness", dev)
 
 
@@ -282,7 +386,9 @@ def check_a_structure(sys: PhaseSpaceSystem) -> CheckResult:
     dev = float(np.max(np.abs(stack - np.conj(np.transpose(stack, (0, 2, 1))))))
     traces = np.einsum("aii->a", stack)
     dev = max(dev, float(np.max(np.abs(traces - 1.0))))
-    gram = np.einsum("aij,bji->ab", stack, stack)
+    # gram[a, b] = tr(A_a A_b), as one product of the flattened stacks
+    flat = stack.reshape(len(stack), -1)
+    gram = flat @ np.transpose(stack, (0, 2, 1)).reshape(len(stack), -1).T
     dev = max(dev, float(np.max(np.abs(gram - dim * np.eye(len(stack))))))
     dev = max(dev, float(np.max(np.abs(stack.sum(axis=0) - dim * np.eye(dim)))))
     return _result("phase-point operator structure", dev)
@@ -316,16 +422,18 @@ def check_wigner_roundtrip(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_line_sums(sys: PhaseSpaceSystem) -> CheckResult:
+    points = _line_points(sys)
+    if points is None:
+        return CheckResult("line sums = outcome probabilities", False, _NOT_A_PLANE)
+    lines = [ln for s in sys.striations for ln in s.lines]
+    projectors = np.array([sys.net.projector(ln) for ln in lines]).reshape(len(lines), -1)
     rng = np.random.default_rng(12)
-    dev = 0.0
-    for _ in range(20):
-        rho = random_density_matrix(rng, sys.dim)
-        grid = wigner_from_state(rho, sys.net)
-        for s in sys.striations:
-            for ln in s.lines:
-                prob = float(np.real(np.trace(rho @ sys.net.projector(ln))))
-                dev = max(dev, abs(line_sum(grid, ln) - prob))
-    return _result("line sums = outcome probabilities", dev)
+    rhos = [random_density_matrix(rng, sys.dim) for _ in range(20)]
+    grids = np.array([wigner_from_state(rho, sys.net).values.reshape(-1) for rho in rhos])
+    sums = grids[:, points.reshape(len(lines), -1)].sum(axis=2)
+    # tr(rho P) is the sum of the entries of rho^T * P.
+    probs = np.real(np.array([rho.T.reshape(-1) for rho in rhos]) @ projectors.T)
+    return _result("line sums = outcome probabilities", float(np.max(np.abs(sums - probs))))
 
 
 def check_grid_covariance(sys: PhaseSpaceSystem) -> CheckResult:

@@ -5,6 +5,7 @@ from qphase.fields import (
     ContextMismatchError,
     FieldContext,
     FieldError,
+    field_axiom_failure,
     field_create,
 )
 
@@ -124,6 +125,27 @@ class TestIndexTables:
         ctx._derived["index_tables"] = (add, mul)
         with pytest.raises(FieldError, match="associativity"):
             ctx._self_test()
+
+
+class TestFieldAxiomRoutine:
+    """field_axiom_failure, shared by the self-test and verify."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_default_moduli_beyond_the_self_test(self, n):
+        # construction runs the self-test only up to degree 4
+        assert field_axiom_failure(*gf(n).index_tables()) is None
+
+    def test_inverses_default_to_the_one_in_each_row(self):
+        add, mul = (t.copy() for t in gf(2).index_tables())
+        assert field_axiom_failure(add, mul) is None
+        mul[2, 3] = mul[3, 2] = 2
+        assert field_axiom_failure(add, mul) == "multiplicative inverse failed"
+
+    def test_ring_mod_4_is_not_a_field(self):
+        z4 = np.arange(4)
+        add = (z4[:, None] + z4) % 4
+        mul = (z4[:, None] * z4) % 4
+        assert field_axiom_failure(add, mul) == "additive self-inverse failed"
 
 
 class TestEnumerationAndLabels:

@@ -1,13 +1,35 @@
+import copy
+import dataclasses
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
-from qphase.verify import ALL_CHECKS, run_checks
+from qphase.fields import FieldContext
+from qphase.geometry import Point
+from qphase.operators import projective_check, translation_unitary
+from qphase.system import build_system
+from qphase.verify import (
+    ALL_CHECKS,
+    _all_products,
+    _phases,
+    check_affine_axioms,
+    check_field_axioms,
+    check_line_sums,
+    check_projective_closure,
+    check_stabilizer_group,
+    check_translation_geometry,
+    check_translation_homomorphism,
+    run_checks,
+)
 
 
-def test_all_checks_pass_for_n_up_to_2():
-    results = run_checks(2)
+def test_all_checks_pass_for_n_up_to_4():
+    results = run_checks(4)
     failures = [r for r in results if not r.passed]
     assert not failures, failures
-    assert len(results) == 2 * len(ALL_CHECKS)
+    assert len(results) == 4 * len(ALL_CHECKS) == 96
 
 
 def test_names_carry_degree_prefix():
@@ -18,3 +40,129 @@ def test_names_carry_degree_prefix():
 def test_rejects_zero():
     with pytest.raises(ValueError):
         run_checks(0)
+
+
+def test_module_entry_point_runs_verify():
+    out = subprocess.run(
+        [sys.executable, "-m", "qphase", "verify", "1"], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert "24/24 checks passed" in out.stdout
+
+
+def test_batched_phases_match_projective_check():
+    sys_ = build_system(2)
+    elems = sys_.ctx.elements()
+    ops = [translation_unitary(Point(q, p), sys_.labeling) for q in elems for p in elems]
+    stack = np.array([op.unitary for op in ops])
+    targets = np.array(
+        [[translation_unitary(a.vector + b.vector, a.labeling).unitary for b in ops] for a in ops]
+    )
+    lam, bad = _phases(_all_products(stack, stack), targets)
+    assert not bad.any()
+    assert np.array_equal(lam, [[projective_check(a, b) for b in ops] for a in ops])
+
+
+# -- corrupted systems: each check reports the fault, none raises -------------
+
+
+def swapped_points(sys_, s=2, m=0):
+    """Point m of lines 1 and 2 of striation s trade places; the striation
+    still partitions the grid, but the lines are no longer lines."""
+    striation = sys_.striations[s]
+    lines = list(striation.lines)
+    a, b = list(lines[1].points), list(lines[2].points)
+    a[m], b[m] = b[m], a[m]
+    lines[1] = dataclasses.replace(lines[1], points=tuple(a))
+    lines[2] = dataclasses.replace(lines[2], points=tuple(b))
+    striations = list(sys_.striations)
+    striations[s] = dataclasses.replace(striation, lines=tuple(lines))
+    return dataclasses.replace(sys_, striations=tuple(striations))
+
+
+def corrupted_masks(sys_):
+    """The labeling (and the bases' stabilizers built on it) sends the q
+    coordinate w2 to no sigma_x at all."""
+    labeling = copy.copy(sys_.labeling)
+    masks = list(labeling._x_masks)
+    masks[3] = 0
+    object.__setattr__(labeling, "_x_masks", tuple(masks))
+    bases = tuple(
+        dataclasses.replace(
+            b, stabilizers=tuple(translation_unitary(op.vector, labeling) for op in b.stabilizers)
+        )
+        for b in sys_.bases
+    )
+    return dataclasses.replace(sys_, labeling=labeling, bases=bases)
+
+
+def misassigned_line(sys_):
+    """The net's projector for one line of striation 1 reads a vector of
+    the basis of striation 0."""
+    line = sys_.striations[1].lines[1]
+    striation_of = {**sys_.net.striation_of, line: 0}
+    return dataclasses.replace(sys_, net=dataclasses.replace(sys_.net, striation_of=striation_of))
+
+
+def corrupted_multiplication(sys_):
+    """A fresh context of the same degree whose w * w is w instead of w2."""
+    ctx = FieldContext(sys_.n)
+    mul_bits = ctx._mul_bits
+    ctx._mul_bits = lambda a, b: mul_bits(a, b) ^ (a == b == 2)
+    return dataclasses.replace(sys_, ctx=ctx)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("check", [check_affine_axioms, check_translation_geometry])
+def test_swapped_points_fail_geometry(n, check):
+    good = check(build_system(n))
+    bad = check(swapped_points(build_system(n)))
+    assert good.passed and not bad.passed
+    assert bad.name == good.name
+
+
+def test_swapped_points_name_the_pair_and_the_translation():
+    sys_ = swapped_points(build_system(2))
+    assert "share != 1 line" in check_affine_axioms(sys_).detail
+    assert check_translation_geometry(sys_).detail.startswith("translate by ")
+
+
+@pytest.mark.parametrize(
+    "check", [check_translation_homomorphism, check_projective_closure, check_stabilizer_group]
+)
+def test_corrupted_masks_fail_operator_checks(check):
+    good = check(build_system(2))
+    bad = check(corrupted_masks(build_system(2)))
+    assert good.passed and not bad.passed
+    assert bad.name == good.name
+
+
+def test_corrupted_masks_name_the_offending_pair():
+    sys_ = corrupted_masks(build_system(2))
+    assert check_translation_homomorphism(sys_).detail == "H at 1,w"
+    assert "not proportional to U_(v+w) at " in check_projective_closure(sys_).detail
+    assert "not proportional to U_(v+w) at " in check_stabilizer_group(sys_).detail
+
+
+def test_projective_closure_reports_a_sampled_failure():
+    # n = 3 draws 300 seeded pairs instead of running over all of them
+    bad = check_projective_closure(corrupted_masks(build_system(3)))
+    assert bad.name == "projective closure (300 pairs)"
+    assert not bad.passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_misassigned_line_fails_line_sums(n):
+    good = check_line_sums(build_system(n))
+    bad = check_line_sums(misassigned_line(build_system(n)))
+    assert good.passed and not bad.passed
+    assert bad.name == good.name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_corrupted_multiplication_fails_field_axioms(n):
+    good = check_field_axioms(build_system(n))
+    bad = check_field_axioms(corrupted_multiplication(build_system(n)))
+    assert good.passed and not bad.passed
+    assert bad.name == good.name
+    assert bad.detail.endswith("failed")
