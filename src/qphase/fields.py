@@ -292,22 +292,20 @@ class FieldContext:
         return f"FieldContext(GF(2^{self.n}), modulus={bin(self.modulus)})"
 
 
-def field_axiom_failure(add, mul, inv=None) -> str | None:
+def field_axiom_failure(add, mul, inv) -> str | None:
     """The first field axiom that the N x N tables break, or None.
 
     add[i, j] and mul[i, j] are the indices of e_i + e_j and e_i * e_j, with
-    index 0 the zero and index 1 the one; inv[i - 1], if given, is the index
-    of the inverse of e_i for i >= 1, else every nonzero row of mul must
-    contain the one.  Checked exhaustively: additive self-inverse,
-    multiplicative identity, inverses, commutativity and associativity of
-    both operations, distributivity, and no zero divisors (which Z_N with
-    composite N has).  The associativity and distributivity checks build
-    N^3 index arrays.
+    index 0 the zero and index 1 the one; inv[i - 1] is the index of the
+    inverse of e_i for i >= 1.  Checked exhaustively: additive identity and
+    self-inverse, multiplicative identity, inverses, commutativity and
+    associativity of both operations, and distributivity.  The
+    associativity and distributivity checks build N^3 index arrays.
     """
     add, mul = np.asarray(add), np.asarray(mul)
     idx = np.arange(len(add))
-    if inv is None:
-        inv = (mul[1:] == 1).argmax(axis=1)
+    if (add[:, 0] != idx).any():
+        return "additive identity failed"
     if (add[idx, idx] != 0).any():
         return "additive self-inverse failed"
     if (mul[:, 1] != idx).any():
@@ -321,8 +319,6 @@ def field_axiom_failure(add, mul, inv=None) -> str | None:
         return "associativity failed"
     if (mul[:, add] != add[mul[:, :, None], mul[:, None, :]]).any():
         return "distributivity failed"
-    if (mul[1:, 1:] == 0).any():
-        return "zero divisor found"
     return None
 
 

@@ -314,6 +314,20 @@ def translation_unitary(v: Point, labeling: QubitLabeling) -> TranslationOperato
     return TranslationOperator(v, labeling)
 
 
+def projective_phases(prods: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, bad) with prods ~ lam * targets over the trailing matrix axes.
+
+    lam = tr(target^dag prod) / N; bad where |lam| is not 1 or prod is not
+    lam * target, both within 1e-9.  Works on stacks of N x N matrices of
+    any leading shape.
+    """
+    dim = prods.shape[-1]
+    lam = np.einsum("...ij,...ij->...", targets.conj(), prods) / dim
+    off = lam[..., None, None] * targets
+    off -= prods
+    return lam, (np.abs(np.abs(lam) - 1) > 1e-9) | (np.abs(off).max(axis=(-2, -1)) > 1e-9)
+
+
 def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
     """Phase lambda with U_v U_w = lambda * U_(v+w); |lambda| = 1.
 
@@ -322,12 +336,10 @@ def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
     if u.labeling != w.labeling:
         raise ValueError("operators use different labelings")
     target = translation_unitary(u.vector + w.vector, u.labeling).unitary
-    prod = u.unitary @ w.unitary
-    dim = prod.shape[0]
-    lam = complex(np.trace(target.conj().T @ prod) / dim)
-    if abs(abs(lam) - 1) > 1e-9 or np.max(np.abs(prod - lam * target)) > 1e-9:
+    lam, bad = projective_phases(u.unitary @ w.unitary, target)
+    if bad:
         raise AssertionError(f"product of translations is not proportional to U_(v+w) at {u.vector}+{w.vector}")
-    return lam
+    return complex(lam)
 
 
 def stabilizer_eigenbasis(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ import numpy as np
 from .fields import field_axiom_failure
 from .geometry import Point, find_wraparound_witness
 from .mub import check_conjugacy
-from .operators import joint_eigenbasis, translation_unitary
+from .operators import joint_eigenbasis, projective_phases, translation_unitary
 from .states import random_density_matrix, random_pure_state
 from .system import PhaseSpaceSystem, build_system
 from .tomography import (
@@ -120,17 +120,6 @@ def _all_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = len(b)
     blocks = a.reshape(k * dim, dim) @ b.transpose(1, 0, 2).reshape(dim, m * dim)
     return blocks.reshape(k, dim, m, dim).transpose(0, 2, 1, 3)
-
-
-def _phases(prods: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, bad) with prods ~ lam * targets over the trailing matrix axes:
-    lam = tr(target^dag prod) / N, and bad where |lam| is not 1 or the
-    product is not lam * target, both within 1e-9 (``projective_check``)."""
-    dim = prods.shape[-1]
-    lam = np.einsum("...ij,...ij->...", targets.conj(), prods) / dim
-    off = lam[..., None, None] * targets
-    off -= prods
-    return lam, (np.abs(np.abs(lam) - 1) > 1e-9) | (np.abs(off).max(axis=(-2, -1)) > 1e-9)
 
 
 # -- field ------------------------------------------------------------------
@@ -296,7 +285,7 @@ def check_projective_closure(sys: PhaseSpaceSystem) -> CheckResult:
     add = _table(sys, operator.add)
     (vq, vp), (wq, wp) = np.divmod(v, n_elems), np.divmod(w, n_elems)
     total = add[vq, wq] * n_elems + add[vp, wp]
-    lam, bad = _phases(stack[v] @ stack[w], stack[total])
+    lam, bad = projective_phases(stack[v] @ stack[w], stack[total])
     if np.any(bad):
         k = int(np.argmax(bad))
         return CheckResult(
@@ -323,7 +312,7 @@ def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
         if not np.all(np.isin(total, [_point_index(pt) for pt in s.ray.points])):
             return CheckResult("stabilizer group", False, "product leaves ray")
         u = np.array([op.unitary for op in ops])
-        _, bad = _phases(_all_products(u, u), stack[total])
+        _, bad = projective_phases(_all_products(u, u), stack[total])
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             return CheckResult(

@@ -130,22 +130,34 @@ class TestIndexTables:
 class TestFieldAxiomRoutine:
     """field_axiom_failure, shared by the self-test and verify."""
 
+    @staticmethod
+    def inverses(ctx):
+        return [e.inverse().index for e in ctx.nonzero_elements()]
+
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_default_moduli_beyond_the_self_test(self, n):
         # construction runs the self-test only up to degree 4
-        assert field_axiom_failure(*gf(n).index_tables()) is None
+        ctx = gf(n)
+        assert field_axiom_failure(*ctx.index_tables(), self.inverses(ctx)) is None
 
-    def test_inverses_default_to_the_one_in_each_row(self):
-        add, mul = (t.copy() for t in gf(2).index_tables())
-        assert field_axiom_failure(add, mul) is None
-        mul[2, 3] = mul[3, 2] = 2
-        assert field_axiom_failure(add, mul) == "multiplicative inverse failed"
+    def test_rejects_a_wrong_inverse(self):
+        ctx = gf(2)
+        inv = self.inverses(ctx)
+        inv[1], inv[2] = inv[2], inv[1]
+        assert field_axiom_failure(*ctx.index_tables(), inv) == "multiplicative inverse failed"
+
+    def test_rejects_a_constant_addition_table(self):
+        # every other table axiom holds for add = 0 with the GF(2) product
+        add = np.zeros((2, 2), dtype=np.intp)
+        mul = np.array([[0, 0], [0, 1]])
+        assert field_axiom_failure(add, mul, [1]) == "additive identity failed"
 
     def test_ring_mod_4_is_not_a_field(self):
         z4 = np.arange(4)
         add = (z4[:, None] + z4) % 4
         mul = (z4[:, None] * z4) % 4
-        assert field_axiom_failure(add, mul) == "additive self-inverse failed"
+        # 2 has no inverse; the characteristic fails first
+        assert field_axiom_failure(add, mul, [1, 1, 3]) == "additive self-inverse failed"
 
 
 class TestEnumerationAndLabels:

@@ -17,6 +17,7 @@ from qphase.operators import (
     pauli_permutation,
     polynomial_basis,
     projective_check,
+    projective_phases,
     same_basis_labeling,
     stabilizer_eigenbasis,
     trace_dual_basis,
@@ -153,6 +154,32 @@ class TestProjectivePhases:
         for u, w in itertools.product(ops, ops):
             lam = projective_check(u, w)
             assert np.min(np.abs(roots - lam)) < 1e-12
+
+    def test_batched_phases_match_projective_check(self):
+        ctx = field_create(2)
+        lab = default_labeling(ctx)
+        ops = [translation_unitary(v, lab) for v in all_points(ctx)]
+        stack = np.array([op.unitary for op in ops])
+        prods = stack[:, None] @ stack[None, :]
+        targets = np.array(
+            [[translation_unitary(u.vector + w.vector, lab).unitary for w in ops] for u in ops]
+        )
+        lam, bad = projective_phases(prods, targets)
+        assert not bad.any()
+        assert np.array_equal(lam, [[projective_check(u, w) for w in ops] for u in ops])
+
+    def test_flags_a_product_off_the_target_ray(self):
+        ctx = field_create(1)
+        lab = default_labeling(ctx)
+        h = translation_unitary(Point(ctx.one, ctx.zero), lab).unitary
+        v = translation_unitary(Point(ctx.zero, ctx.one), lab).unitary
+        skew = np.array([[1, 0.5], [0, 1]])
+        # H V is orthogonal to H (phase 0); skew has phase 1 against I but is
+        # not I; H H = I with phase 1
+        prods = np.array([h @ v, skew, h @ h])
+        lam, bad = projective_phases(prods, np.array([h, np.eye(2), np.eye(2)]))
+        assert bad.tolist() == [True, True, False]
+        assert lam[1] == lam[2] == 1
 
 
 class TestLabelings:

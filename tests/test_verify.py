@@ -3,17 +3,13 @@ import dataclasses
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from qphase.fields import FieldContext
-from qphase.geometry import Point
-from qphase.operators import projective_check, translation_unitary
+from qphase.operators import translation_unitary
 from qphase.system import build_system
 from qphase.verify import (
     ALL_CHECKS,
-    _all_products,
-    _phases,
     check_affine_axioms,
     check_field_axioms,
     check_line_sums,
@@ -48,19 +44,6 @@ def test_module_entry_point_runs_verify():
     )
     assert out.returncode == 0, out.stderr
     assert "24/24 checks passed" in out.stdout
-
-
-def test_batched_phases_match_projective_check():
-    sys_ = build_system(2)
-    elems = sys_.ctx.elements()
-    ops = [translation_unitary(Point(q, p), sys_.labeling) for q in elems for p in elems]
-    stack = np.array([op.unitary for op in ops])
-    targets = np.array(
-        [[translation_unitary(a.vector + b.vector, a.labeling).unitary for b in ops] for a in ops]
-    )
-    lam, bad = _phases(_all_products(stack, stack), targets)
-    assert not bad.any()
-    assert np.array_equal(lam, [[projective_check(a, b) for b in ops] for a in ops])
 
 
 # -- corrupted systems: each check reports the fault, none raises -------------
