@@ -120,6 +120,12 @@ def _parity(a):
     return _PARITY8[(a ^ a >> 8) & 0xFF]
 
 
+def symplectic_parity(x1, z1, x2, z2):
+    """parity(x1 & z2 ^ z1 & x2): 1 where X^x1 Z^z1 and X^x2 Z^z2
+    anticommute, 0 where they commute; elementwise, with broadcasting."""
+    return _parity((np.asarray(x1) & z2) ^ (np.asarray(z1) & x2))
+
+
 def pauli_permutation(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Index and sign arrays with (X^x Z^z v)[i] = sign[i] * v[src[i]].
 
@@ -181,8 +187,8 @@ class QubitLabeling:
     factor_order: tuple[int, ...]
     _q_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _p_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _x_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _z_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _x_masks: tuple[int, ...] = field(init=False, repr=False)
+    _z_masks: tuple[int, ...] = field(init=False, repr=False)
     _x_by_index: np.ndarray = field(init=False, repr=False, compare=False)
     _z_by_index: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -358,7 +364,7 @@ def stabilizer_eigenbasis(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=np.intp)
     if len(x) != dim - 1:
         raise ValueError(f"need {dim - 1} stabilizer masks for dimension {dim}, got {len(x)}")
-    odd = _parity((x[:, None] & z[None, :]) ^ (z[:, None] & x[None, :]))
+    odd = symplectic_parity(x[:, None], z[:, None], x, z)
     bad = np.argwhere(np.triu(odd, 1))
     if len(bad):
         raise NonCommutingError(int(bad[0, 0]), int(bad[0, 1]), 2.0)

@@ -485,17 +485,26 @@ def check_golden_tables(sys: PhaseSpaceSystem) -> CheckResult:
     return CheckResult("golden grids", True, "skipped: no reference tables beyond n=2")
 
 
+# States per einsum block of check_negativity_floor, bounding its temporaries.
+_NEGATIVITY_BLOCK = 10_000
+
+
 def check_negativity_floor(sys: PhaseSpaceSystem, samples: int = 100_000) -> CheckResult:
     """One-qubit minimum W over pure states is (1 - sqrt(3))/4, attained by tilted-111."""
     if sys.n != 1:
         return CheckResult("negativity floor", True, "skipped: one-qubit property")
     rng = np.random.default_rng(14)
-    vecs = rng.standard_normal((samples, 2)) + 1j * rng.standard_normal((samples, 2))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    real = rng.standard_normal((samples, 2))
+    imag = rng.standard_normal((samples, 2))
     stack = sys.net.phase_point_stack()
-    w = np.real(np.einsum("ni,aij,nj->na", vecs.conj(), stack, vecs)) / 2.0
+    observed = math.inf
+    for start in range(0, samples, _NEGATIVITY_BLOCK):
+        rows = slice(start, start + _NEGATIVITY_BLOCK)
+        vecs = real[rows] + 1j * imag[rows]
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        w = np.real(np.einsum("ni,aij,nj->na", vecs.conj(), stack, vecs)) / 2.0
+        observed = min(observed, float(w.min()))
     floor = (1 - math.sqrt(3)) / 4
-    observed = float(w.min())
     from .states import registry_vector
 
     _, tilt = registry_vector("tilted-111")

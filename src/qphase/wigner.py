@@ -1,7 +1,11 @@
 """Line-to-state assignments, phase-point operators, and Wigner grids.
 
 A quantum net assigns one basis vector v_l to every line l so that translated
-lines carry translated vectors.  Both directions of the Wigner map go through
+lines carry translated vectors.  The net is built with integers: a
+translation flips a stabilizer eigenvector's exponent row where it
+anticommutes with the stabilizers, and each line's row is looked up among
+the basis's sorted rows; ``verify`` checks the result against dense
+projectors.  Both directions of the Wigner map go through
 the line probabilities p_l = <v_l|rho|v_l>: W_a = (sum of p_l over the N+1
 lines through a, minus 1)/N, and rho = sum_l p_l |v_l><v_l| - I with p_l the
 line sums of the grid.  These are W_a = tr(rho A_a)/N and rho = sum_a W_a A_a
@@ -12,13 +16,15 @@ identity), whose dense stack of 16 N^4 bytes is built only on request.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .fields import ContextMismatchError, FieldContext
 from .geometry import Line, Point, Striation, enumerate_striations, striation_points
 from .mub import StriationBasis
-from .operators import QubitLabeling, pauli_permutation
+from .operators import QubitLabeling, symplectic_parity
 from .serialize import round_float
 from .states import InvalidStateError, validate_density_matrix
 
@@ -49,7 +55,7 @@ def _ray_vectors_2q() -> list[np.ndarray]:
     ]
 
 
-def _lex_sign_ray_index(basis: StriationBasis) -> int:
+def _lex_sign_ray_index(exponents: np.ndarray, masks: list[tuple[int, int]]) -> int:
     """Ray vector for n >= 3: lexicographically-first stabilizer sign pattern.
 
     Each stabilizer X^x Z^z, rescaled by i^h with h = parity(x & z), is a
@@ -58,10 +64,8 @@ def _lex_sign_ray_index(basis: StriationBasis) -> int:
     lexicographically first (+1 before -1, stabilizers in canonical ray-point
     order) is selected.
     """
-    if basis.exponents is None:
-        raise NetConstructionError(f"basis of striation {basis.striation} carries no stabilizer eigenvalues")
-    herm = [(x & z).bit_count() & 1 for x, z in (op.masks for op in basis.stabilizers)]
-    negative = (basis.exponents + np.array(herm, dtype=np.int8)) % 4 == 2
+    herm = [(x & z).bit_count() & 1 for x, z in masks]
+    negative = (exponents + np.array(herm, dtype=np.int8)) % 4 == 2
     return int(np.lexsort(negative.T[::-1])[0])
 
 
@@ -69,23 +73,43 @@ def _lex_sign_ray_index(basis: StriationBasis) -> int:
 class QuantumNet:
     """Covariant assignment of basis vectors to lines.
 
-    vector_index maps each line to the index of its vector within the
-    striation's basis.  The same assignment is kept as index arrays:
-    _line_of[s, q_index * N + p_index] is the line of striation s through
-    that point and _line_vector[s, l] the vector of line l.  The outcome
-    table, the stacked basis vectors and the phase-point stack are built on
-    first use and shared read-only.
+    The assignment is two index arrays: _line_of[s, q_index * N + p_index]
+    is the line of striation s through that point and _line_vector[s, l]
+    the index of line l's vector within the striation's basis.
+    vector_index and striation_of are read-only Line-keyed views of them.
+    They, the outcome table, the stacked basis vectors and the phase-point
+    stack are built on first use and shared read-only.
     """
 
     ctx: FieldContext
     labeling: QubitLabeling
     striations: tuple[Striation, ...]
     bases: tuple[StriationBasis, ...]
-    vector_index: dict[Line, int]
-    striation_of: dict[Line, int]
     _line_of: np.ndarray = field(repr=False, compare=False)
     _line_vector: np.ndarray = field(repr=False, compare=False)
-    _aux: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    _aux: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def vector_index(self) -> Mapping[Line, int]:
+        """Line -> index of its vector within its striation's basis."""
+        return self._line_maps()[0]
+
+    @property
+    def striation_of(self) -> Mapping[Line, int]:
+        """Line -> index of its striation."""
+        return self._line_maps()[1]
+
+    def _line_maps(self) -> tuple[Mapping[Line, int], Mapping[Line, int]]:
+        cached = self._aux.get("line_maps")
+        if cached is None:
+            vector_index: dict[Line, int] = {}
+            striation_of: dict[Line, int] = {}
+            for s, (striation, ks) in enumerate(zip(self.striations, self._line_vector.tolist())):
+                vector_index.update(zip(striation.lines, ks))
+                striation_of.update(dict.fromkeys(striation.lines, s))
+            cached = (MappingProxyType(vector_index), MappingProxyType(striation_of))
+            self._aux["line_maps"] = cached
+        return cached
 
     @property
     def dim(self) -> int:
@@ -160,72 +184,64 @@ class QuantumNet:
 
 
 def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[StriationBasis]) -> QuantumNet:
-    """The standard quantum net.
+    """The standard quantum net, found by exact integer lookups.
 
     Ray assignments: for one and two qubits, the conventional explicit
     choices (axis states on the axis rays, fixed vectors on the diagonal-type
-    rays); for n >= 3, the lexicographic stabilizer-sign rule.  All remaining
-    lines are filled in by covariance closure, and the closure is verified
-    over every translation path rather than assumed.
+    rays), each matched to its basis vector by one overlap; for n >= 3, the
+    lexicographic stabilizer-sign rule.  Every other line carries the ray's
+    vector translated by the line's first point w.  U_w is a Pauli string,
+    so it maps the eigenvector with exponent row e to the one with row
+    e_i + 2 parity(x_w & z_i ^ z_w & x_i) (mod 4) on each stabilizer i, and
+    that row is looked up in the basis's sorted exponent rows.  The
+    stabilizers act on the ray as phases, so every point of a line gives the
+    same row: covariance holds by construction.  The dense evidence that the
+    net is covariant and matches its projectors is in ``verify``
+    (``check_line_sums``, ``check_a_covariance``).  The bases must be built
+    under ``labeling``; the exponent columns follow their stabilizers.
     """
     striations = enumerate_striations(ctx)
     if len(mub_set) != len(striations):
         raise NetConstructionError(f"expected {len(striations)} bases, got {len(mub_set)}")
     n_elems = ctx.order
     points = striation_points(ctx)
-
     if ctx.n == 1:
-        rays = _ray_vectors_1q()
+        explicit = _ray_vectors_1q()
     elif ctx.n == 2:
-        rays = _ray_vectors_2q()
+        explicit = _ray_vectors_2q()
     else:
-        rays = [b.vectors[_lex_sign_ray_index(b)] for b in mub_set]
+        explicit = None
 
-    vector_index: dict[Line, int] = {}
-    striation_of: dict[Line, int] = {}
     line_vector = np.empty((len(striations), n_elems), dtype=np.intp)
-    for striation, basis, ray_vec, line_points in zip(striations, mub_set, rays, points):
-        # The declared ray vector must be one of the striation's basis vectors.
-        overlaps = np.abs(basis.vectors.conj() @ ray_vec) ** 2
-        if overlaps.max() < 1.0 - CLOSURE_TOL:
-            raise NetConstructionError(
-                f"ray vector for striation {striation.direction} is not a basis vector "
-                f"(best overlap {overlaps.max():.6f})"
-            )
-        ray = basis.vectors[int(np.argmax(overlaps))]
-
-        # moved[l, m] = U_w ray for the m-th point w of line l: any point of a
-        # line translates the ray onto it, and all such paths must agree up
-        # to a phase.
-        src, sign = pauli_permutation(*labeling.point_masks(line_points), n_elems)
-        moved = ray[src] * sign
-        reference = moved[:, 0]
-        agreement = np.abs(np.einsum("li,lmi->lm", reference.conj(), moved)) ** 2
-        bad = np.flatnonzero(agreement.min(axis=1) < 1.0 - CLOSURE_TOL)
-        if bad.size:
-            raise NetConstructionError(
-                f"covariance closure is path-dependent on line {striation.lines[bad[0]]} "
-                f"of striation {striation.direction}"
-            )
-
-        # fit[k, l] = |<v_k|U_w ray>|^2 = <v_k|U_w P_ray U_w^dag|v_k>.
-        fit = np.abs(basis.vectors.conj() @ reference.T) ** 2
-        best = fit.argmax(axis=0)
-        taken: set[int] = set()
-        for k, k_fit in zip(best.tolist(), fit[best, np.arange(n_elems)].tolist()):
-            if k_fit < 1.0 - CLOSURE_TOL:
+    for s, (striation, basis) in enumerate(zip(striations, mub_set)):
+        if basis.exponents is None:
+            raise NetConstructionError(f"basis of striation {s} carries no stabilizer eigenvalues")
+        if any(op.labeling is not labeling and op.labeling != labeling for op in basis.stabilizers):
+            raise NetConstructionError(f"basis of striation {s} was built under a different labeling")
+        masks = [op.masks for op in basis.stabilizers]  # in exponent-column order
+        if explicit is None:
+            ray = _lex_sign_ray_index(basis.exponents, masks)
+        else:
+            # The declared ray vector must be one of the striation's basis vectors.
+            overlaps = np.abs(basis.vectors.conj() @ explicit[s]) ** 2
+            ray = int(np.argmax(overlaps))
+            if overlaps[ray] < 1.0 - CLOSURE_TOL:
                 raise NetConstructionError(
-                    f"translated ray projector matches no basis vector on striation "
-                    f"{striation.direction} (best fit {k_fit:.6f})"
+                    f"ray vector for striation {s} is not a basis vector "
+                    f"(best overlap {overlaps[ray]:.6f})"
                 )
-            if k in taken:
-                raise NetConstructionError(
-                    f"striation {striation.direction} maps two lines to one vector"
-                )
-            taken.add(k)
-        line_vector[striation.direction] = best
-        vector_index.update(zip(striation.lines, best.tolist()))
-        striation_of.update(dict.fromkeys(striation.lines, striation.direction))
+        # flips[l, i]: U_w of line l's first point anticommutes with stabilizer i.
+        x, z = np.array(masks, dtype=np.intp).T
+        flips = symplectic_parity(*labeling.point_masks(points[s, :, :1]), x, z)
+        found = _find_rows(basis.exponents, (basis.exponents[ray] + 2 * flips) % 4)
+        if np.any(found < 0):
+            line = striation.lines[int(np.argmax(found < 0))]
+            raise NetConstructionError(
+                f"translated ray on line {line} of striation {s} matches no basis vector"
+            )
+        if np.bincount(found, minlength=n_elems).max() > 1:
+            raise NetConstructionError(f"striation {s} maps two lines to one vector")
+        line_vector[s] = found
 
     # Each point lies on exactly one line of each striation.
     line_of = np.empty((len(striations), n_elems * n_elems), dtype=np.intp)
@@ -238,11 +254,21 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         labeling=labeling,
         striations=striations,
         bases=tuple(mub_set),
-        vector_index=vector_index,
-        striation_of=striation_of,
         _line_of=line_of,
         _line_vector=line_vector,
     )
+
+
+def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each of rows in the lexicographically sorted int8 rows of
+    table, or -1 where a row is absent.  Each row is searched as one block
+    of bytes; the values are non-negative, so byte order is value order."""
+    table = np.ascontiguousarray(table, dtype=np.int8)
+    rows = np.ascontiguousarray(rows, dtype=np.int8)
+    key = np.dtype((np.void, table.shape[1]))
+    pos = np.searchsorted(table.view(key).ravel(), rows.view(key).ravel())
+    pos = np.minimum(pos, len(table) - 1)
+    return np.where((table[pos] == rows).all(axis=1), pos, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,11 +376,9 @@ def translate_grid(grid: WignerGrid, v: Point) -> WignerGrid:
     """
     if grid.ctx is not v.ctx:
         raise ContextMismatchError("grid and vector use different field contexts")
-    elements = grid.ctx.elements()
+    add, _ = grid.ctx.index_tables()
     # In characteristic 2, a - v = a + v.
-    perm_q = [(e + v.q).index for e in elements]
-    perm_p = [(e + v.p).index for e in elements]
-    return WignerGrid(grid.ctx, grid.values[np.ix_(perm_q, perm_p)].copy())
+    return WignerGrid(grid.ctx, grid.values[add[:, v.q.index, None], add[None, :, v.p.index]])
 
 
 def grid_ascii(grid: WignerGrid, precision: int = 3) -> str:

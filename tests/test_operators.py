@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 
@@ -167,6 +168,17 @@ class TestProjectivePhases:
         lam, bad = projective_phases(prods, targets)
         assert not bad.any()
         assert np.array_equal(lam, [[projective_check(u, w) for w in ops] for u in ops])
+
+    def test_labelings_with_different_masks_are_refused(self):
+        ctx = field_create(2)
+        lab = default_labeling(ctx)
+        bad = copy.copy(lab)
+        object.__setattr__(bad, "_x_masks", (0,) * len(lab._x_masks))
+        assert bad != lab and len({lab, bad}) == 2
+        assert default_labeling(ctx) == lab and hash(default_labeling(ctx)) == hash(lab)
+        v = Point(ctx.one, ctx.omega)
+        with pytest.raises(ValueError, match="different labelings"):
+            projective_check(translation_unitary(v, lab), translation_unitary(v, bad))
 
     def test_flags_a_product_off_the_target_ray(self):
         ctx = field_create(1)

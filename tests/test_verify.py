@@ -19,6 +19,7 @@ from qphase.verify import (
     check_translation_homomorphism,
     run_checks,
 )
+from qphase.wigner import QuantumNet
 
 
 def test_all_checks_pass_for_n_up_to_4():
@@ -81,10 +82,18 @@ def corrupted_masks(sys_):
 
 def misassigned_line(sys_):
     """The net's projector for one line of striation 1 reads a vector of
-    the basis of striation 0."""
+    the basis of striation 0, while the index arrays that the Wigner map
+    reads stay as built."""
     line = sys_.striations[1].lines[1]
-    striation_of = {**sys_.net.striation_of, line: 0}
-    return dataclasses.replace(sys_, net=dataclasses.replace(sys_.net, striation_of=striation_of))
+    net = sys_.net
+
+    class Misassigned(QuantumNet):
+        @property
+        def striation_of(self):
+            return {**net.striation_of, line: 0}
+
+    kept = {f.name: getattr(net, f.name) for f in dataclasses.fields(net) if f.name != "_aux"}
+    return dataclasses.replace(sys_, net=Misassigned(**kept))
 
 
 def corrupted_multiplication(sys_):

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qphase.fields import ContextMismatchError, field_create
 from qphase.geometry import Point, line_from_equation
+from qphase.mub import full_mub_set
 from qphase.operators import pauli, pauli_permutation, translation_unitary
 from qphase.states import (
     InvalidStateError,
@@ -14,8 +19,10 @@ from qphase.states import (
     validate_density_matrix,
 )
 from qphase.system import build_system
+from qphase import wigner
 from qphase.tomography import MeasurementPlan, estimate_state, simulate_counts
 from qphase.wigner import (
+    NetConstructionError,
     QuantumNet,
     WignerGrid,
     basis_probabilities,
@@ -258,6 +265,18 @@ class TestGridTranslation:
         same = translate_grid(grid, Point(sys.ctx.zero, sys.ctx.zero))
         assert np.array_equal(same.values, grid.values)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_pointwise_field_arithmetic(self, n):
+        ctx = build_system(n).ctx
+        elements = ctx.elements()
+        grid = WignerGrid(ctx, np.random.default_rng(n).standard_normal((ctx.order, ctx.order)))
+        for v in (Point(q, p) for q in elements for p in elements):
+            expected = np.empty_like(grid.values)
+            for a in (Point(q, p) for q in elements for p in elements):
+                before = a + v  # a - v, in characteristic 2
+                expected[a.q.index, a.p.index] = grid.values[before.q.index, before.p.index]
+            assert np.array_equal(translate_grid(grid, v).values, expected), v
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_covariance_all_translations(self, n):
         sys = build_system(n)
@@ -384,12 +403,14 @@ def float_lex_sign_reference(system):
 
 
 class TestNetAgainstDenseReference:
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_vector_index_and_table_match_float_lex_sign_rule(self, n):
         system = build_system(n)
         index, table = float_lex_sign_reference(system)
+        line_vector = np.array([[index[ln] for ln in s.lines] for s in system.striations])
+        assert system.net._line_vector.tobytes() == line_vector.tobytes()
         assert system.net.vector_index == index
-        assert np.array_equal(system.net.outcome_index_table(), table)
+        assert system.net.outcome_index_table().tobytes() == table.tobytes()
         assert system.net.outcome_index_table().flags.c_contiguous
 
     def test_lines_through_rejects_a_foreign_point(self):
@@ -419,6 +440,64 @@ class TestNetAgainstDenseReference:
                 for line in member:
                     a = a + net.projector(line)
                 assert stack[row].tobytes() == a.tobytes(), pt
+
+
+class TestNetGuards:
+    """Each exact guard of default_net raises NetConstructionError."""
+
+    def test_corrupted_exponent_row_has_no_basis_vector(self):
+        system = build_system(2)
+        bases = list(system.bases)
+        exponents = bases[2].exponents.copy()
+        k = system.net._line_vector[2, 1]
+        # Every Hermitian-scaled exponent of the row turns odd, which no eigenvector has.
+        exponents[k] = (exponents[k] + 1) % 4
+        bases[2] = dataclasses.replace(bases[2], exponents=exponents)
+        with pytest.raises(NetConstructionError, match="no basis vector"):
+            default_net(system.ctx, system.labeling, bases)
+
+    def test_two_lines_with_equal_rows_are_refused(self):
+        # Zeroing the x mask of w2 gives the vertical line through (w2, 0)
+        # the flips of the ray itself, so both look up the ray's row.
+        system = build_system(2)
+        labeling = copy.copy(system.labeling)
+        x_by_index = labeling._x_by_index.copy()
+        x_by_index[3] = 0
+        object.__setattr__(labeling, "_x_by_index", x_by_index)
+        with pytest.raises(NetConstructionError, match="maps two lines to one vector"):
+            default_net(system.ctx, labeling, list(system.bases))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bases_from_another_labeling_are_refused(self, n):
+        # Swapping the tensor slots keeps the stabilizers commuting, and a
+        # Pauli conjugation flips exponent rows onto valid rows either way:
+        # at n = 3 no other guard notices the mismatch.
+        system = build_system(n)
+        swapped = dataclasses.replace(system.labeling, factor_order=system.labeling.factor_order[::-1])
+        assert swapped != system.labeling
+        with pytest.raises(NetConstructionError, match="different labeling"):
+            default_net(system.ctx, system.labeling, full_mub_set(system.ctx, swapped))
+
+    def test_wrong_explicit_ray_is_not_a_basis_vector(self, monkeypatch):
+        system = build_system(1)
+        up = np.array([1, 0], dtype=complex)
+        monkeypatch.setattr(wigner, "_ray_vectors_1q", lambda: [up, up, up])
+        with pytest.raises(NetConstructionError, match="striation 1 is not a basis vector"):
+            default_net(system.ctx, system.labeling, list(system.bases))
+
+    def test_line_maps_are_read_only(self):
+        net = build_system(1).net
+        line = net.striations[0].lines[0]
+        with pytest.raises(TypeError):
+            net.vector_index[line] = 1
+        with pytest.raises(TypeError):
+            net.striation_of[line] = 1
+
+    def test_cold_build_leaves_numpy_ma_unimported(self):
+        code = "import sys; from qphase import build_system; build_system(5); print('numpy.ma' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestPhasePointReference:
