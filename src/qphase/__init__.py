@@ -40,7 +40,6 @@ from .operators import (
     QubitLabeling,
     TranslationOperator,
     default_labeling,
-    joint_eigenbasis,
     pauli,
     projective_check,
     same_basis_labeling,

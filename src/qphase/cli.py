@@ -36,15 +36,11 @@ class UsageError(ValueError):
 
 
 def _fmt(x: float, precision: int) -> str:
-    r = round(float(x), precision)
-    if r == 0:
-        r = 0.0
-    return f"{r:.{precision}f}"
+    return f"{round_float(x, precision):.{precision}f}"
 
 
 def _fmt_complex(z: complex, precision: int) -> str:
-    re = round(z.real, precision) + 0.0
-    im = round(z.imag, precision) + 0.0
+    re, im = round_float(z.real, precision), round_float(z.imag, precision)
     return f"{re:+.{precision}f}{im:+.{precision}f}i"
 
 

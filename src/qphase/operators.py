@@ -21,9 +21,9 @@ identity by (I +- c_j X^x Z^z)/2, c_j in {1, i}) fixes one joint
 eigenvector, and the integer exponent k of its eigenvalue i^k on every
 string follows from those signs and the phase of each string as a product
 of generators.  The vectors are sorted on the integer tuples and read off
-the exact group-average projectors (1/N) sum_i i^-k_i U_i.
-``joint_eigenbasis`` is the dense eigendecomposition of the same problem, kept
-as an independent reference for the checks.
+the exact group-average projectors (1/N) sum_i i^-k_i U_i.  No dense
+eigendecomposition is run: ``verify`` checks each basis against the dense
+matrices of its stabilizers through their eigenvalue table.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .geometry import Point
 
 UNITARITY_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-12
-COMMUTE_TOL = 1e-10
-EIGEN_CLUSTER_TOL = 1e-6
 # i^k for k in Z4
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -353,8 +351,8 @@ def stabilizer_eigenbasis(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
     The masks must be the N-1 nonzero elements of an n-generator group, N =
     dim = 2^n.  Returns (vectors, exponents) with U_i v_k = i^exponents[k, i]
-    v_k, rows sorted by the exponent tuple: the order of eigenvalue angles
-    that ``joint_eigenbasis`` sorts by.  Each vector is the column of its
+    v_k, rows sorted by the exponent tuple, which is the ascending order of
+    the tuples of eigenvalue angles k * pi/2.  Each vector is the column of its
     projector at the first of its largest diagonal entries, scaled to unit
     norm, which makes that component real positive.  Raises
     NonCommutingError for the first pair (i < j) whose symplectic product is
@@ -431,65 +429,3 @@ def stabilizer_eigenbasis(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if dev > EIGEN_RESIDUAL_TOL:
         raise AssertionError(f"stabilizer basis vector fails its eigenvalue by {dev:.3e}")
     return vectors, exponents.astype(np.int8)
-
-
-def check_pairwise_commuting(ops: Sequence[np.ndarray], tol: float = COMMUTE_TOL) -> None:
-    """Raise NonCommutingError naming the first offending pair."""
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            dev = float(np.max(np.abs(ops[i] @ ops[j] - ops[j] @ ops[i])))
-            if dev > tol:
-                raise NonCommutingError(i, j, dev)
-
-
-def joint_eigenbasis(ops: Sequence[np.ndarray], tol: float = COMMUTE_TOL) -> np.ndarray:
-    """Orthonormal simultaneous eigenvectors of commuting unitaries.
-
-    Sequential eigenspace refinement: diagonalize the first operator, then
-    recurse within each eigenspace.  Output rows are unit vectors sorted by
-    the tuple of eigenvalue phases (angles in [0, 2pi)) with respect to the
-    input operator list, each with its largest-magnitude component made real
-    positive, so the result is deterministic.
-    """
-    if not len(ops):
-        raise ValueError("need at least one operator")
-    check_pairwise_commuting(ops, tol)
-    dim = ops[0].shape[0]
-    blocks: list[np.ndarray] = [np.eye(dim, dtype=complex)]
-    for u in ops:
-        refined: list[np.ndarray] = []
-        for basis in blocks:
-            if basis.shape[1] == 1:
-                refined.append(basis)
-                continue
-            sub = basis.conj().T @ u @ basis
-            eigvals, eigvecs = np.linalg.eig(sub)
-            used = np.zeros(len(eigvals), dtype=bool)
-            for k in range(len(eigvals)):
-                if used[k]:
-                    continue
-                cluster = [m for m in range(len(eigvals)) if not used[m] and abs(eigvals[m] - eigvals[k]) < EIGEN_CLUSTER_TOL]
-                used[cluster] = True
-                q, _ = np.linalg.qr(eigvecs[:, cluster])
-                refined.append(basis @ q)
-        blocks = refined
-
-    vectors = [block[:, c] for block in blocks for c in range(block.shape[1])]
-
-    def phase_tuple(v: np.ndarray) -> tuple[float, ...]:
-        out = []
-        for u in ops:
-            angle = float(np.angle(np.vdot(v, u @ v))) % (2 * np.pi)
-            if angle > 2 * np.pi - EIGEN_CLUSTER_TOL:
-                angle = 0.0
-            out.append(round(angle, 6))
-        return tuple(out)
-
-    vectors.sort(key=phase_tuple)
-
-    normalized = []
-    for v in vectors:
-        mags = np.abs(v)
-        k = int(np.flatnonzero(mags >= mags.max() - 1e-12)[0])
-        normalized.append(v * np.exp(-1j * np.angle(v[k])))
-    return np.array(normalized)

@@ -16,11 +16,14 @@ users, not on its internal tables:
   ``FieldElement`` ``+``; point and pair incidences are ``bincount``s, and a
   translation is a permutation of the point indices.
 - Operator checks stack the dense ``unitary`` matrices of the translations
-  (and of each basis's stabilizers) and test unitarity, the homomorphism
-  and projective closure with batched matrix products.  The dense matrices
-  stay the ground truth: no expected value comes from the Pauli masks.
-- Basis, phase-point and line-sum checks compare stacked projectors and
-  grids in single broadcasts.
+  and test unitarity, the homomorphism and projective closure with batched
+  matrix products.  The dense matrices stay the ground truth: no expected
+  value comes from the Pauli masks.
+- The stabilizer-group, eigen-residual and basis-uniqueness checks read
+  one eigenvalue table lam[i, k] = <v_k|U_i|v_k> per basis, taken from the
+  dense matrices of its stabilizers; no eigendecomposition runs.
+- Phase-point and line-sum checks compare stacked projectors and grids in
+  single broadcasts.
 
 At n = 4 every temporary stays at about N^4 complex entries (1 MiB).
 """
@@ -37,7 +40,7 @@ import numpy as np
 from .fields import field_axiom_failure
 from .geometry import Point, find_wraparound_witness
 from .mub import check_conjugacy
-from .operators import joint_eigenbasis, projective_phases, translation_unitary
+from .operators import projective_phases, translation_unitary
 from .states import random_density_matrix, random_pure_state
 from .system import PhaseSpaceSystem, build_system
 from .tomography import (
@@ -103,8 +106,8 @@ def _counts(rows: np.ndarray, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _unitary_stack(sys: PhaseSpaceSystem) -> np.ndarray:
     """U[q_index * N + p_index]: the dense matrix of every grid translation,
-    read-only.  The four operator checks of one system share it; systems
-    hash by identity, so a modified copy gets its own."""
+    read-only.  The operator and covariance checks of one system share it;
+    systems hash by identity, so a modified copy gets its own."""
     elems = sys.ctx.elements()
     stack = np.array(
         [translation_unitary(Point(q, p), sys.labeling).unitary for q in elems for p in elems]
@@ -299,20 +302,39 @@ def check_projective_closure(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
-    """Each striation: N-1 stabilizers whose products stay on the ray up to phase."""
+    """Each striation: N-1 stabilizers whose products stay on the ray up to phase.
+
+    With every U_v diagonal in the basis, U_v U_w = c U_(v+w) holds exactly
+    when lam_v,k lam_w,k conj(lam_(v+w),k) is one unimodular c for every
+    vector k; the origin's row, U_0 = I, is all ones.
+    """
     n_elems = sys.dim
-    stack = _unitary_stack(sys)
     add = _table(sys, operator.add)
     for s, basis in zip(sys.striations, sys.bases):
         if len(s.stabilizer_vectors) != n_elems - 1:
             return CheckResult("stabilizer group", False, f"striation {s.direction} count")
         ops = basis.stabilizers
-        q, p = np.divmod(np.array([_point_index(op.vector) for op in ops], dtype=np.intp), n_elems)
+        index = np.array([_point_index(op.vector) for op in ops], dtype=np.intp)
+        q, p = np.divmod(index, n_elems)
         total = add[q[:, None], q[None, :]] * n_elems + add[p[:, None], p[None, :]]
         if not np.all(np.isin(total, [_point_index(pt) for pt in s.ray.points])):
             return CheckResult("stabilizer group", False, "product leaves ray")
-        u = np.array([op.unitary for op in ops])
-        _, bad = projective_phases(_all_products(u, u), stack[total])
+        # row[point]: the table row of the stabilizer at that point; the
+        # origin (index 0) gets the appended all-ones row.
+        row = np.full(n_elems**2, -1, dtype=np.intp)
+        row[index] = np.arange(len(ops))
+        row[0] = len(ops)
+        at = row[total]
+        _, lam, residual = _eigen_table(basis)
+        diagonal = np.append(residual <= TOL, True)
+        ratio = lam[:, None] * lam[None, :] * np.vstack([lam, np.ones(n_elems)])[at].conj()
+        c = ratio.mean(axis=-1)
+        bad = (
+            (at < 0)  # a ray point missing from the stabilizers
+            | ~(diagonal[:-1, None] & diagonal[None, :-1] & diagonal[at])
+            | (np.abs(np.abs(c) - 1) > TOL)
+            | (np.abs(ratio - c[..., None]).max(axis=-1) > TOL)
+        )
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             return CheckResult(
@@ -338,31 +360,32 @@ def check_mub(sys: PhaseSpaceSystem) -> CheckResult:
     )
 
 
+def _eigen_table(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, lam, residual) of one basis, from one batched product U_i v_k:
+    u[i] is the dense matrix of stabilizer i, lam[i, k] = <v_k|U_i|v_k> and
+    residual[i] = max_k |U_i v_k - lam[i, k] v_k|."""
+    u = np.array([op.unitary for op in basis.stabilizers])
+    uv = u @ basis.vectors.T  # uv[i, :, k] = U_i v_k
+    lam = np.einsum("kj,ijk->ik", basis.vectors.conj(), uv)
+    residual = np.linalg.norm(uv - lam[:, None, :] * basis.vectors.T, axis=1).max(axis=1)
+    return u, lam, residual
+
+
 def check_eigenvector_residuals(sys: PhaseSpaceSystem) -> CheckResult:
-    dev = 0.0
-    for basis in sys.bases:
-        u = np.array([op.unitary for op in basis.stabilizers])
-        # uv[i, :, k] = U_i v_k, lam[i, k] = <v_k|U_i|v_k>
-        uv = u @ basis.vectors.T
-        lam = np.einsum("kj,ijk->ik", basis.vectors.conj(), uv)
-        residual = np.linalg.norm(uv - lam[:, None, :] * basis.vectors.T, axis=1)
-        dev = max(dev, float(np.max(residual)))
+    dev = max(float(_eigen_table(basis)[2].max()) for basis in sys.bases)
     return _result("stabilizer eigen-residuals", dev)
 
 
-def _projectors(vectors: np.ndarray) -> np.ndarray:
-    """P[k] = |v_k><v_k| for the rows of vectors."""
-    return vectors[:, :, None] * vectors.conj()[:, None, :]
-
-
 def check_basis_uniqueness(sys: PhaseSpaceSystem) -> CheckResult:
-    """Permuting the stabilizer list must reproduce the basis up to phase/order."""
+    """Each vector alone spans its joint eigenspace: the group average
+    (1/N)(I + sum_i conj(lam_ik) U_i), the projector onto the eigenspace
+    with v_k's eigenvalues, equals |v_k><v_k|."""
     dev = 0.0
     for basis in sys.bases:
-        redone = joint_eigenbasis([op.unitary for op in reversed(basis.stabilizers)])
-        # gap[i, j] = max |P_i - P_j| between redone vector i and basis vector j
-        gap = np.abs(_projectors(redone)[:, None] - _projectors(basis.vectors)[None, :])
-        dev = max(dev, float(np.max(np.min(np.max(gap, axis=(2, 3)), axis=1))))
+        u, lam, _ = _eigen_table(basis)
+        average = (np.eye(sys.dim) + np.tensordot(lam.conj(), u, axes=(0, 0))) / sys.dim
+        v = basis.vectors
+        dev = max(dev, float(np.max(np.abs(average - v[:, :, None] * v.conj()[:, None, :]))))
     return _result("basis uniqueness", dev)
 
 
@@ -384,16 +407,11 @@ def check_a_structure(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_a_covariance(sys: PhaseSpaceSystem) -> CheckResult:
-    ctx = sys.ctx
-    origin = Point(ctx.zero, ctx.zero)
-    a0 = sys.net.phase_point_matrix(origin)
-    dev = 0.0
-    for q in ctx.elements():
-        for p in ctx.elements():
-            pt = Point(q, p)
-            u = translation_unitary(pt, sys.labeling).unitary
-            dev = max(dev, float(np.max(np.abs(sys.net.phase_point_matrix(pt) - u @ a0 @ u.conj().T))))
-    return _result("phase-point covariance", dev)
+    """A at each point v is U_v A_0 U_v^dag."""
+    u = _unitary_stack(sys)
+    stack = sys.net.phase_point_stack()
+    moved = u @ stack[0] @ np.conj(np.transpose(u, (0, 2, 1)))
+    return _result("phase-point covariance", float(np.max(np.abs(stack - moved))))
 
 
 def check_wigner_roundtrip(sys: PhaseSpaceSystem) -> CheckResult:
@@ -415,6 +433,9 @@ def check_line_sums(sys: PhaseSpaceSystem) -> CheckResult:
     if points is None:
         return CheckResult("line sums = outcome probabilities", False, _NOT_A_PLANE)
     lines = [ln for s in sys.striations for ln in s.lines]
+    unknown = sum(ln not in sys.net.vector_index for ln in lines)
+    if unknown:
+        return CheckResult("line sums = outcome probabilities", False, f"{unknown} lines not in the net")
     projectors = np.array([sys.net.projector(ln) for ln in lines]).reshape(len(lines), -1)
     rng = np.random.default_rng(12)
     rhos = [random_density_matrix(rng, sys.dim) for _ in range(20)]

@@ -386,16 +386,11 @@ def grid_ascii(grid: WignerGrid, precision: int = 3) -> str:
     n_elems = grid.ctx.order
     labels = grid.ctx.labels
     width = max(precision + 4, max(len(lab) for lab in labels) + 1)
-
-    def fmt(x: float) -> str:
-        r = round(float(x), precision)
-        if r == 0:
-            r = 0.0
-        return f"{r:>{width}.{precision}f}"
-
     lines = []
     for pi in reversed(range(n_elems)):
-        row = "".join(fmt(grid.values[qi, pi]) for qi in range(n_elems))
+        row = "".join(
+            f"{round_float(x, precision):>{width}.{precision}f}" for x in grid.values[:, pi]
+        )
         lines.append(f"p={labels[pi]:<3}|{row}")
     lines.append("    +" + "-" * (width * n_elems))
     lines.append("     " + "".join(f"{('q=' + lab):>{width}}" for lab in labels))

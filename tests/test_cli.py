@@ -1,11 +1,16 @@
-"""End-to-end CLI checks via subprocess: formats, exit codes, determinism."""
+"""End-to-end CLI checks via subprocess: formats, exit codes, determinism;
+and an in-process fuzz of the argument paths."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qphase.cli import main
 from qphase.serialize import dumps_canonical
 
 
@@ -254,3 +259,84 @@ class TestMainFunction:
 
         monkeypatch.setattr(qphase.cli, "build_system", broken)
         assert qphase.cli.main(["wigner", "1", "--state", "up"]) == 3
+
+
+# -- argv fuzz: any argument list ends in a documented exit code --------------
+
+# Valid values keep every run small: degree at most 2, --shots at most 64,
+# --trials at most 3 (its default is 50 seeds per --scaling point).
+_VALID = {
+    "n": ["1", "2"],
+    "--format": ["json", "csv", "ascii"],
+    "--precision": ["3", "1", "12"],
+    "--seed": ["7", "0", "-1"],
+    "--shots": ["64", "0", "1"],
+    "--scaling": ["16,64"],
+    "--trials": ["3", "1"],
+}
+_STATES = {"1": ["up", "plus", "[1,0]", "[[1,0],[0,0]]"], "2": ["upup", "singlet", "[0,1,0,0]"]}
+_INVALID = {
+    "command": ["bogus", ""],
+    "n": ["0", "-1", "9", "x"],  # 9 is past every degree cap
+    "--format": ["xml"],
+    "--precision": ["0", "13", "x"],
+    "--seed": ["x"],
+    "--state": ["bogus", "[1,", "[NaN,0]", "[1,0,0]"],
+    "--shots": ["-1", "x"],
+    "--scaling": ["64,16", "0", "a,b", ""],
+    "--trials": ["0", "-1"],
+}
+_OWN_FLAGS = {
+    "field": [],
+    "striations": [],
+    "mub": ["--verify"],
+    "wigner": ["--state", "--lines"],
+    "tomo": ["--state", "--shots", "--scaling"],
+    "verify": [],
+}
+_REQUIRED = {"--state", "--shots"}
+_STRAY = ["--bogus", "--help", "--verify", "--lines", "--state", "extra", "--"]
+
+
+@st.composite
+def _argv(draw, command):
+    """A valid call of the command, its flags in any order and the global
+    ones before or after it, then at most one fault: a bad value, a dropped
+    argument or a stray token."""
+    n = draw(st.sampled_from(_VALID["n"]))
+    own = [*_OWN_FLAGS[command], "--format", "--precision", "--seed"]
+    slots = {"command": [command], "n": [n]}
+    for flag in own:
+        if flag in _REQUIRED or draw(st.booleans()):
+            if flag == "--state":
+                slots[flag] = [flag, draw(st.sampled_from(_STATES[n]))]
+            elif flag == "--scaling":
+                slots[flag] = [flag, "16,64", "--trials", draw(st.sampled_from(_VALID["--trials"]))]
+            elif flag in _VALID:
+                slots[flag] = [flag, draw(st.sampled_from(_VALID[flag]))]
+            else:
+                slots[flag] = [flag]
+    fault = draw(st.sampled_from(["none", "value", "drop", "stray"]))
+    if fault == "value":
+        key = draw(st.sampled_from(sorted(k for k in slots if k in _INVALID)))
+        slots[key][-1 if key in ("command", "n") else 1] = draw(st.sampled_from(_INVALID[key]))
+    elif fault == "drop":
+        del slots[draw(st.sampled_from(sorted(slots)))]
+    elif fault == "stray":
+        slots["stray"] = [draw(st.sampled_from(_STRAY))]
+    head = [k for k in slots if k.startswith("--") and k not in _OWN_FLAGS[command]]
+    before = [k for k in head if draw(st.booleans())]
+    rest = draw(st.permutations([k for k in slots if k not in (*before, "command", "n")]))
+    order = [*before, "command", "n", *rest]
+    return [token for key in order if key in slots for token in slots[key]]
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("command", list(_OWN_FLAGS))
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, command, data):
+        argv = data.draw(_argv(command), label="argv")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv

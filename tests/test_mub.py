@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qphase import mub, operators
 from qphase.fields import field_create
 from qphase.geometry import enumerate_striations
 from qphase.mub import (
@@ -13,16 +12,15 @@ from qphase.mub import (
     full_mub_set,
 )
 from qphase.operators import (
-    NonCommutingError,
     TranslationOperator,
-    check_pairwise_commuting,
     default_labeling,
-    joint_eigenbasis,
     pauli,
     same_basis_labeling,
     translation_unitary,
 )
 from qphase.system import build_system
+
+from dense_reference import first_noncommuting_pair, joint_eigenprojectors, projector_matching
 
 X, Y, Z = pauli("X"), pauli("Y"), pauli("Z")
 
@@ -164,9 +162,10 @@ class TestLabelingFallback:
         with pytest.raises(LabelingError) as err:
             full_mub_set(ctx, lab)
         for s in enumerate_striations(ctx):
-            try:
-                check_pairwise_commuting([translation_unitary(v, lab).unitary for v in s.stabilizer_vectors])
-            except NonCommutingError as exc:
+            exc = first_noncommuting_pair(
+                [translation_unitary(v, lab).unitary for v in s.stabilizer_vectors]
+            )
+            if exc is not None:
                 expected = str(LabelingError(s.direction, exc))
                 break
         assert str(err.value) == expected
@@ -177,16 +176,33 @@ I4 = np.array([1, 1j, -1, -1j])
 
 
 class TestAgainstDenseEigenbasis:
-    """The bases from Pauli generators against the dense joint eigenbasis."""
+    """The bases from Pauli generators against a dense eigh of their stabilizers."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_same_vectors_in_same_order(self, n):
-        ctx = field_create(n)
-        lab = default_labeling(ctx)
-        for s in enumerate_striations(ctx):
-            basis = basis_for_striation(s, lab)
-            dense = joint_eigenbasis([op.unitary for op in basis.stabilizers])
-            assert np.max(np.abs(basis.vectors - dense)) <= 1e-14, s.direction
+    def test_projectors_match_dense_eigenprojectors_one_to_one(self, n):
+        for basis in full_mub_set(field_create(n)):
+            dense = joint_eigenprojectors([op.unitary for op in basis.stabilizers])
+            match, dev = projector_matching(basis.vectors, dense)
+            assert dev <= 1e-12, (basis.striation, dev)
+            assert sorted(match.tolist()) == list(range(basis.dim)), basis.striation
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_ascend_in_eigenvalue_angles(self, n):
+        for basis in full_mub_set(field_create(n)):
+            u = np.array([op.unitary for op in basis.stabilizers])
+            lam = np.einsum("kj,ijl,kl->ki", basis.vectors.conj(), u, basis.vectors)
+            quarter_turns = np.rint(np.angle(lam) / (np.pi / 2)).astype(int) % 4
+            assert np.max(np.abs(lam - I4[quarter_turns])) <= 1e-12, basis.striation
+            angles = [tuple(row) for row in quarter_turns.tolist()]
+            assert angles == sorted(set(angles)), basis.striation
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_first_largest_entry_real_positive(self, n):
+        for basis in full_mub_set(field_create(n)):
+            for v in basis.vectors:
+                mags = np.abs(v)
+                lead = v[np.flatnonzero(mags >= mags.max() - 1e-12)[0]]
+                assert lead.real > 0 and abs(lead.imag) <= 1e-15, basis.striation
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_vector_has_its_integer_eigenvalue(self, n):
@@ -204,7 +220,7 @@ class TestBuildWithoutDenseAlgebra:
             raise AssertionError("dense linear algebra on the build")
 
         monkeypatch.setattr(np.linalg, "eig", refuse)
-        monkeypatch.setattr(operators, "joint_eigenbasis", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(TranslationOperator, "unitary", property(refuse))
         build_system.cache_clear()
         try:
@@ -214,7 +230,6 @@ class TestBuildWithoutDenseAlgebra:
                 assert len(system.bases) == system.dim + 1
         finally:
             build_system.cache_clear()
-        assert not hasattr(mub, "joint_eigenbasis")
 
 
 class TestBellReference:

@@ -11,9 +11,7 @@ from qphase.geometry import Point
 from qphase.operators import (
     NonCommutingError,
     TranslationOperator,
-    check_pairwise_commuting,
     default_labeling,
-    joint_eigenbasis,
     pauli,
     pauli_permutation,
     polynomial_basis,
@@ -25,6 +23,8 @@ from qphase.operators import (
     trace_dual_labeling,
     translation_unitary,
 )
+
+from dense_reference import first_noncommuting_pair, joint_eigenprojectors, projector_matching
 
 I2, X, Y, Z = (pauli(k) for k in "IXYZ")
 
@@ -239,41 +239,6 @@ class TestLabelings:
             QubitLabeling(ctx, (ctx.one, ctx.one), (ctx.one, ctx.omega), (1, 0))
 
 
-class TestJointEigenbasis:
-    def test_single_z(self):
-        basis = joint_eigenbasis([Z])
-        assert basis.shape == (2, 2)
-        # phase sort puts eigenvalue +1 (angle 0) first
-        assert np.allclose(basis[0], [1, 0])
-        assert np.allclose(basis[1], [0, 1])
-
-    def test_commuting_pair_residuals(self):
-        ops = [np.kron(Z, Z), np.kron(X, X)]
-        basis = joint_eigenbasis(ops)
-        for v in basis:
-            for u in ops:
-                lam = np.vdot(v, u @ v)
-                assert np.linalg.norm(u @ v - lam * v) < 1e-9
-
-    def test_orthonormal_output(self):
-        basis = joint_eigenbasis([np.kron(Z, X), np.kron(X, Z)])
-        gram = basis.conj() @ basis.T
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-10
-
-    def test_non_commuting_rejected(self):
-        with pytest.raises(NonCommutingError) as err:
-            joint_eigenbasis([X, Z])
-        assert err.value.pair == (0, 1)
-
-    def test_deterministic(self):
-        ops = [np.kron(Z, X), np.kron(X, Z)]
-        assert np.array_equal(joint_eigenbasis(ops), joint_eigenbasis(ops))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            joint_eigenbasis([])
-
-
 def kron_translation(v, lab):
     """Reference U_v: the n-fold np.kron of I / X / Z / XZ factors, one per
     tensor slot, read from the labeling's coordinates and factor order."""
@@ -344,8 +309,11 @@ class TestStabilizerEigenbasis:
         # ZZ, XX and their product XZ.XZ = -YY: the four Bell states
         x, z = [0b00, 0b11, 0b11], [0b11, 0b00, 0b11]
         vectors, exponents = stabilizer_eigenbasis(x, z, 4)
-        dense = joint_eigenbasis([pauli_string(a, b, 2) for a, b in zip(x, z)])
-        assert np.max(np.abs(vectors - dense)) <= 1e-15
+        dense = joint_eigenprojectors([pauli_string(a, b, 2) for a, b in zip(x, z)])
+        match, dev = projector_matching(vectors, dense)
+        assert dev <= 1e-15 and sorted(match.tolist()) == [0, 1, 2, 3]
+        bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+        assert np.max(np.abs(vectors - bell)) <= 1e-15
         assert exponents.tolist() == [[0, 0, 0], [0, 2, 2], [2, 0, 2], [2, 2, 0]]
 
     def test_eigenvalue_exponents_of_anti_hermitian_strings(self):
@@ -361,13 +329,11 @@ class TestStabilizerEigenbasis:
     def test_first_odd_pair_raises_like_the_dense_check(self):
         x, z = [0b00, 0b11, 0b00], [0b11, 0b00, 0b10]  # ZZ, XX, ZI: only (1, 2) anticommutes
         masks = list(zip(x, z))
-        dense = [pauli_string(a, b, 2) for a, b in masks]
-        with pytest.raises(NonCommutingError) as expected:
-            check_pairwise_commuting(dense)
+        expected = first_noncommuting_pair([pauli_string(a, b, 2) for a, b in masks])
         with pytest.raises(NonCommutingError) as err:
             stabilizer_eigenbasis(x, z, 4)
-        assert err.value.pair == expected.value.pair == (1, 2)
-        assert str(err.value) == str(expected.value)
+        assert err.value.pair == expected.pair == (1, 2)
+        assert str(err.value) == str(expected)
 
     def test_wrong_number_of_strings_rejected(self):
         with pytest.raises(ValueError, match="need 3"):

@@ -3,6 +3,7 @@ import dataclasses
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qphase.fields import FieldContext
@@ -10,7 +11,10 @@ from qphase.operators import translation_unitary
 from qphase.system import build_system
 from qphase.verify import (
     ALL_CHECKS,
+    CheckResult,
     check_affine_axioms,
+    check_basis_uniqueness,
+    check_eigenvector_residuals,
     check_field_axioms,
     check_line_sums,
     check_projective_closure,
@@ -96,6 +100,19 @@ def misassigned_line(sys_):
     return dataclasses.replace(sys_, net=Misassigned(**kept))
 
 
+def mixed_basis(sys_, angle=np.pi / 4, b=2):
+    """Vectors 0 and 1 of basis b become cos(t) v0 + sin(t) v1 and
+    sin(t) v0 - cos(t) v1, (v0 +- v1)/sqrt(2) at the default angle: still an
+    orthonormal basis, but no longer one of joint eigenvectors."""
+    basis = sys_.bases[b]
+    vectors = basis.vectors.copy()
+    c, s = np.cos(angle), np.sin(angle)
+    vectors[:2] = np.array([[c, s], [s, -c]]) @ basis.vectors[:2]
+    bases = list(sys_.bases)
+    bases[b] = dataclasses.replace(basis, vectors=vectors)
+    return dataclasses.replace(sys_, bases=tuple(bases))
+
+
 def corrupted_multiplication(sys_):
     """A fresh context of the same degree whose w * w is w instead of w2."""
     ctx = FieldContext(sys_.n)
@@ -105,7 +122,30 @@ def corrupted_multiplication(sys_):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("check", [check_affine_axioms, check_translation_geometry])
+@pytest.mark.parametrize("corrupt", [swapped_points, corrupted_masks, misassigned_line])
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.__name__)
+def test_no_check_raises_on_a_corrupted_system(check, corrupt, n):
+    assert isinstance(check(corrupt(build_system(n))), CheckResult)
+
+
+# At angle 1e-6 the eigenvalue ratios still agree to ~1e-12, so only the
+# residual guard makes the group check fail.
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "check", [check_eigenvector_residuals, check_basis_uniqueness, check_stabilizer_group]
+)
+@pytest.mark.parametrize("angle", [np.pi / 4, 1e-6])
+def test_mixed_basis_fails_eigenvalue_table_checks(angle, n, check):
+    good = check(build_system(n))
+    bad = check(mixed_basis(build_system(n), angle))
+    assert good.passed and not bad.passed
+    assert bad.name == good.name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "check", [check_affine_axioms, check_translation_geometry, check_line_sums]
+)
 def test_swapped_points_fail_geometry(n, check):
     good = check(build_system(n))
     bad = check(swapped_points(build_system(n)))
@@ -117,6 +157,7 @@ def test_swapped_points_name_the_pair_and_the_translation():
     sys_ = swapped_points(build_system(2))
     assert "share != 1 line" in check_affine_axioms(sys_).detail
     assert check_translation_geometry(sys_).detail.startswith("translate by ")
+    assert check_line_sums(sys_).detail == "2 lines not in the net"
 
 
 @pytest.mark.parametrize(
@@ -133,7 +174,12 @@ def test_corrupted_masks_name_the_offending_pair():
     sys_ = corrupted_masks(build_system(2))
     assert check_translation_homomorphism(sys_).detail == "H at 1,w"
     assert "not proportional to U_(v+w) at " in check_projective_closure(sys_).detail
-    assert "not proportional to U_(v+w) at " in check_stabilizer_group(sys_).detail
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_corrupted_masks_name_the_first_stabilizer_pair(n):
+    detail = check_stabilizer_group(corrupted_masks(build_system(n))).detail
+    assert detail == "striation 1: U_v U_w not proportional to U_(v+w) at (1,0)+(w,0)"
 
 
 def test_projective_closure_reports_a_sampled_failure():
