@@ -50,8 +50,9 @@ class Point:
         return self.q.is_zero and self.p.is_zero
 
     @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self.q.index, self.p.index)
+    def index(self) -> int:
+        """The point as one integer, q_index * N + p_index."""
+        return self.q.index * self.ctx.order + self.p.index
 
     def __str__(self) -> str:
         return f"({self.q},{self.p})"
@@ -101,7 +102,7 @@ def line_from_equation(a: FieldElement, b: FieldElement, c: FieldElement) -> Lin
     else:
         # b == 1: p = c for every q.
         pts = [Point(q, c) for q in ctx.elements()]
-    pts.sort(key=lambda pt: pt.sort_key)
+    pts.sort(key=lambda pt: pt.index)
     return Line(a, b, c, tuple(pts))
 
 
@@ -172,7 +173,7 @@ def _build_striations(ctx: FieldContext) -> tuple[Striation, ...]:
     # The canonical triple of p = s*q + c is (1, 1/s, c/s).
     inverse = (mul == 1).argmax(axis=1)
     striations = []
-    for s, rows in enumerate(points.tolist()):
+    for s, rows in enumerate(points):
         if s == 0:
             triples = [(one, zero, c) for c in elements]
         elif s == 1:
@@ -182,7 +183,7 @@ def _build_striations(ctx: FieldContext) -> tuple[Striation, ...]:
             b = elements[inv_s]
             triples = [(one, b, elements[c]) for c in mul[inv_s].tolist()]
         lines = tuple(
-            Line(a, b, c, itemgetter(*row)(grid)) for (a, b, c), row in zip(triples, rows)
+            Line(a, b, c, itemgetter(*row)(grid)) for (a, b, c), row in zip(triples, rows.tolist())
         )
         # Line 0 (c = 0) is the ray, and the origin is its first point.
         striations.append(Striation(s, lines, lines[0], lines[0].points[1:]))

@@ -4,8 +4,8 @@ A phase-space translation by (q0, p0) acts on the 2^n-dimensional state space
 as a tensor product of sigma_x factors (for the q component) times sigma_z
 factors (for the p component).  Which tensor slot each field-basis coefficient
 drives is fixed by a QubitLabeling; the representation is projective, so
-products of translation unitaries close only up to fourth-root-of-unity
-phases.
+products of translation unitaries close only up to a sign
+(``projective_check``).
 
 Two bit masks (x, z) fix such a Pauli string completely: tensor slot s
 carries sigma_x when bit n-1-s of x is set and sigma_z when that bit of z is
@@ -176,7 +176,8 @@ class QubitLabeling:
 
     The x and z masks of every field element (its q and p coordinates placed
     in their slots, slot 0 as the most significant bit) are tabulated once
-    at construction, indexed by the element's bits.
+    at construction, indexed by the element's canonical index; ``masks``,
+    ``point_masks``, equality and hashing all read these two tables.
     """
 
     ctx: FieldContext
@@ -187,8 +188,6 @@ class QubitLabeling:
     _p_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _x_masks: tuple[int, ...] = field(init=False, repr=False)
     _z_masks: tuple[int, ...] = field(init=False, repr=False)
-    _x_by_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _z_by_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.ctx.n
@@ -201,16 +200,13 @@ class QubitLabeling:
         object.__setattr__(self, "_p_inv", tuple(_expansion_matrix(self.p_basis)))
         object.__setattr__(self, "_x_masks", self._mask_table(self._q_inv))
         object.__setattr__(self, "_z_masks", self._mask_table(self._p_inv))
-        order_bits = [e.bits for e in self.ctx.elements()]
-        object.__setattr__(self, "_x_by_index", np.array(self._x_masks, dtype=np.intp)[order_bits])
-        object.__setattr__(self, "_z_by_index", np.array(self._z_masks, dtype=np.intp)[order_bits])
 
     def _mask_table(self, inverse_rows: tuple[int, ...]) -> tuple[int, ...]:
         n, rows = self.n, list(inverse_rows)
         slot_bits = [1 << (n - 1 - slot) for slot in self.factor_order]
         return tuple(
-            sum(bit for bit, c in zip(slot_bits, _coords(bits, rows, n)) if c)
-            for bits in range(self.dim)
+            sum(bit for bit, c in zip(slot_bits, _coords(e.bits, rows, n)) if c)
+            for e in self.ctx.elements()
         )
 
     @property
@@ -230,13 +226,13 @@ class QubitLabeling:
 
     def masks(self, v: Point) -> tuple[int, int]:
         """Pauli masks (x, z) of the translation by v: U_v = X^x Z^z."""
-        return self._x_masks[v.q.bits], self._z_masks[v.p.bits]
+        return self._x_masks[v.q.index], self._z_masks[v.p.index]
 
     def point_masks(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Mask arrays (x, z) of the translations by grid points given as
         integers q_index * N + p_index, in any array shape."""
         q, p = np.divmod(np.asarray(points), self.dim)
-        return self._x_by_index[q], self._z_by_index[p]
+        return np.array(self._x_masks, dtype=np.intp)[q], np.array(self._z_masks, dtype=np.intp)[p]
 
 
 def polynomial_basis(ctx: FieldContext) -> tuple[FieldElement, ...]:
@@ -333,17 +329,18 @@ def projective_phases(prods: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
 
 
 def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
-    """Phase lambda with U_v U_w = lambda * U_(v+w); |lambda| = 1.
+    """Phase lambda with U_v U_w = lambda * U_(v+w), read from the masks.
 
-    A missing scalar indicates an implementation bug, not bad input.
+    X^a Z^b X^c Z^d = (-1)^popcount(b & c) X^(a^c) Z^(b^d), so lambda is
+    +-1.  Masks of v + w that are not the XOR of those of v and w indicate
+    an implementation bug, not bad input, and raise AssertionError.
     """
     if u.labeling != w.labeling:
         raise ValueError("operators use different labelings")
-    target = translation_unitary(u.vector + w.vector, u.labeling).unitary
-    lam, bad = projective_phases(u.unitary @ w.unitary, target)
-    if bad:
+    (a, b), (c, d) = u.masks, w.masks
+    if u.labeling.masks(u.vector + w.vector) != (a ^ c, b ^ d):
         raise AssertionError(f"product of translations is not proportional to U_(v+w) at {u.vector}+{w.vector}")
-    return complex(lam)
+    return complex(-1 if (b & c).bit_count() & 1 else 1)
 
 
 def stabilizer_eigenbasis(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,7 @@ from .fields import field_axiom_failure
 from .geometry import Point, find_wraparound_witness
 from .mub import check_conjugacy
 from .operators import projective_phases, translation_unitary
-from .states import random_density_matrix, random_pure_state
+from .states import random_density_matrix, random_pure_state, registry_vector
 from .system import PhaseSpaceSystem, build_system
 from .tomography import (
     MeasurementPlan,
@@ -49,7 +49,7 @@ from .tomography import (
     project_to_physical,
     simulate_counts,
 )
-from .wigner import translate_grid, wigner_from_state
+from .wigner import state_from_wigner, translate_grid, wigner_from_state
 
 TOL = 1e-9
 
@@ -72,10 +72,6 @@ def _point(sys: PhaseSpaceSystem, index: int) -> Point:
     return Point(elems[q], elems[p])
 
 
-def _point_index(pt: Point) -> int:
-    return pt.q.index * pt.ctx.order + pt.p.index
-
-
 def _table(sys: PhaseSpaceSystem, op) -> np.ndarray:
     """t[i, j] = op(e_i, e_j).index, from the FieldElement operators."""
     elems = sys.ctx.elements()
@@ -86,7 +82,7 @@ def _line_points(sys: PhaseSpaceSystem) -> np.ndarray | None:
     """points[s, l, m]: index of point m of line l of striation s, read from
     ``Line.points``; None unless the lines form N+1 striations of N lines of
     N points."""
-    rows = [[[_point_index(pt) for pt in ln.points] for ln in s.lines] for s in sys.striations]
+    rows = [[[pt.index for pt in ln.points] for ln in s.lines] for s in sys.striations]
     try:
         points = np.array(rows, dtype=np.intp)
     except ValueError:
@@ -314,10 +310,10 @@ def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
         if len(s.stabilizer_vectors) != n_elems - 1:
             return CheckResult("stabilizer group", False, f"striation {s.direction} count")
         ops = basis.stabilizers
-        index = np.array([_point_index(op.vector) for op in ops], dtype=np.intp)
+        index = np.array([op.vector.index for op in ops], dtype=np.intp)
         q, p = np.divmod(index, n_elems)
         total = add[q[:, None], q[None, :]] * n_elems + add[p[:, None], p[None, :]]
-        if not np.all(np.isin(total, [_point_index(pt) for pt in s.ray.points])):
+        if not np.all(np.isin(total, [pt.index for pt in s.ray.points])):
             return CheckResult("stabilizer group", False, "product leaves ray")
         # row[point]: the table row of the stabilizer at that point; the
         # origin (index 0) gets the appended all-ones row.
@@ -415,8 +411,6 @@ def check_a_covariance(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_wigner_roundtrip(sys: PhaseSpaceSystem) -> CheckResult:
-    from .wigner import state_from_wigner
-
     rng = np.random.default_rng(11)
     dev = 0.0
     for _ in range(20):
@@ -467,43 +461,38 @@ def check_grid_covariance(sys: PhaseSpaceSystem) -> CheckResult:
     return _result("grid covariance", dev)
 
 
+def _registry_grid(sys: PhaseSpaceSystem, name: str) -> np.ndarray:
+    """The Wigner grid values of the named registry state."""
+    _, vec = registry_vector(name)
+    return wigner_from_state(np.outer(vec, vec.conj()), sys.net).values
+
+
+# The one-qubit minimum of W over pure states, attained by tilted-111.
+_FLOOR = (1 - math.sqrt(3)) / 4
+_HI, _Q = (1 + 1 / math.sqrt(3)) / 4, 0.25
+# n -> (tolerance, registry state -> its grid [q][p]).
+_GOLDEN_GRIDS = {
+    1: (TOL, {
+        "up": [[0.5, 0.5], [0.0, 0.0]],
+        "plus": [[0.5, 0.0], [0.5, 0.0]],
+        "y+": [[0.5, 0.0], [0.0, 0.5]],
+        "tilted-111": [[_FLOOR, _HI], [_HI, _HI]],
+    }),
+    2: (1e-12, {
+        "upup": [[_Q, _Q, _Q, _Q], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        "upright": [[_Q, 0, _Q, 0], [_Q, 0, _Q, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        "singlet": [[0, 0, 0, 0], [0, _Q, _Q, 0], [0, _Q, _Q, 0], [0, 0, 0, 0]],
+    }),
+}
+
+
 def check_golden_tables(sys: PhaseSpaceSystem) -> CheckResult:
     """Known one- and two-qubit grids, including the negativity extremum."""
-    if sys.n == 1:
-        from .states import registry_vector
-
-        expected = {
-            "up": np.array([[0.5, 0.5], [0.0, 0.0]]),
-            "plus": np.array([[0.5, 0.0], [0.5, 0.0]]),
-            "y+": np.array([[0.5, 0.0], [0.0, 0.5]]),
-        }
-        hi = (1 + 1 / math.sqrt(3)) / 4
-        lo = (1 - math.sqrt(3)) / 4
-        expected["tilted-111"] = np.array([[lo, hi], [hi, hi]])
-        dev = 0.0
-        for name, grid_ref in expected.items():
-            _, vec = registry_vector(name)
-            grid = wigner_from_state(np.outer(vec, vec.conj()), sys.net)
-            dev = max(dev, float(np.max(np.abs(grid.values - grid_ref))))
-        return _result("golden grids", dev)
-    if sys.n == 2:
-        from .states import registry_vector
-
-        quarter = 0.25
-        refs = {}
-        refs["upup"] = np.zeros((4, 4))
-        refs["upup"][0, :] = quarter
-        refs["upright"] = np.zeros((4, 4))
-        refs["upright"][np.ix_([0, 1], [0, 2])] = quarter
-        refs["singlet"] = np.zeros((4, 4))
-        refs["singlet"][np.ix_([1, 2], [1, 2])] = quarter
-        dev = 0.0
-        for name, grid_ref in refs.items():
-            _, vec = registry_vector(name)
-            grid = wigner_from_state(np.outer(vec, vec.conj()), sys.net)
-            dev = max(dev, float(np.max(np.abs(grid.values - grid_ref))))
-        return _result("golden grids", dev, 1e-12)
-    return CheckResult("golden grids", True, "skipped: no reference tables beyond n=2")
+    if sys.n not in _GOLDEN_GRIDS:
+        return CheckResult("golden grids", True, "skipped: no reference tables beyond n=2")
+    tol, grids = _GOLDEN_GRIDS[sys.n]
+    dev = max(float(np.max(np.abs(_registry_grid(sys, name) - ref))) for name, ref in grids.items())
+    return _result("golden grids", dev, tol)
 
 
 # States per einsum block of check_negativity_floor, bounding its temporaries.
@@ -525,16 +514,10 @@ def check_negativity_floor(sys: PhaseSpaceSystem, samples: int = 100_000) -> Che
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         w = np.real(np.einsum("ni,aij,nj->na", vecs.conj(), stack, vecs)) / 2.0
         observed = min(observed, float(w.min()))
-    floor = (1 - math.sqrt(3)) / 4
-    from .states import registry_vector
-
-    _, tilt = registry_vector("tilted-111")
-    attained = float(
-        wigner_from_state(np.outer(tilt, tilt.conj()), sys.net).values.min()
-    )
-    ok = observed >= floor - 1e-6 and abs(attained - floor) <= 1e-6
+    attained = float(_registry_grid(sys, "tilted-111").min())
+    ok = observed >= _FLOOR - 1e-6 and abs(attained - _FLOOR) <= 1e-6
     return CheckResult(
-        "negativity floor", ok, f"min over {samples} states {observed:.6f}, floor {floor:.6f}"
+        "negativity floor", ok, f"min over {samples} states {observed:.6f}, floor {_FLOOR:.6f}"
     )
 
 
@@ -542,15 +525,13 @@ def check_six_states(sys: PhaseSpaceSystem) -> CheckResult:
     """Exactly the six Pauli eigenstates give two-half/two-zero grids."""
     if sys.n != 1:
         return CheckResult("six-state pattern", True, "skipped: one-qubit property")
-    from .states import registry_vector
 
     def is_pattern(values: np.ndarray) -> bool:
         flat = np.sort(values.reshape(-1))
         return bool(np.max(np.abs(flat - np.array([0, 0, 0.5, 0.5]))) < TOL)
 
     for name in ("up", "down", "plus", "minus", "y+", "y-"):
-        _, vec = registry_vector(name)
-        if not is_pattern(wigner_from_state(np.outer(vec, vec.conj()), sys.net).values):
+        if not is_pattern(_registry_grid(sys, name)):
             return CheckResult("six-state pattern", False, f"{name} lacks the pattern")
     rng = np.random.default_rng(15)
     for _ in range(100):

@@ -1,16 +1,17 @@
 """Line-to-state assignments, phase-point operators, and Wigner grids.
 
 A quantum net assigns one basis vector v_l to every line l so that translated
-lines carry translated vectors.  The net is built with integers: a
-translation flips a stabilizer eigenvector's exponent row where it
-anticommutes with the stabilizers, and each line's row is looked up among
-the basis's sorted rows; ``verify`` checks the result against dense
-projectors.  Both directions of the Wigner map go through
-the line probabilities p_l = <v_l|rho|v_l>: W_a = (sum of p_l over the N+1
-lines through a, minus 1)/N, and rho = sum_l p_l |v_l><v_l| - I with p_l the
-line sums of the grid.  These are W_a = tr(rho A_a)/N and rho = sum_a W_a A_a
-for the phase-point operators A_a (the line projectors through a, minus the
-identity), whose dense stack of 16 N^4 bytes is built only on request.
+lines carry translated vectors.  The net is built with integers: each ray's
+vector is the basis vector with given stabilizer signs, a translation flips
+a stabilizer eigenvector's exponent row where it anticommutes with the
+stabilizers, and each line's row is looked up among the basis's sorted rows;
+``verify`` checks the result against dense projectors.  Both directions of
+the Wigner map go through the line probabilities p_l = <v_l|rho|v_l>: W_a =
+(sum of p_l over the N+1 lines through a, minus 1)/N, and rho = sum_l p_l
+|v_l><v_l| - I with p_l the line sums of the grid.  These are W_a = tr(rho
+A_a)/N and rho = sum_a W_a A_a for the phase-point operators A_a (the line
+projectors through a, minus the identity), whose dense stack of 16 N^4 bytes
+is built only on request.
 """
 
 from __future__ import annotations
@@ -36,37 +37,28 @@ class NetConstructionError(RuntimeError):
     """The requested line-to-vector assignment cannot be realized consistently."""
 
 
-def _ray_vectors_1q() -> list[np.ndarray]:
-    s = 1.0 / np.sqrt(2.0)
-    return [
-        np.array([1, 0], dtype=complex),           # vertical ray (q = 0): spin up
-        np.array([s, s], dtype=complex),           # horizontal ray (p = 0): spin right
-        np.array([s, 1j * s], dtype=complex),      # diagonal ray: +1 eigenstate of sigma_y
-    ]
+# The n = 2 rays: the sign of each stabilizer, rescaled by i^parity(x & z)
+# to a Hermitian involution, in ray-point order.  Up-up on q = 0,
+# right-right on p = 0, then the three diagonal-type rays.
+_RAY_SIGNS_2Q = ((1, 1, 1), (1, 1, 1), (-1, 1, 1), (1, 1, -1), (-1, 1, 1))
 
 
-def _ray_vectors_2q() -> list[np.ndarray]:
-    return [
-        np.array([1, 0, 0, 0], dtype=complex),                     # q = 0: up-up
-        np.array([1, 1, 1, 1], dtype=complex) / 2,                 # p = 0: right-right
-        np.array([1, -1j, 1j, 1], dtype=complex) / 2,              # slope 1 ray
-        np.array([1, 1, 1j, -1j], dtype=complex) / 2,              # slope w ray
-        np.array([1, -1j, 1, 1j], dtype=complex) / 2,              # slope w2 ray
-    ]
-
-
-def _lex_sign_ray_index(exponents: np.ndarray, masks: list[tuple[int, int]]) -> int:
-    """Ray vector for n >= 3: lexicographically-first stabilizer sign pattern.
+def _ray_index(exponents: np.ndarray, masks: list[tuple[int, int]], signs=None) -> int:
+    """Index of the ray's vector, chosen by its stabilizer signs.
 
     Each stabilizer X^x Z^z, rescaled by i^h with h = parity(x & z), is a
     Hermitian involution, so vector k has sign -1 on stabilizer i exactly when
-    (exponents[k, i] + h_i) mod 4 = 2.  The vector whose sign tuple is
-    lexicographically first (+1 before -1, stabilizers in canonical ray-point
-    order) is selected.
+    (exponents[k, i] + h_i) mod 4 = 2.  Given a row of +-1 signs, one per
+    stabilizer, the vector with that sign row is chosen (-1 if none has it);
+    without one, the vector whose sign tuple is lexicographically first (+1
+    before -1, stabilizers in canonical ray-point order).
     """
     herm = [(x & z).bit_count() & 1 for x, z in masks]
     negative = (exponents + np.array(herm, dtype=np.int8)) % 4 == 2
-    return int(np.lexsort(negative.T[::-1])[0])
+    if signs is None:
+        return int(np.lexsort(negative.T[::-1])[0])
+    match = np.flatnonzero((negative == (np.array(signs) < 0)).all(axis=1))
+    return int(match[0]) if len(match) else -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,14 +114,14 @@ class QuantumNet:
         """The N+1 lines through pt, one per striation in striation order."""
         if pt.ctx is not self.ctx:
             raise ContextMismatchError("point and net use different field contexts")
-        ids = self._line_of[:, pt.q.index * self.dim + pt.p.index].tolist()
+        ids = self._line_of[:, pt.index].tolist()
         return tuple(s.lines[l] for s, l in zip(self.striations, ids))
 
     def phase_point_matrix(self, pt: Point) -> np.ndarray:
         """A at pt: a read-only row of phase_point_stack()."""
         if pt.ctx is not self.ctx:
             raise ContextMismatchError("point and net use different field contexts")
-        return self.phase_point_stack()[pt.q.index * self.dim + pt.p.index]
+        return self.phase_point_stack()[pt.index]
 
     def phase_point_stack(self) -> np.ndarray:
         """All A operators as one array, indexed [q_index * N + p_index].
@@ -186,14 +178,16 @@ class QuantumNet:
 def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[StriationBasis]) -> QuantumNet:
     """The standard quantum net, found by exact integer lookups.
 
-    Ray assignments: for one and two qubits, the conventional explicit
-    choices (axis states on the axis rays, fixed vectors on the diagonal-type
-    rays), each matched to its basis vector by one overlap; for n >= 3, the
-    lexicographic stabilizer-sign rule.  Every other line carries the ray's
-    vector translated by the line's first point w.  U_w is a Pauli string,
-    so it maps the eigenvector with exponent row e to the one with row
-    e_i + 2 parity(x_w & z_i ^ z_w & x_i) (mod 4) on each stabilizer i, and
-    that row is looked up in the basis's sorted exponent rows.  The
+    Each ray's vector is the basis vector with given stabilizer signs: for
+    two qubits the conventional rows of ``_RAY_SIGNS_2Q`` (axis states on
+    the axis rays, fixed vectors on the diagonal-type rays); otherwise the
+    lexicographically first sign row, which for one qubit gives spin up,
+    spin right and the sigma_y +1 state.  No overlap is computed.  Every
+    other line carries the ray's vector translated by the line's first
+    point w.  U_w is a Pauli string, so it maps the eigenvector with
+    exponent row e to the one with row e_i + 2 parity(x_w & z_i ^ z_w & x_i)
+    (mod 4) on each stabilizer i, and that row is looked up in the basis's
+    sorted exponent rows.  The
     stabilizers act on the ray as phases, so every point of a line gives the
     same row: covariance holds by construction.  The dense evidence that the
     net is covariant and matches its projectors is in ``verify``
@@ -205,12 +199,6 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         raise NetConstructionError(f"expected {len(striations)} bases, got {len(mub_set)}")
     n_elems = ctx.order
     points = striation_points(ctx)
-    if ctx.n == 1:
-        explicit = _ray_vectors_1q()
-    elif ctx.n == 2:
-        explicit = _ray_vectors_2q()
-    else:
-        explicit = None
 
     line_vector = np.empty((len(striations), n_elems), dtype=np.intp)
     for s, (striation, basis) in enumerate(zip(striations, mub_set)):
@@ -219,17 +207,10 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         if any(op.labeling is not labeling and op.labeling != labeling for op in basis.stabilizers):
             raise NetConstructionError(f"basis of striation {s} was built under a different labeling")
         masks = [op.masks for op in basis.stabilizers]  # in exponent-column order
-        if explicit is None:
-            ray = _lex_sign_ray_index(basis.exponents, masks)
-        else:
-            # The declared ray vector must be one of the striation's basis vectors.
-            overlaps = np.abs(basis.vectors.conj() @ explicit[s]) ** 2
-            ray = int(np.argmax(overlaps))
-            if overlaps[ray] < 1.0 - CLOSURE_TOL:
-                raise NetConstructionError(
-                    f"ray vector for striation {s} is not a basis vector "
-                    f"(best overlap {overlaps[ray]:.6f})"
-                )
+        signs = _RAY_SIGNS_2Q[s] if ctx.n == 2 else None
+        ray = _ray_index(basis.exponents, masks, signs)
+        if ray < 0:
+            raise NetConstructionError(f"ray signs {signs} of striation {s} match no basis vector")
         # flips[l, i]: U_w of line l's first point anticommutes with stabilizer i.
         x, z = np.array(masks, dtype=np.intp).T
         flips = symplectic_parity(*labeling.point_masks(points[s, :, :1]), x, z)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestLines:
     def test_points_sorted_canonically(self):
         ctx = field_create(2)
         line = line_from_equation(ctx.omega, ctx.one, ctx.one)
-        keys = [p.sort_key for p in line.points]
+        keys = [p.index for p in line.points]
         assert keys == sorted(keys)
 
     def test_line_size_is_n(self):
@@ -184,9 +185,23 @@ class TestIntegerStriations:
             for s in enumerate_striations(ctx)
         ]
         assert points.tolist() == expected
+        assert [[[pt.index for pt in ln.points] for ln in s.lines] for s in enumerate_striations(ctx)] == expected
         assert striation_points(ctx) is points
         with pytest.raises(ValueError):
             points[0, 0, 0] = 1
+
+    def test_build_peaks_near_what_it_keeps(self):
+        # The line objects are read from the index array one striation at a
+        # time; a list of all N^3 point indices at once peaks at ~3x.
+        ctx = field_create(6)
+        tracemalloc.start()
+        try:
+            striations = enumerate_striations(ctx)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(striations) == ctx.order + 1
+        assert peak <= 1.5 * kept, (peak, kept)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_each_striation_partitions_the_grid(self, n):

@@ -180,6 +180,38 @@ class TestProjectivePhases:
         with pytest.raises(ValueError, match="different labelings"):
             projective_check(translation_unitary(v, lab), translation_unitary(v, bad))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mask_phase_equals_dense_phase_for_all_pairs(self, n):
+        ctx = field_create(n)
+        lab = default_labeling(ctx)
+        points = all_points(ctx)
+        dense = {v: kron_translation(v, lab) for v in points}
+        for v, w in itertools.product(points, points):
+            target, prod = dense[v + w], dense[v] @ dense[w]
+            lam = projective_check(translation_unitary(v, lab), translation_unitary(w, lab))
+            assert lam in (1, -1)
+            assert np.array_equal(prod, lam * target), (v, w)
+            assert lam == np.vdot(target, prod) / ctx.order
+
+    def test_raises_exactly_where_the_dense_product_leaves_the_ray(self):
+        ctx = field_create(2)
+        lab = copy.copy(default_labeling(ctx))
+        masks = list(lab._x_masks)
+        masks[3] = 0  # the q coordinate w2 drives no sigma_x
+        object.__setattr__(lab, "_x_masks", tuple(masks))
+        ops = [translation_unitary(v, lab) for v in all_points(ctx)]
+        seen = set()
+        for u, w in itertools.product(ops, ops):
+            target = translation_unitary(u.vector + w.vector, lab).unitary
+            _, bad = projective_phases(u.unitary @ w.unitary, target)
+            seen.add(bool(bad))
+            if bad:
+                with pytest.raises(AssertionError, match="not proportional"):
+                    projective_check(u, w)
+            else:
+                projective_check(u, w)
+        assert seen == {False, True}
+
     def test_flags_a_product_off_the_target_ray(self):
         ctx = field_create(1)
         lab = default_labeling(ctx)
@@ -230,6 +262,22 @@ class TestLabelings:
         for i, e in enumerate(basis):
             for j, f in enumerate(dual):
                 assert (e * f).trace() == (1 if i == j else 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_masks_and_point_masks_read_one_table(self, n):
+        ctx = field_create(n)
+        lab = default_labeling(ctx)
+        corrupt = copy.copy(lab)
+        masks = list(lab._x_masks)
+        masks[-1] = 0
+        object.__setattr__(corrupt, "_x_masks", tuple(masks))
+        points = all_points(ctx)
+        for labeling in (lab, corrupt):
+            x, z = labeling.point_masks([v.index for v in points])
+            assert list(zip(x.tolist(), z.tolist())) == [labeling.masks(v) for v in points]
+        assert corrupt != lab
+        last = Point(ctx.elements()[-1], ctx.zero)
+        assert corrupt.masks(last) == (0, 0) != lab.masks(last)
 
     def test_dependent_basis_rejected(self):
         ctx = field_create(2)

@@ -70,10 +70,11 @@ def swapped_points(sys_, s=2, m=0):
 
 def corrupted_masks(sys_):
     """The labeling (and the bases' stabilizers built on it) sends the q
-    coordinate w2 to no sigma_x at all."""
+    coordinate with coefficient bits 0b011 (w2 at n = 2, w3 at n = 3) to no
+    sigma_x at all."""
     labeling = copy.copy(sys_.labeling)
     masks = list(labeling._x_masks)
-    masks[3] = 0
+    masks[sys_.ctx.element(0b011).index] = 0
     object.__setattr__(labeling, "_x_masks", tuple(masks))
     bases = tuple(
         dataclasses.replace(

@@ -64,6 +64,9 @@ class TestNetAssignments1Q:
         v = np.array([1, -1j], dtype=complex) / np.sqrt(2)
         assert np.max(np.abs(sys.net.projector(other) - np.outer(v, v.conj()))) < 1e-12
 
+    def test_line_vectors_pinned(self):
+        assert build_system(1).net._line_vector.tolist() == [[0, 1], [0, 1], [1, 0]]
+
     def test_axis_lines_carry_axis_states(self):
         sys = build_system(1)
         ctx = sys.ctx
@@ -95,6 +98,15 @@ class TestNetAssignments2Q:
             e = np.zeros(4, dtype=complex)
             e[qi] = 1
             assert np.max(np.abs(sys.net.projector(column) - np.outer(e, e.conj()))) < 1e-12
+
+    def test_line_vectors_pinned(self):
+        assert build_system(2).net._line_vector.tolist() == [
+            [0, 2, 1, 3],
+            [0, 2, 1, 3],
+            [1, 3, 0, 2],
+            [1, 3, 0, 2],
+            [0, 2, 1, 3],
+        ]
 
     def test_lines_map_to_distinct_vectors(self):
         sys = build_system(2)
@@ -457,15 +469,22 @@ class TestNetGuards:
             default_net(system.ctx, system.labeling, bases)
 
     def test_two_lines_with_equal_rows_are_refused(self):
-        # Zeroing the x mask of w2 gives the vertical line through (w2, 0)
-        # the flips of the ray itself, so both look up the ray's row.
+        # Zeroing the x mask of w2, in the labeling and in the stabilizers
+        # built under it, gives the vertical line through (w2, 0) the flips
+        # of the ray itself, so both look up the ray's row.
         system = build_system(2)
         labeling = copy.copy(system.labeling)
-        x_by_index = labeling._x_by_index.copy()
-        x_by_index[3] = 0
-        object.__setattr__(labeling, "_x_by_index", x_by_index)
-        with pytest.raises(NetConstructionError, match="maps two lines to one vector"):
-            default_net(system.ctx, labeling, list(system.bases))
+        x_masks = list(labeling._x_masks)
+        x_masks[3] = 0
+        object.__setattr__(labeling, "_x_masks", tuple(x_masks))
+        bases = [
+            dataclasses.replace(
+                b, stabilizers=tuple(translation_unitary(op.vector, labeling) for op in b.stabilizers)
+            )
+            for b in system.bases
+        ]
+        with pytest.raises(NetConstructionError, match="striation 0 maps two lines to one vector"):
+            default_net(system.ctx, labeling, bases)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_bases_from_another_labeling_are_refused(self, n):
@@ -478,11 +497,13 @@ class TestNetGuards:
         with pytest.raises(NetConstructionError, match="different labeling"):
             default_net(system.ctx, system.labeling, full_mub_set(system.ctx, swapped))
 
-    def test_wrong_explicit_ray_is_not_a_basis_vector(self, monkeypatch):
-        system = build_system(1)
-        up = np.array([1, 0], dtype=complex)
-        monkeypatch.setattr(wigner, "_ray_vectors_1q", lambda: [up, up, up])
-        with pytest.raises(NetConstructionError, match="striation 1 is not a basis vector"):
+    def test_ray_signs_that_no_vector_has_are_refused(self, monkeypatch):
+        # On q = 0 the stabilizers are Z-type strings, the third the product
+        # of the first two, so no vector has the sign -1 on all three.
+        system = build_system(2)
+        signs = ((-1, -1, -1), *wigner._RAY_SIGNS_2Q[1:])
+        monkeypatch.setattr(wigner, "_RAY_SIGNS_2Q", signs)
+        with pytest.raises(NetConstructionError, match="striation 0 match no basis vector"):
             default_net(system.ctx, system.labeling, list(system.bases))
 
     def test_line_maps_are_read_only(self):
