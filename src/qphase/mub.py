@@ -5,13 +5,12 @@ labeling), and their joint eigenbasis is the orthonormal basis attached to
 that striation.  The N+1 bases so produced are pairwise conjugate: every
 cross-basis overlap magnitude equals 1/sqrt(N).
 
-A basis is built from the stabilizers' Pauli masks alone
-(``operators.stabilizer_eigenbasis``): commutation is the exact symplectic
-parity test, the N sign patterns of n independent stabilizers fix the N
-vectors and the integer exponents k of their eigenvalues i^k on every
-stabilizer, the vectors are ordered by those integer tuples (stabilizers in
-ray order), and each is read off its exact projector.  No dense stabilizer
-matrix is formed.
+All N+1 bases are built in one batched pass over the stabilizers' Pauli
+masks (``operators.stabilizer_eigenbasis``): commutation is the exact
+symplectic parity test, n independent stabilizers fix the integer eigenvalue
+exponents of one joint eigenvector, and the N points of a transverse ray
+carry it onto the whole basis, whose vectors are ordered by their exponent rows
+(stabilizers in ray order).  No dense stabilizer matrix is formed.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldContext
-from .geometry import Striation, enumerate_striations
+from .geometry import Striation, enumerate_striations, striation_points
 from .operators import (
     NonCommutingError,
     QubitLabeling,
@@ -52,14 +51,16 @@ class StriationBasis:
 
     vectors[k] is the k-th unit vector; every vector is a simultaneous
     eigenvector of all the striation's stabilizer unitaries, with
-    stabilizers[i] v_k = i^exponents[k, i] v_k.  A basis assembled by hand
-    may leave exponents as None.
+    stabilizers[i] v_k = i^exponents[k, i] v_k, and masks[:, i] = (x, z)
+    of stabilizers[i].  A basis assembled by hand may leave exponents and
+    masks as None.
     """
 
     striation: int
     vectors: np.ndarray
     stabilizers: tuple[TranslationOperator, ...]
     exponents: np.ndarray | None = field(default=None, repr=False)
+    masks: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -70,19 +71,18 @@ class StriationBasis:
         return np.outer(v, v.conj())
 
 
-def basis_for_striation(striation: Striation, labeling: QubitLabeling) -> StriationBasis:
+def basis_for_striation(striation: Striation, labeling: QubitLabeling, arrays=None) -> StriationBasis:
     """Joint eigenbasis of the striation's stabilizer translations.
 
-    Unique up to per-vector phase and order; raises LabelingError (naming the
+    arrays are its (vectors, exponents, masks) from ``full_mub_set``'s
+    batched pass, which otherwise runs for this striation alone.  Unique up
+    to per-vector phase and order; raises LabelingError (naming the
     striation) when the stabilizers do not commute under this labeling.
     """
     stabilizers = tuple(translation_unitary(v, labeling) for v in striation.stabilizer_vectors)
-    x, z = np.array([op.masks for op in stabilizers]).T
-    try:
-        vectors, exponents = stabilizer_eigenbasis(x, z, labeling.dim)
-    except NonCommutingError as exc:
-        raise LabelingError(striation.direction, exc) from exc
-    return StriationBasis(striation.direction, vectors, stabilizers, exponents)
+    if arrays is None:
+        arrays = [a[0] for a in _stabilizer_bases(labeling, np.array([striation.direction]))]
+    return StriationBasis(striation.direction, arrays[0], stabilizers, *arrays[1:])
 
 
 def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> list[StriationBasis]:
@@ -93,7 +93,23 @@ def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> li
     """
     if labeling is None:
         labeling = default_labeling(ctx)
-    return [basis_for_striation(s, labeling) for s in enumerate_striations(ctx)]
+    striations = enumerate_striations(ctx)
+    arrays = zip(*_stabilizer_bases(labeling, np.arange(len(striations))))
+    return [basis_for_striation(s, labeling, a) for s, a in zip(striations, arrays)]
+
+
+def _stabilizer_bases(labeling: QubitLabeling, directions: np.ndarray):
+    """Stacked (vectors, exponents, masks) of the striations in directions,
+    masks[s] = (x, z) of the ray's nonzero points.  Another ray (horizontal
+    for the vertical striation, else vertical) carries each seed onto its basis."""
+    rays = striation_points(labeling.ctx)[:, 0]
+    x, z = labeling.point_masks(rays[directions, 1:])
+    tx, tz = labeling.point_masks(rays[(directions == 0) * 1])
+    try:
+        vectors, exponents = stabilizer_eigenbasis(x, z, labeling.dim, tx, tz)
+    except NonCommutingError as exc:
+        raise LabelingError(int(directions[exc.group]), exc) from exc
+    return vectors, exponents, np.stack([x, z], axis=1)
 
 
 @dataclass

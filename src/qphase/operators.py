@@ -14,16 +14,14 @@ set.  Acting on a vector it is a signed index permutation,
 
 Two such strings commute exactly when popcount(x1 & z2 ^ z1 & x2) is even,
 and X^a Z^b X^c Z^d = (-1)^popcount(b & c) X^(a^c) Z^(b^d).
-``stabilizer_eigenbasis`` builds the joint eigenbasis of a commuting group
-of N-1 strings from these rules alone.  It picks n independent generators;
-each of the N sign patterns of the generators (the N ways of splitting the
-identity by (I +- c_j X^x Z^z)/2, c_j in {1, i}) fixes one joint
-eigenvector, and the integer exponent k of its eigenvalue i^k on every
-string follows from those signs and the phase of each string as a product
-of generators.  The vectors are sorted on the integer tuples and read off
-the exact group-average projectors (1/N) sum_i i^-k_i U_i.  No dense
-eigendecomposition is run: ``verify`` checks each basis against the dense
-matrices of its stabilizers through their eigenvalue table.
+``stabilizer_eigenbasis`` builds the joint eigenbases of many commuting
+groups of N-1 strings at once from these rules alone: n independent
+generators fix the integer exponent row of one joint eigenvector v, and N
+translations U_t with distinct commutation patterns carry v onto the other
+vectors, each row flipped by 2 where U_t anticommutes (``translated_rows``).
+v is read off its exact group-average projector; no dense eigendecomposition
+is run, and ``verify`` checks each basis against the dense matrices of its
+stabilizers through their eigenvalue table.
 """
 
 from __future__ import annotations
@@ -46,9 +44,10 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 class NonCommutingError(ValueError):
     """A joint eigenbasis was requested for operators that do not commute."""
 
-    def __init__(self, i: int, j: int, deviation: float):
+    def __init__(self, i: int, j: int, deviation: float, group: int = 0):
         self.pair = (i, j)
         self.deviation = deviation
+        self.group = group
         super().__init__(f"operators {i} and {j} do not commute (max deviation {deviation:.3e})")
 
 
@@ -108,7 +107,7 @@ def _expansion_matrix(basis: Sequence[FieldElement]) -> list[int]:
 
 
 # Parity of every byte value.
-_PARITY8 = np.array([i.bit_count() & 1 for i in range(256)], dtype=np.intp)
+_PARITY8 = np.array([i.bit_count() & 1 for i in range(256)], dtype=np.int8)
 
 
 def _parity(a):
@@ -343,86 +342,106 @@ def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
     return complex(-1 if (b & c).bit_count() & 1 else 1)
 
 
-def stabilizer_eigenbasis(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint eigenbasis of the commuting Pauli strings U_i = X^x[i] Z^z[i].
+def stabilizer_eigenbasis(x, z, dim: int, tx, tz) -> tuple[np.ndarray, np.ndarray]:
+    """Joint eigenbases of groups of commuting Pauli strings U_i = X^x[g, i] Z^z[g, i].
 
-    The masks must be the N-1 nonzero elements of an n-generator group, N =
-    dim = 2^n.  Returns (vectors, exponents) with U_i v_k = i^exponents[k, i]
-    v_k, rows sorted by the exponent tuple, which is the ascending order of
-    the tuples of eigenvalue angles k * pi/2.  Each vector is the column of its
-    projector at the first of its largest diagonal entries, scaled to unit
-    norm, which makes that component real positive.  Raises
-    NonCommutingError for the first pair (i < j) whose symplectic product is
-    odd (deviation 2, the entrywise norm of U_i U_j - U_j U_i).
+    Row g of the masks holds the N-1 nonzero elements of an n-generator
+    group, N = dim = 2^n, and row g of (tx, tz) N strings that meet it in N
+    different commutation patterns (the points of another ray).  Returns
+    (vectors, exponents), (G, N, N) and (G, N, N-1), with U_i v_k =
+    i^exponents[g, k, i] v_k, rows ascending in the exponent tuples (the
+    tuples of eigenvalue angles k * pi/2), first nonzero entries real
+    positive, in blocks of about 2^16 complex entries.  The first odd
+    symplectic pair (i < j) of the first such group raises NonCommutingError
+    naming the group (deviation 2, the entrywise norm of U_i U_j - U_j U_i).
     """
-    x = np.asarray(x, dtype=np.intp)
-    z = np.asarray(z, dtype=np.intp)
-    if len(x) != dim - 1:
-        raise ValueError(f"need {dim - 1} stabilizer masks for dimension {dim}, got {len(x)}")
-    odd = symplectic_parity(x[:, None], z[:, None], x, z)
-    bad = np.argwhere(np.triu(odd, 1))
-    if len(bad):
-        raise NonCommutingError(int(bad[0, 0]), int(bad[0, 1]), 2.0)
-    n = dim.bit_length() - 1
+    x, z, tx, tz = (np.asarray(a, dtype=np.intp) for a in (x, z, tx, tz))
+    if x.shape[-1] != dim - 1:
+        raise ValueError(f"need {dim - 1} stabilizer masks for dimension {dim}, got {x.shape[-1]}")
+    vectors = np.empty((len(x), dim, dim), dtype=complex)
+    exponents = np.empty((len(x), dim, dim - 1), dtype=np.int8)
+    for b in _blocks(len(x), dim * dim):
+        _eigenbasis_block(x[b], z[b], dim, tx[b], tz[b], b.start, vectors[b], exponents[b])
+    return vectors, exponents
 
-    # Generators: the first n strings whose (x, z) are independent over GF(2).
-    keys = (x << n) | z
-    gens: list[int] = []
-    echelon: list[int] = []  # reduced keys, leading bits distinct and descending
-    for i, key in enumerate(keys.tolist()):
-        for row in echelon:
-            key = min(key, key ^ row)
-        if key:
-            gens.append(i)
-            echelon = sorted([*echelon, key], reverse=True)
-            if len(gens) == n:
-                break
-    if len(gens) != n:
+
+def _blocks(count: int, entries: int) -> list[slice]:
+    step = max(1, (1 << 16) // entries)  # about 2^16 entries per block
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _eigenbasis_block(x, z, dim, tx, tz, start, vectors, exponents):
+    """stabilizer_eigenbasis for the groups from number start on, into vectors and exponents."""
+    n, groups, combo = dim.bit_length() - 1, np.arange(len(x)), np.arange(dim)
+
+    # Elimination over the 2n bits of (x, z).  Each pivot P = X^c Z^d is a
+    # generator, and i^parity(c & d) P is +1 on the seed vector v; as R =
+    # (-1)^parity(c & d) (R P) P, reducing string i to I collects i^base[i].
+    keys = x << n | z
+    rows, base, pivots = keys.copy(), np.zeros_like(x), []
+    for bit in range(2 * n - 1, -1, -1):
+        has = rows >> bit & 1
+        pivots.append(rows[groups, has.argmax(axis=-1)] * has.any(axis=-1))
+        c, d = np.divmod(pivots[-1][:, None], dim)
+        base += has * (_parity(c & d) + 2 * _parity(rows & c))  # rows & c = b & c
+        rows ^= has * pivots[-1][:, None]
+    pivots = np.stack(pivots, axis=-1)
+    # The strings span the pivots and the pivots the strings, so all commute when all meet the pivots evenly.
+    if symplectic_parity(x[..., None], z[..., None], *np.divmod(pivots[:, None], dim)).any():
+        odd = np.argwhere(np.triu(symplectic_parity(x[:, :, None], z[:, :, None], x[:, None], z[:, None]), 1))
+        raise NonCommutingError(*odd[0, 1:].tolist(), 2.0, start + int(odd[0, 0]))
+    if np.any((pivots != 0).sum(axis=-1) < n):
         raise ValueError(f"stabilizer masks span fewer than {n} generators")
-    gx, gz = x[gens], z[gens]
-    herm = _parity(gx & gz)  # c_j = i^herm[j] makes H_j = c_j U_gj Hermitian
-
-    # combo runs over 0..N-1 as generator subsets, sign patterns and vector
-    # positions alike.  For every subset c of the generators (bit j =
-    # generator j), the ordered product of its U_gj is (-1)^sign[c] X^a Z^b,
-    # since X^a Z^b X^x Z^z = (-1)^popcount(b & x) X^(a^x) Z^(b^z).  So the
-    # stabilizer with masks (a, b) is i^(2 sign[c] - hsum[c]) times the
-    # product of its H_j.
-    combo = np.arange(dim)
-    a, b = np.zeros(dim, np.intp), np.zeros(dim, np.intp)
-    sign, hsum = np.zeros(dim, np.intp), np.zeros(dim, np.intp)
-    for j in range(n):
-        on = combo >> j & 1
-        sign ^= on & _parity(b & gx[j])
-        a ^= on * gx[j]
-        b ^= on * gz[j]
-        hsum += on * herm[j]
-    subset_of = np.full(1 << 2 * n, -1, dtype=np.intp)
-    subset_of[(a << n) | b] = combo
-    subset = subset_of[keys]
-    if np.any(subset < 0):
+    ordered = np.sort(keys, axis=-1)  # n generators and N-1 distinct nonzero strings: the whole group
+    if np.any(ordered[:, 0] == 0) or np.any(ordered[:, 1:] == ordered[:, :-1]):
         raise ValueError("stabilizer masks are not closed under products")
+    pivots = pivots[pivots != 0].reshape(len(x), n)
+    gens = np.argmax(keys[:, None] == pivots[..., None], axis=-1)  # string gens[j] is pivot j
+    gx, gz, base = np.take_along_axis(x, gens, -1), np.take_along_axis(z, gens, -1), base % 4
 
-    # The joint eigenvector on which H_j = (-1)^(bit j of beta) gives U_i the
-    # eigenvalue i^k with k = 2 sign - hsum + 2 parity(beta & subset), mod 4.
-    exponents = ((2 * sign - hsum)[subset] + 2 * _parity(combo[:, None] & subset)) % 4
-    exponents = exponents[np.lexsort(exponents.T[::-1])]
+    # U_t v has v's row flipped where U_t anticommutes; sorted, the N rows order the basis.
+    rows = translated_rows(base, x, z, tx, tz)
+    order = np.lexsort(np.moveaxis(rows, -1, 0)[::-1], axis=-1)
+    exponents[:] = np.take_along_axis(rows, order[..., None], axis=1)
+    if np.any((exponents[:, 1:] == exponents[:, :-1]).all(axis=-1)):
+        raise ValueError("the translations do not reach every joint eigenvector")
+    tx, tz = np.take_along_axis(tx, order, -1), np.take_along_axis(tz, order, -1)
 
-    # Its projector is the group average P = (1/N) sum_i i^-k_i U_i (with U_0
-    # = I), whose entries are exact: diagonal only from strings with x = 0,
-    # and column c from U_i[c ^ x_i, c] = (-1)^popcount(c & z_i).
-    xs, zs = np.append(0, x), np.append(0, z)
-    weights = _I_POWERS[-np.insert(exponents, 0, 0, axis=1) % 4]
-    diagonal = xs == 0
-    diag = (weights[:, diagonal] @ (1 - 2 * _parity(zs[diagonal, None] & combo))).real / dim
-    col = diag.argmax(axis=1)
-    column = (weights * (1 - 2 * _parity(col[:, None] & zs))) @ (xs[:, None] == combo)
-    vectors = column[combo[:, None], combo ^ col[:, None]] / dim / np.sqrt(diag[combo, col])[:, None]
+    # Column c of v's projector (1/N) sum_i i^-base_i U_i (U_0 = I), c the
+    # first index where every Z-type string has its eigenvalue, is an exact
+    # scatter: U_i[c ^ x_i, c] = (-1)^popcount(c & z_i).  Vector k is U_t v,
+    # rephased by the exact unit of its first nonzero entry; + 0.0 clears -0.0.
+    col = ((2 * _parity(combo & z[..., None]) == base[..., None]) | (x != 0)[..., None]).all(1).argmax(-1)
+    column = (combo == col[:, None]).astype(complex)
+    units = _I_POWERS[-base] * (1 - 2 * _parity(col[:, None] & z))
+    np.add.at(column, (groups[:, None], col[:, None] ^ x), units)
+    v = column / dim / np.sqrt(column[groups, col].real / dim)[:, None]
+    src, flip = pauli_permutation(tx, tz, dim)
+    np.multiply(v.reshape(-1)[src + groups[:, None, None] * dim], flip, out=vectors)
+    lead = np.take_along_axis(vectors, (vectors != 0).argmax(axis=-1)[..., None], axis=-1)
+    vectors *= np.sign(lead.real) - 1j * np.sign(lead.imag)
+    vectors += 0.0
 
     # Float guard: every vector has its eigenvalue on every generator.
     src, flip = pauli_permutation(gx, gz, dim)
-    residual = vectors[:, src] * flip - _I_POWERS[exponents[:, gens]][..., None] * vectors[:, None]
-    dev = float(np.max(np.linalg.norm(residual, axis=-1)))
-    if dev > EIGEN_RESIDUAL_TOL:
-        raise AssertionError(f"stabilizer basis vector fails its eigenvalue by {dev:.3e}")
-    return vectors, exponents.astype(np.int8)
+    lam = _I_POWERS[np.take_along_axis(exponents, gens[:, None], axis=-1)]
+    entry, worst = (groups[:, None] * dim + combo)[..., None] * dim, 0.0
+    for j in range(n):
+        res = vectors.reshape(-1)[entry + src[:, None, j]]
+        res *= flip[:, None, j]
+        res -= lam[:, :, j, None] * vectors
+        worst = max(worst, float(np.einsum("...i,...i->...", res.view(float), res.view(float)).max()))
+    if np.sqrt(worst) > EIGEN_RESIDUAL_TOL:
+        raise AssertionError(f"stabilizer basis vector fails its eigenvalue by {np.sqrt(worst):.3e}")
+
+
+def translated_rows(rows, x, z, tx, tz) -> np.ndarray:
+    """(G, T, K) int8 exponent rows of U_t v: rows[g] is v's row on the
+    strings X^x[g, i] Z^z[g, i], and U_t = X^tx[g, t] Z^tz[g, t] adds 2
+    parity(tx & z_i ^ tz & x_i) (mod 4), flipping every eigenvalue whose
+    string anticommutes with it."""
+    out = np.empty((*tx.shape, x.shape[-1]), dtype=np.int8)
+    for b in _blocks(len(out), out[0].size):
+        flips = symplectic_parity(tx[b, :, None], tz[b, :, None], x[b, None], z[b, None])
+        out[b] = (rows[b, None] + 2 * flips) % 4
+    return out

@@ -1,17 +1,18 @@
 """Line-to-state assignments, phase-point operators, and Wigner grids.
 
 A quantum net assigns one basis vector v_l to every line l so that translated
-lines carry translated vectors.  The net is built with integers: each ray's
-vector is the basis vector with given stabilizer signs, a translation flips
-a stabilizer eigenvector's exponent row where it anticommutes with the
-stabilizers, and each line's row is looked up among the basis's sorted rows;
-``verify`` checks the result against dense projectors.  Both directions of
-the Wigner map go through the line probabilities p_l = <v_l|rho|v_l>: W_a =
-(sum of p_l over the N+1 lines through a, minus 1)/N, and rho = sum_l p_l
-|v_l><v_l| - I with p_l the line sums of the grid.  These are W_a = tr(rho
-A_a)/N and rho = sum_a W_a A_a for the phase-point operators A_a (the line
-projectors through a, minus the identity), whose dense stack of 16 N^4 bytes
-is built only on request.
+lines carry translated vectors.  The net is built with integers, for all
+striations at once: each ray's vector is the basis vector with given
+stabilizer signs, a translation flips a stabilizer eigenvector's exponent row
+where it anticommutes with the stabilizers (``operators.translated_rows``,
+shared with the basis construction), and each line's row is looked up among
+its basis's sorted rows; ``verify`` checks the result against dense
+projectors.  Both directions of the Wigner map go through the line
+probabilities p_l = <v_l|rho|v_l>: W_a = (sum of p_l over the N+1 lines
+through a, minus 1)/N, and rho = sum_l p_l |v_l><v_l| - I with p_l the line
+sums of the grid.  These are W_a = tr(rho A_a)/N and rho = sum_a W_a A_a for
+the phase-point operators A_a (the line projectors through a, minus the
+identity), whose dense stack of 16 N^4 bytes is built only on request.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .fields import ContextMismatchError, FieldContext
 from .geometry import Line, Point, Striation, enumerate_striations, striation_points
 from .mub import StriationBasis
-from .operators import QubitLabeling, symplectic_parity
+from .operators import QubitLabeling, symplectic_parity, translated_rows
 from .serialize import round_float
 from .states import InvalidStateError, validate_density_matrix
 
@@ -43,22 +44,17 @@ class NetConstructionError(RuntimeError):
 _RAY_SIGNS_2Q = ((1, 1, 1), (1, 1, 1), (-1, 1, 1), (1, 1, -1), (-1, 1, 1))
 
 
-def _ray_index(exponents: np.ndarray, masks: list[tuple[int, int]], signs=None) -> int:
-    """Index of the ray's vector, chosen by its stabilizer signs.
-
-    Each stabilizer X^x Z^z, rescaled by i^h with h = parity(x & z), is a
-    Hermitian involution, so vector k has sign -1 on stabilizer i exactly when
-    (exponents[k, i] + h_i) mod 4 = 2.  Given a row of +-1 signs, one per
-    stabilizer, the vector with that sign row is chosen (-1 if none has it);
-    without one, the vector whose sign tuple is lexicographically first (+1
-    before -1, stabilizers in canonical ray-point order).
-    """
-    herm = [(x & z).bit_count() & 1 for x, z in masks]
-    negative = (exponents + np.array(herm, dtype=np.int8)) % 4 == 2
-    if signs is None:
-        return int(np.lexsort(negative.T[::-1])[0])
-    match = np.flatnonzero((negative == (np.array(signs) < 0)).all(axis=1))
-    return int(match[0]) if len(match) else -1
+def _ray_index(exponents: np.ndarray, x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Index of each striation's ray vector, chosen by its stabilizer signs."""
+    # X^x Z^z is anti-Hermitian exactly when X^x and Z^z anticommute.
+    negative = (exponents + symplectic_parity(x, 0, 0, z)[:, None]) % 4 == 2
+    if n != 2:
+        return np.lexsort(np.moveaxis(negative, -1, 0)[::-1], axis=-1)[:, 0]
+    match = (negative == (np.array(_RAY_SIGNS_2Q) < 0)[:, None]).all(axis=-1)
+    if not match.any(axis=-1).all():
+        s = int(np.argmin(match.any(axis=-1)))
+        raise NetConstructionError(f"ray signs {_RAY_SIGNS_2Q[s]} of striation {s} match no basis vector")
+    return match.argmax(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,50 +178,40 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     two qubits the conventional rows of ``_RAY_SIGNS_2Q`` (axis states on
     the axis rays, fixed vectors on the diagonal-type rays); otherwise the
     lexicographically first sign row, which for one qubit gives spin up,
-    spin right and the sigma_y +1 state.  No overlap is computed.  Every
-    other line carries the ray's vector translated by the line's first
-    point w.  U_w is a Pauli string, so it maps the eigenvector with
-    exponent row e to the one with row e_i + 2 parity(x_w & z_i ^ z_w & x_i)
-    (mod 4) on each stabilizer i, and that row is looked up in the basis's
-    sorted exponent rows.  The
-    stabilizers act on the ray as phases, so every point of a line gives the
-    same row: covariance holds by construction.  The dense evidence that the
-    net is covariant and matches its projectors is in ``verify``
-    (``check_line_sums``, ``check_a_covariance``).  The bases must be built
-    under ``labeling``; the exponent columns follow their stabilizers.
+    spin right and the sigma_y +1 state.  Every other line carries the ray's
+    vector translated by the line's first point w: the ray's row flipped
+    where U_w anticommutes (``operators.translated_rows``), looked up among
+    the sorted rows, for all striations at once.  Every point of a line
+    gives the same row, so covariance holds by construction; ``verify``
+    holds the dense evidence (``check_line_sums``, ``check_a_covariance``).
+    The bases must be built under ``labeling``; their masks name each
+    exponent column's stabilizer.
     """
     striations = enumerate_striations(ctx)
     if len(mub_set) != len(striations):
         raise NetConstructionError(f"expected {len(striations)} bases, got {len(mub_set)}")
-    n_elems = ctx.order
-    points = striation_points(ctx)
-
-    line_vector = np.empty((len(striations), n_elems), dtype=np.intp)
-    for s, (striation, basis) in enumerate(zip(striations, mub_set)):
-        if basis.exponents is None:
+    for s, basis in enumerate(mub_set):
+        if basis.exponents is None or basis.masks is None:
             raise NetConstructionError(f"basis of striation {s} carries no stabilizer eigenvalues")
         if any(op.labeling is not labeling and op.labeling != labeling for op in basis.stabilizers):
             raise NetConstructionError(f"basis of striation {s} was built under a different labeling")
-        masks = [op.masks for op in basis.stabilizers]  # in exponent-column order
-        signs = _RAY_SIGNS_2Q[s] if ctx.n == 2 else None
-        ray = _ray_index(basis.exponents, masks, signs)
-        if ray < 0:
-            raise NetConstructionError(f"ray signs {signs} of striation {s} match no basis vector")
-        # flips[l, i]: U_w of line l's first point anticommutes with stabilizer i.
-        x, z = np.array(masks, dtype=np.intp).T
-        flips = symplectic_parity(*labeling.point_masks(points[s, :, :1]), x, z)
-        found = _find_rows(basis.exponents, (basis.exponents[ray] + 2 * flips) % 4)
-        if np.any(found < 0):
-            line = striation.lines[int(np.argmax(found < 0))]
-            raise NetConstructionError(
-                f"translated ray on line {line} of striation {s} matches no basis vector"
-            )
-        if np.bincount(found, minlength=n_elems).max() > 1:
-            raise NetConstructionError(f"striation {s} maps two lines to one vector")
-        line_vector[s] = found
+    n_elems = ctx.order
+    points = striation_points(ctx)
+    exponents = np.stack([b.exponents for b in mub_set])
+    x, z = np.stack([b.masks for b in mub_set], axis=1)
+    ray_rows = exponents[np.arange(len(striations)), _ray_index(exponents, x, z, ctx.n)]
+    first = labeling.point_masks(points[:, :, 0])  # each line's first point
+    line_vector = _find_rows(exponents, translated_rows(ray_rows, x, z, *first))
+    if np.any(line_vector < 0):
+        s, l = np.argwhere(line_vector < 0)[0].tolist()
+        line = striations[s].lines[l]
+        raise NetConstructionError(f"translated ray on line {line} of striation {s} matches no basis vector")
+    repeats = (np.diff(np.sort(line_vector, axis=-1), axis=-1) == 0).any(axis=-1)
+    if repeats.any():
+        raise NetConstructionError(f"striation {int(np.argmax(repeats))} maps two lines to one vector")
 
     # Each point lies on exactly one line of each striation.
-    line_of = np.empty((len(striations), n_elems * n_elems), dtype=np.intp)
+    line_of = np.empty((len(striations), n_elems * n_elems), dtype=np.min_scalar_type(n_elems - 1))
     line_of[np.arange(len(striations))[:, None, None], points] = np.arange(n_elems)[:, None]
     line_vector.setflags(write=False)
     line_of.setflags(write=False)
@@ -241,15 +227,17 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
 
 
 def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index of each of rows in the lexicographically sorted int8 rows of
-    table, or -1 where a row is absent.  Each row is searched as one block
-    of bytes; the values are non-negative, so byte order is value order."""
-    table = np.ascontiguousarray(table, dtype=np.int8)
-    rows = np.ascontiguousarray(rows, dtype=np.int8)
-    key = np.dtype((np.void, table.shape[1]))
-    pos = np.searchsorted(table.view(key).ravel(), rows.view(key).ravel())
-    pos = np.minimum(pos, len(table) - 1)
-    return np.where((table[pos] == rows).all(axis=1), pos, -1)
+    """pos[s, k]: index of rows[s, k] among the lexicographically sorted rows
+    of table[s], or -1 where it is absent.  Each row behind its striation
+    number, as bytes (big-endian, so byte order is value order), is one
+    key, and one searchsorted finds them all."""
+    count, size, width = table.shape
+    head = np.arange(count).astype(">u2").view(np.uint8).reshape(count, 1, 2)
+    keyed = [np.dstack([np.repeat(head, a.shape[1], axis=1), a.astype(np.uint8)]) for a in (table, rows)]
+    table, rows = (k.reshape(-1, width + 2) for k in keyed)
+    key = np.dtype((np.void, width + 2))
+    pos = np.minimum(np.searchsorted(table.view(key).ravel(), rows.view(key).ravel()), len(table) - 1)
+    return np.where((table[pos] == rows).all(axis=1), pos % size, -1).reshape(count, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +257,6 @@ class WignerGrid:
         if self.values.shape != (n_elems, n_elems):
             raise ValueError(f"grid must be {n_elems}x{n_elems}, got {self.values.shape}")
         self.values.setflags(write=False)
-
-    def value_at(self, pt: Point) -> float:
-        return float(self.values[pt.q.index, pt.p.index])
 
     @property
     def total(self) -> float:

@@ -134,7 +134,7 @@ class TestFieldAxiomRoutine:
     def inverses(ctx):
         return [e.inverse().index for e in ctx.nonzero_elements()]
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_default_moduli_beyond_the_self_test(self, n):
         # construction runs the self-test only up to degree 4
         ctx = gf(n)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,62 @@ class TestMixedDimension:
         b4 = StriationBasis(1, np.eye(4, dtype=complex), ())
         with pytest.raises(ValueError):
             check_conjugacy([b2, b4])
+
+
+def _digest(array, dtype):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+# sha256 of the stacked basis vectors (<c16), the stacked exponents (<i1),
+# the net's line-to-vector array and its outcome table (both <i8).
+BUILD_DIGESTS = {
+    1: (
+        "fe584e1355fc93325b6b82e12a3f93913912d5c6baaad0b6a427555ce8ee3970",
+        "4fd3585a8c0af2ce330c746dd6959b60b1db698c6bdc6a99bd62e4c2218b5add",
+        "08a3eabe03ccd84d534cfe5aabb8158407ab007f600462499eb238931ec3febe",
+        "1ef4b767ae4f84f04a8c78c4ac065d41e88b7f88c223eced76d20d3a2d88d385",
+    ),
+    2: (
+        "b1dff2c72213d4320f20b3fc1d2c5e251b20260f98b6587e5713aa13b17ea0dd",
+        "dbc35af5a6b65ad8bb1b173d8178f02e0e12a74272f4cd525c828af219fab141",
+        "906b504421664da35aabd67defc5f26e49afb1acd78f1d74f268bcb64fbf53ad",
+        "7f1242f5707037508485efcd709aab0344d6e89cfe73e8269a7d2af7cad9a378",
+    ),
+    3: (
+        "5764f9902845f09b41b866ca8558f86a22967a4b9af95eb4c5234fc3c872ba6f",
+        "bd39671c425b233fe36def8aa521f880340f11dd84c331c824db7a0dfce1e988",
+        "b20bf5c863fea3185e80971661a57e1e8ceb5697c3a7ec91f367c893c932682f",
+        "b2753017a6dd26e986554c95e5bf9d7607c45b047d9bfca48ed0854efe246659",
+    ),
+    4: (
+        "c3a52bfd90ac94f8b917d46cde77622c24b9b5f5a4a0412e9382e2860b5d712f",
+        "d7948ff0b6fb8607a153984c95e61ae4e66e1167f5f5f8dcf49bdfa3185c4f93",
+        "b26c0d01a3c779485f775fc4a2782e3a7269389a2b8549c588582f5f17625346",
+        "c295b388a389b658de7556d49e77181940fecca423836e6e603daaf69684642c",
+    ),
+    5: (
+        "c8d71dc6a95148d1f0fb39c2e7209806e06ea8b9786d5858f0875ae376d0d7a7",
+        "719184e836273f4f4cb4c290baafda5fc186b84bdd733570ef2e51103587ddd0",
+        "22d47b366da109d5fd9a0f8258d14a596bf303317d6c9903b9e5089b057189d1",
+        "a1df90f71c06b4044652faf532ec6aece946cee3f90353225dd46b0c3af3a268",
+    ),
+    6: (
+        "84ae389252540f8fa32ecf732abc73e7ecda5e4936b116c903413113780a9e2e",
+        "e2480cfe3bdd33ccdbd95c2fadb8a5a7918a6cb8236677c678b717f0b3faa6ff",
+        "a00452d2068cd3952abd945666e335e96851d4fa2958520703655e291f36e13d",
+        "cf4bd71855084a601e575a9a8a6b57fccd8f6ea9f8512479991b247cd1ac5daf",
+    ),
+}
+
+
+class TestBuildPinnedByBytes:
+    @pytest.mark.parametrize("n", sorted(BUILD_DIGESTS))
+    def test_bases_and_net_bytes(self, n):
+        system = build_system(n)
+        got = (
+            _digest(np.stack([b.vectors for b in system.bases]), "<c16"),
+            _digest(np.stack([b.exponents for b in system.bases]), "<i1"),
+            _digest(system.net._line_vector, "<i8"),
+            _digest(system.net.outcome_index_table(), "<i8"),
+        )
+        assert got == BUILD_DIGESTS[n]

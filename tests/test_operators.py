@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qphase.fields import field_create
-from qphase.geometry import Point
+from qphase.geometry import Point, striation_points
 from qphase.operators import (
     NonCommutingError,
     TranslationOperator,
@@ -352,11 +352,30 @@ def pauli_string(x, z, n):
     return u
 
 
+# I, Z, X and XZ on slot 0; I, X on slot 1, Z on slot 0 and their product.
+# Each meets its two-qubit group below in four different commutation patterns.
+SLOT0 = ([0, 0, 0b10, 0b10], [0, 0b10, 0, 0b10])
+SLOT1 = ([0, 0b01, 0, 0b01], [0, 0, 0b10, 0b10])
+
+
+def one_group(x, z, t):
+    """stabilizer_eigenbasis on a batch of one group."""
+    vectors, exponents = stabilizer_eigenbasis([x], [z], 4, [t[0]], [t[1]])
+    return vectors[0], exponents[0]
+
+
+def ray_masks(n):
+    """Stabilizer masks of every striation and those of a transverse ray."""
+    lab = trace_dual_labeling(field_create(n))
+    rays = striation_points(lab.ctx)[:, 0]
+    return (*lab.point_masks(rays[:, 1:]), *lab.point_masks(rays[[1] + [0] * lab.dim]))
+
+
 class TestStabilizerEigenbasis:
     def test_bell_basis_from_zz_xx(self):
         # ZZ, XX and their product XZ.XZ = -YY: the four Bell states
         x, z = [0b00, 0b11, 0b11], [0b11, 0b00, 0b11]
-        vectors, exponents = stabilizer_eigenbasis(x, z, 4)
+        vectors, exponents = one_group(x, z, SLOT0)
         dense = joint_eigenprojectors([pauli_string(a, b, 2) for a, b in zip(x, z)])
         match, dev = projector_matching(vectors, dense)
         assert dev <= 1e-15 and sorted(match.tolist()) == [0, 1, 2, 3]
@@ -367,29 +386,58 @@ class TestStabilizerEigenbasis:
     def test_eigenvalue_exponents_of_anti_hermitian_strings(self):
         # XZ.I, I.Z and their product XZ.Z; XZ = -iY has eigenvalues +-i
         x, z = [0b10, 0b00, 0b10], [0b10, 0b01, 0b11]
-        vectors, exponents = stabilizer_eigenbasis(x, z, 4)
+        vectors, exponents = one_group(x, z, SLOT1)
         assert sorted(exponents[:, 0].tolist()) == [1, 1, 3, 3]
         for i, (a, b) in enumerate(zip(x, z)):
             u = pauli_string(a, b, 2)
             lam = np.array([1, 1j, -1, -1j])[exponents[:, i]]
             assert np.max(np.abs(vectors @ u.T - lam[:, None] * vectors)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_batch_gives_each_group_its_own_rows(self, n):
+        x, z, tx, tz = ray_masks(n)
+        vectors, exponents = stabilizer_eigenbasis(x, z, 1 << n, tx, tz)
+        for g in range(len(x)):
+            alone = stabilizer_eigenbasis(x[g : g + 1], z[g : g + 1], 1 << n, tx[g : g + 1], tz[g : g + 1])
+            assert alone[0].tobytes() == vectors[g].tobytes(), g
+            assert alone[1].tobytes() == exponents[g].tobytes(), g
+
+    def test_other_transverse_rays_give_the_same_basis(self):
+        x, z, tx, tz = ray_masks(3)
+        vectors, exponents = stabilizer_eigenbasis(x, z, 8, tx, tz)
+        lab = trace_dual_labeling(field_create(3))
+        for t in (1, 5):
+            # every ray but the striation's own is transverse to it
+            others = np.where(np.arange(len(x)) == t, 0, t)
+            ox, oz = lab.point_masks(striation_points(lab.ctx)[others, 0])
+            again = stabilizer_eigenbasis(x, z, 8, ox, oz)
+            assert again[0].tobytes() == vectors.tobytes()
+            assert again[1].tobytes() == exponents.tobytes()
+
     def test_first_odd_pair_raises_like_the_dense_check(self):
         x, z = [0b00, 0b11, 0b00], [0b11, 0b00, 0b10]  # ZZ, XX, ZI: only (1, 2) anticommutes
         masks = list(zip(x, z))
         expected = first_noncommuting_pair([pauli_string(a, b, 2) for a, b in masks])
+        # Bell stabilizers first, which commute; IX, IZ, IY last, which do not either
+        xs, zs = [[0b00, 0b11, 0b11], x, [0b01, 0, 0b01]], [[0b11, 0b00, 0b11], z, [0, 0b01, 0b01]]
         with pytest.raises(NonCommutingError) as err:
-            stabilizer_eigenbasis(x, z, 4)
+            stabilizer_eigenbasis(xs, zs, 4, [SLOT0[0]] * 3, [SLOT0[1]] * 3)
         assert err.value.pair == expected.pair == (1, 2)
+        assert err.value.group == 1
         assert str(err.value) == str(expected)
 
     def test_wrong_number_of_strings_rejected(self):
-        with pytest.raises(ValueError, match="need 3"):
-            stabilizer_eigenbasis([0b11], [0b00], 4)
+        with pytest.raises(ValueError, match=r"^need 3 stabilizer masks for dimension 4, got 1$"):
+            stabilizer_eigenbasis([[0b11]], [[0b00]], 4, [SLOT0[0]], [SLOT0[1]])
 
     def test_dependent_strings_rejected(self):
-        with pytest.raises(ValueError, match="generators"):
-            stabilizer_eigenbasis([0, 0, 0], [0b01, 0b01, 0b01], 4)
+        with pytest.raises(ValueError, match=r"^stabilizer masks span fewer than 2 generators$"):
+            stabilizer_eigenbasis([[0, 0, 0]], [[0b01, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]])
+
+    def test_repeated_strings_are_not_a_group(self):
+        # ZI, IZ and IZ again: two generators, but ZZ is missing
+        with pytest.raises(ValueError, match=r"^stabilizer masks are not closed under products$"):
+            stabilizer_eigenbasis([[0, 0, 0]], [[0b10, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]])
 
 
 @functools.lru_cache(maxsize=None)
