@@ -6,16 +6,19 @@ a field rather than a ring, two distinct lines meet in at most one point.
 ``ring_line_points`` exists solely to demonstrate that the mod-N analogue
 breaks this geometry.
 
-The striations are computed as integer index arrays: a point is the integer
-q_index * N + p_index, and ``striation_points`` gives the (N+1, N, N) array of
-every line's points, built with a few gathers from the field's index tables.
-The ``Point``/``Line``/``Striation`` objects are views of that array, built
-from the shared grid points without any sorting.
+The geometry is kept as integer index arrays: a point is the integer
+q_index * N + p_index (``Point.index``, decoded by ``grid_points``), and
+``striation_points`` gives the (N+1, N, N) array of every line's points,
+built with a few gathers from the field's index tables.  A ``Striation`` is
+only its context and direction; its ``Line`` objects are views of its row of
+that array, made on first read from the shared grid points without any
+sorting.  Building a system reads the arrays and makes no ``Line``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -56,6 +59,16 @@ class Point:
 
     def __str__(self) -> str:
         return f"({self.q},{self.p})"
+
+
+def grid_points(ctx: FieldContext) -> tuple[Point, ...]:
+    """All N^2 points in index order, so grid_points(ctx)[pt.index] == pt;
+    built on first use and cached on the context, and shared by every line."""
+    cached = ctx._derived.get("grid_points")
+    if cached is None:
+        elements = ctx.elements()
+        cached = ctx._derived["grid_points"] = tuple(Point(q, p) for q in elements for p in elements)
+    return cached
 
 
 @dataclass(frozen=True)
@@ -110,19 +123,41 @@ def line_from_equation(a: FieldElement, b: FieldElement, c: FieldElement) -> Lin
 class Striation:
     """One of the N+1 parallel classes: N disjoint lines covering the grid.
 
-    The ray is the member line through the origin; its N-1 nonzero points are
-    the stabilizer vectors, the translations that map every member line to
-    itself.
+    A view of row ``direction`` of ``striation_points(ctx)``: its lines are
+    made from that row on first read and kept.  The ray is the member line
+    through the origin (line 0, c = 0, whose first point is the origin); its
+    N-1 nonzero points are the stabilizer vectors, the translations that map
+    every member line to itself.
     """
 
+    ctx: FieldContext
     direction: int
-    lines: tuple[Line, ...]
-    ray: Line
-    stabilizer_vectors: tuple[Point, ...]
+
+    @cached_property
+    def lines(self) -> tuple[Line, ...]:
+        ctx, s = self.ctx, self.direction
+        elements = ctx.elements()
+        one, zero = ctx.one, ctx.zero
+        if s == 0:
+            triples = [(one, zero, c) for c in elements]
+        elif s == 1:
+            triples = [(zero, one, c) for c in elements]
+        else:
+            # The canonical triple of p = s*q + c is (1, 1/s, c/s).
+            _, mul = ctx.index_tables()
+            inv_s = int(np.argmax(mul[s - 1] == 1))
+            triples = [(one, elements[inv_s], elements[c]) for c in mul[inv_s].tolist()]
+        grid = grid_points(ctx)
+        rows = striation_points(ctx)[s].tolist()
+        return tuple(Line(a, b, c, itemgetter(*row)(grid)) for (a, b, c), row in zip(triples, rows))
 
     @property
-    def ctx(self) -> FieldContext:
-        return self.ray.ctx
+    def ray(self) -> Line:
+        return self.lines[0]
+
+    @property
+    def stabilizer_vectors(self) -> tuple[Point, ...]:
+        return self.ray.points[1:]
 
 
 def enumerate_striations(ctx: FieldContext) -> tuple[Striation, ...]:
@@ -136,7 +171,7 @@ def enumerate_striations(ctx: FieldContext) -> tuple[Striation, ...]:
     """
     cached = ctx._derived.get("striations")
     if cached is None:
-        cached = ctx._derived["striations"] = _build_striations(ctx)
+        cached = ctx._derived["striations"] = tuple(Striation(ctx, s) for s in range(ctx.order + 1))
     return cached
 
 
@@ -162,32 +197,6 @@ def striation_points(ctx: FieldContext) -> np.ndarray:
         cached.setflags(write=False)
         ctx._derived["striation_points"] = cached
     return cached
-
-
-def _build_striations(ctx: FieldContext) -> tuple[Striation, ...]:
-    elements = ctx.elements()
-    one, zero = ctx.one, ctx.zero
-    grid = [Point(q, p) for q in elements for p in elements]
-    points = striation_points(ctx)
-    _, mul = ctx.index_tables()
-    # The canonical triple of p = s*q + c is (1, 1/s, c/s).
-    inverse = (mul == 1).argmax(axis=1)
-    striations = []
-    for s, rows in enumerate(points):
-        if s == 0:
-            triples = [(one, zero, c) for c in elements]
-        elif s == 1:
-            triples = [(zero, one, c) for c in elements]
-        else:
-            inv_s = int(inverse[s - 1])
-            b = elements[inv_s]
-            triples = [(one, b, elements[c]) for c in mul[inv_s].tolist()]
-        lines = tuple(
-            Line(a, b, c, itemgetter(*row)(grid)) for (a, b, c), row in zip(triples, rows.tolist())
-        )
-        # Line 0 (c = 0) is the ray, and the origin is its first point.
-        striations.append(Striation(s, lines, lines[0], lines[0].points[1:]))
-    return tuple(striations)
 
 
 def intersect(l1: Line, l2: Line) -> frozenset[Point]:
@@ -246,15 +255,11 @@ FILLED, EMPTY = "•", "∘"  # bullet / ring operator
 def line_glyph_rows(line: Line) -> list[str]:
     """N rows of filled/empty glyphs, origin bottom-left, p increasing upward."""
     n_elems = line.ctx.order
-    members = line.point_set
-    rows = []
-    for pi in reversed(range(n_elems)):
-        p = line.ctx.elements()[pi]
-        row = " ".join(
-            FILLED if Point(q, p) in members else EMPTY for q in line.ctx.elements()
-        )
-        rows.append(row)
-    return rows
+    members = {pt.index for pt in line.points}
+    return [
+        " ".join(FILLED if q * n_elems + p in members else EMPTY for q in range(n_elems))
+        for p in reversed(range(n_elems))
+    ]
 
 
 def striation_ascii(striation: Striation, gap: str = "   ") -> str:

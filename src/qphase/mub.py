@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldContext
-from .geometry import Striation, enumerate_striations, striation_points
+from .geometry import Striation, enumerate_striations, grid_points, striation_points
 from .operators import (
     NonCommutingError,
     QubitLabeling,
@@ -71,17 +71,16 @@ class StriationBasis:
         return np.outer(v, v.conj())
 
 
-def basis_for_striation(striation: Striation, labeling: QubitLabeling, arrays=None) -> StriationBasis:
+def basis_for_striation(striation: Striation, labeling: QubitLabeling, arrays) -> StriationBasis:
     """Joint eigenbasis of the striation's stabilizer translations.
 
     arrays are its (vectors, exponents, masks) from ``full_mub_set``'s
-    batched pass, which otherwise runs for this striation alone.  Unique up
-    to per-vector phase and order; raises LabelingError (naming the
-    striation) when the stabilizers do not commute under this labeling.
+    batched pass; the stabilizers are the translations by the nonzero points
+    of the ray, read from ``striation_points``.
     """
-    stabilizers = tuple(translation_unitary(v, labeling) for v in striation.stabilizer_vectors)
-    if arrays is None:
-        arrays = [a[0] for a in _stabilizer_bases(labeling, np.array([striation.direction]))]
+    grid = grid_points(striation.ctx)
+    ray = striation_points(striation.ctx)[striation.direction, 0, 1:].tolist()
+    stabilizers = tuple(translation_unitary(grid[i], labeling) for i in ray)
     return StriationBasis(striation.direction, arrays[0], stabilizers, *arrays[1:])
 
 
@@ -89,26 +88,27 @@ def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> li
     """One basis per striation, N+1 in all, in striation order.
 
     The labeling defaults to default_labeling(ctx), which always yields
-    commuting stabilizers; a labeling that does not raises LabelingError.
+    commuting stabilizers; a labeling that does not raises LabelingError
+    (naming the striation).  Each basis is unique up to per-vector phase and
+    order.
     """
     if labeling is None:
         labeling = default_labeling(ctx)
-    striations = enumerate_striations(ctx)
-    arrays = zip(*_stabilizer_bases(labeling, np.arange(len(striations))))
-    return [basis_for_striation(s, labeling, a) for s, a in zip(striations, arrays)]
+    arrays = zip(*_stabilizer_bases(labeling))
+    return [basis_for_striation(s, labeling, a) for s, a in zip(enumerate_striations(ctx), arrays)]
 
 
-def _stabilizer_bases(labeling: QubitLabeling, directions: np.ndarray):
-    """Stacked (vectors, exponents, masks) of the striations in directions,
-    masks[s] = (x, z) of the ray's nonzero points.  Another ray (horizontal
-    for the vertical striation, else vertical) carries each seed onto its basis."""
+def _stabilizer_bases(labeling: QubitLabeling):
+    """Stacked (vectors, exponents, masks) of all striations, masks[s] =
+    (x, z) of the ray's nonzero points.  Another ray (horizontal for the
+    vertical striation, else vertical) carries each seed onto its basis."""
     rays = striation_points(labeling.ctx)[:, 0]
-    x, z = labeling.point_masks(rays[directions, 1:])
-    tx, tz = labeling.point_masks(rays[(directions == 0) * 1])
+    x, z = labeling.point_masks(rays[:, 1:])
+    tx, tz = labeling.point_masks(rays[[1] + [0] * (len(rays) - 1)])
     try:
         vectors, exponents = stabilizer_eigenbasis(x, z, labeling.dim, tx, tz)
     except NonCommutingError as exc:
-        raise LabelingError(int(directions[exc.group]), exc) from exc
+        raise LabelingError(exc.group, exc) from exc
     return vectors, exponents, np.stack([x, z], axis=1)
 
 

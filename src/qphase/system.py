@@ -14,7 +14,11 @@ from .wigner import QuantumNet, default_net
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceSystem:
-    """Field, geometry, labeling, conjugate bases and quantum net for one n."""
+    """Field, geometry, labeling, conjugate bases and quantum net for one n.
+
+    The bases are the net's: their vectors are read-only views of its one
+    vector stack.
+    """
 
     n: int
     ctx: FieldContext
@@ -34,8 +38,7 @@ def build_system(n: int) -> PhaseSpaceSystem:
     ctx = field_create(n)
     striations = enumerate_striations(ctx)
     labeling = default_labeling(ctx)
-    bases = tuple(full_mub_set(ctx, labeling))
-    net = default_net(ctx, labeling, bases)
+    net = default_net(ctx, labeling, full_mub_set(ctx, labeling))
     return PhaseSpaceSystem(
-        n=n, ctx=ctx, striations=striations, labeling=labeling, bases=bases, net=net
+        n=n, ctx=ctx, striations=striations, labeling=labeling, bases=net.bases, net=net
     )

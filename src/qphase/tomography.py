@@ -104,22 +104,25 @@ class CountsRecord:
         """Inverse of to_json_dict.
 
         Raises InvalidCountsError unless n >= 1, shots >= 0 and seed are
-        whole numbers, the striation keys are exactly 0..N, and every vector
-        has N = 2^n finite non-negative entries that, when shots > 0, are
-        whole and sum to shots, and otherwise sum to 1 within PROB_DRIFT_TOL.
+        whole numbers, the striation keys are exactly 0..N with no two naming
+        the same striation (as "2" and "02" do), and every vector has
+        N = 2^n finite non-negative entries that, when shots > 0, are whole
+        and sum to shots, and otherwise sum to 1 within PROB_DRIFT_TOL.
         """
         n = _whole_number(payload, "n", minimum=1)
         shots = _whole_number(payload, "shots", minimum=0)
         seed = _whole_number(payload, "seed")
         dim = 1 << n
         try:
-            raw = {int(k): np.array(v, dtype=float) for k, v in payload["counts"].items()}
+            items = [(int(k), np.array(v, dtype=float)) for k, v in payload["counts"].items()]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidCountsError(f"counts must map striation numbers to lists of numbers ({exc!r})") from None
-        if len(raw) != dim + 1 or sorted(raw) != list(range(dim + 1)):
-            raise InvalidCountsError(f"counts need striation keys 0..{dim}, got {sorted(raw)}")
+        # Sorted with repeats, so "2" and "02" cannot merge into one key.
+        keys = sorted(s for s, _ in items)
+        if keys != list(range(dim + 1)):
+            raise InvalidCountsError(f"counts need striation keys 0..{dim}, got {keys}")
         counts = {}
-        for s, c in raw.items():
+        for s, c in items:
             if c.shape != (dim,):
                 raise InvalidCountsError(f"striation {s} has {c.size} outcomes, expected {dim}")
             if not (np.isfinite(c) & (c >= 0)).all():
@@ -354,7 +357,7 @@ def error_scaling_study(
     bases = tuple(mub_set)
     MeasurementPlan(bases=bases, shots_per_basis=0, seed=0)  # rejects a malformed basis set
     probs = _clip_renormalise(_valid_state_probabilities(rho, np.stack([b.vectors for b in bases])))
-    true_grid = grid_from_probabilities(_valid_state_probabilities(rho, net._vectors()), net)
+    true_grid = grid_from_probabilities(_valid_state_probabilities(rho, net._vectors), net)
     rows = []
     for shots in shot_list:
         dw, td = [], []

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import field_axiom_failure
-from .geometry import Point, find_wraparound_witness
+from .geometry import find_wraparound_witness, grid_points
 from .mub import check_conjugacy
 from .operators import projective_phases, translation_unitary
 from .states import random_density_matrix, random_pure_state, registry_vector
@@ -63,13 +63,6 @@ class CheckResult:
 
 def _result(name: str, dev: float, tol: float = TOL) -> CheckResult:
     return CheckResult(name, dev <= tol, f"max deviation {dev:.3e} (tol {tol:.0e})")
-
-
-def _point(sys: PhaseSpaceSystem, index: int) -> Point:
-    """The grid point with index q_index * N + p_index."""
-    q, p = divmod(int(index), sys.dim)
-    elems = sys.ctx.elements()
-    return Point(elems[q], elems[p])
 
 
 def _table(sys: PhaseSpaceSystem, op) -> np.ndarray:
@@ -104,10 +97,7 @@ def _unitary_stack(sys: PhaseSpaceSystem) -> np.ndarray:
     """U[q_index * N + p_index]: the dense matrix of every grid translation,
     read-only.  The operator and covariance checks of one system share it;
     systems hash by identity, so a modified copy gets its own."""
-    elems = sys.ctx.elements()
-    stack = np.array(
-        [translation_unitary(Point(q, p), sys.labeling).unitary for q in elems for p in elems]
-    )
+    stack = np.array([translation_unitary(v, sys.labeling).unitary for v in grid_points(sys.ctx)])
     stack.setflags(write=False)
     return stack
 
@@ -169,7 +159,7 @@ def check_affine_axioms(sys: PhaseSpaceSystem) -> CheckResult:
     once = np.triu(np.ones((n_pts, n_pts), dtype=bool), 1)
     bad = np.argwhere(pairs.reshape(n_pts, n_pts) != once)
     if len(bad):
-        p1, p2 = (_point(sys, k) for k in bad[0])
+        p1, p2 = (grid_points(sys.ctx)[k] for k in bad[0])
         detail = f"a line lists {p1} twice" if p1 == p2 else f"points {p1}, {p2} share != 1 line"
         return CheckResult("affine axioms", False, detail)
 
@@ -220,7 +210,7 @@ def check_translation_geometry(sys: PhaseSpaceSystem) -> CheckResult:
         return CheckResult(
             "translation geometry",
             False,
-            f"translate by {_point(sys, vq[v] * n_elems + vp[v])} broke striation "
+            f"translate by {grid_points(ctx)[vq[v] * n_elems + vp[v]]} broke striation "
             f"{sys.striations[k].direction}",
         )
     return CheckResult("translation geometry", True, f"{len(vectors)} vectors checked")
@@ -287,11 +277,8 @@ def check_projective_closure(sys: PhaseSpaceSystem) -> CheckResult:
     lam, bad = projective_phases(stack[v] @ stack[w], stack[total])
     if np.any(bad):
         k = int(np.argmax(bad))
-        return CheckResult(
-            name,
-            False,
-            f"U_v U_w not proportional to U_(v+w) at {_point(sys, v[k])}+{_point(sys, w[k])}",
-        )
+        vk, wk = (grid_points(ctx)[i[k]] for i in (v, w))
+        return CheckResult(name, False, f"U_v U_w not proportional to U_(v+w) at {vk}+{wk}")
     fourth_roots = np.array([1, 1j, -1, -1j])
     dev = float(np.max(np.min(np.abs(fourth_roots - lam[:, None]), axis=1)))
     return _result(name, dev)
@@ -442,17 +429,14 @@ def check_line_sums(sys: PhaseSpaceSystem) -> CheckResult:
 
 def check_grid_covariance(sys: PhaseSpaceSystem) -> CheckResult:
     ctx = sys.ctx
-    elems = ctx.elements()
+    n_elems, points = ctx.order, grid_points(ctx)
     rng = np.random.default_rng(13)
     rho = random_density_matrix(rng, sys.dim)
     grid = wigner_from_state(rho, sys.net)
     if ctx.n <= 2:
-        vectors = [Point(q, p) for q in elems for p in elems]
+        vectors = points
     else:
-        vectors = [
-            Point(elems[rng.integers(ctx.order)], elems[rng.integers(ctx.order)])
-            for _ in range(20)
-        ]
+        vectors = [points[rng.integers(n_elems) * n_elems + rng.integers(n_elems)] for _ in range(20)]
     dev = 0.0
     for v in vectors:
         u = translation_unitary(v, sys.labeling).unitary

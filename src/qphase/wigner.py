@@ -17,14 +17,14 @@ identity), whose dense stack of 16 N^4 bytes is built only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .fields import ContextMismatchError, FieldContext
-from .geometry import Line, Point, Striation, enumerate_striations, striation_points
+from .geometry import Line, Point, Striation, enumerate_striations, grid_points, striation_points
 from .mub import StriationBasis
 from .operators import QubitLabeling, symplectic_parity, translated_rows
 from .serialize import round_float
@@ -64,9 +64,11 @@ class QuantumNet:
     The assignment is two index arrays: _line_of[s, q_index * N + p_index]
     is the line of striation s through that point and _line_vector[s, l]
     the index of line l's vector within the striation's basis.
-    vector_index and striation_of are read-only Line-keyed views of them.
-    They, the outcome table, the stacked basis vectors and the phase-point
-    stack are built on first use and shared read-only.
+    _vectors[s, k] is vector k of the basis of striation s, read-only; the
+    bases' vectors are views of it.  vector_index and striation_of are
+    read-only Line-keyed views of the index arrays.  They, the outcome
+    table and the phase-point stack are built on first use and shared
+    read-only.
     """
 
     ctx: FieldContext
@@ -75,6 +77,7 @@ class QuantumNet:
     bases: tuple[StriationBasis, ...]
     _line_of: np.ndarray = field(repr=False, compare=False)
     _line_vector: np.ndarray = field(repr=False, compare=False)
+    _vectors: np.ndarray = field(repr=False, compare=False)
     _aux: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -136,23 +139,12 @@ class QuantumNet:
             traces = np.trace(cached, axis1=1, axis2=2)
             bad = np.flatnonzero(np.abs(traces - 1.0) > CLOSURE_TOL)
             if bad.size:
-                elements = self.ctx.elements()
-                q, p = divmod(int(bad[0]), self.ctx.order)
                 raise NetConstructionError(
-                    f"phase-point operator at {Point(elements[q], elements[p])} "
+                    f"phase-point operator at {grid_points(self.ctx)[bad[0]]} "
                     f"has trace {complex(traces[bad[0]])}"
                 )
             cached.setflags(write=False)
             self._aux["stack"] = cached
-        return cached
-
-    def _vectors(self) -> np.ndarray:
-        """vectors[s, k]: vector k of the basis of striation s."""
-        cached = self._aux.get("vectors")
-        if cached is None:
-            cached = np.stack([b.vectors for b in self.bases])
-            cached.setflags(write=False)
-            self._aux["vectors"] = cached
         return cached
 
     def _line_ids(self) -> np.ndarray:
@@ -185,7 +177,8 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     gives the same row, so covariance holds by construction; ``verify``
     holds the dense evidence (``check_line_sums``, ``check_a_covariance``).
     The bases must be built under ``labeling``; their masks name each
-    exponent column's stabilizer.
+    exponent column's stabilizer.  The net stacks their vectors once, and
+    its bases are read-only views of that stack.
     """
     striations = enumerate_striations(ctx)
     if len(mub_set) != len(striations):
@@ -197,6 +190,8 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
             raise NetConstructionError(f"basis of striation {s} was built under a different labeling")
     n_elems = ctx.order
     points = striation_points(ctx)
+    vectors = np.stack([b.vectors for b in mub_set])
+    vectors.setflags(write=False)
     exponents = np.stack([b.exponents for b in mub_set])
     x, z = np.stack([b.masks for b in mub_set], axis=1)
     ray_rows = exponents[np.arange(len(striations)), _ray_index(exponents, x, z, ctx.n)]
@@ -220,9 +215,10 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         ctx=ctx,
         labeling=labeling,
         striations=striations,
-        bases=tuple(mub_set),
+        bases=tuple(replace(b, vectors=v) for b, v in zip(mub_set, vectors)),
         _line_of=line_of,
         _line_vector=line_vector,
+        _vectors=vectors,
     )
 
 
@@ -309,7 +305,7 @@ def wigner_from_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
     The input must be a physical state (Hermitian, unit trace, PSD within
     1e-9); otherwise InvalidStateError.
     """
-    return grid_from_probabilities(basis_probabilities(rho, net._vectors()), net)
+    return grid_from_probabilities(basis_probabilities(rho, net._vectors), net)
 
 
 def state_from_wigner(grid: WignerGrid, net: QuantumNet) -> np.ndarray:
@@ -323,7 +319,7 @@ def state_from_wigner(grid: WignerGrid, net: QuantumNet) -> np.ndarray:
     # Every line has N points, so each line id occurs and p has N(N+1) entries.
     weights = np.repeat(grid.values.reshape(-1), len(net.bases))
     p = np.bincount(net._line_ids().reshape(-1), weights=weights)
-    vectors = net._vectors().reshape(-1, net.dim)
+    vectors = net._vectors.reshape(-1, net.dim)
     return (vectors.T * p) @ vectors.conj() - total * np.eye(net.dim)
 
 

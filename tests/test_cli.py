@@ -2,6 +2,7 @@
 and an in-process fuzz of the argument paths."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -238,6 +239,49 @@ class TestJsonCanonicalForm:
         a = run_cli("mub", "2", "--format", "json")
         b = run_cli("mub", "2", "--format", "json")
         assert a.stdout == b.stdout
+
+
+def _stdout_digest(*args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(args)) == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+# sha256 of stdout, which lines made on request must leave byte-identical.
+STRIATIONS_DIGESTS = {
+    1: {
+        "ascii": "370be569c5459fc1871ea4b42b53f168117ecc675a5dd437ffbbbe866f9be017",
+        "json": "bae63864056dcd2d9712866646942c316c57a63b1b1b64b8c29e99aaeeaaf5f8",
+        "csv": "9fb708ebdbfa5d0e07022693812940b870eb84d4896f5007cc19a6feefd82c29",
+    },
+    2: {
+        "ascii": "26bb5a912fb95f37d684f934f42ca813763aae55117fe428fea8e648378c9080",
+        "json": "35e0bcccd40b6d2a6956cc52fb828d4a2d9c2492baf6d0ebf9939fb7a3b21e78",
+        "csv": "0740fcdf566d1373a623948376bd7b08e58f10f99de71cc1ec4225751f3d850b",
+    },
+    3: {
+        "ascii": "1febc3f9881cdfef8eb78ef23e83b061980f9615734a646b2b4428de7df02c83",
+        "json": "e4ec7a41f2ddd4ca666c1dc5060fab43d23f4acd456c35c58f1fa97ff883c67a",
+        "csv": "1fc34f53fda108796ef310720b0b473b98fa4a23adf82e83d768fbf8d5402c24",
+    },
+    4: {
+        "ascii": "df7eb6a0185a3ec677047e82801a5644e7dcf50e007ff44e7651666d82d47773",
+        "json": "0cc1c88773aecbdfc08b60faaf558a0280af12043ba06432f91e9718056f1c76",
+        "csv": "a874629fc7962d27a183ea1c36098c312962520fb79d0b6496a98e913f2b5085",
+    },
+}
+SINGLET_LINES_DIGEST = "528e209047b237ac2522e291585af22a302775e9550998b936c2acb5c957cd1f"
+
+
+class TestStdoutPinnedByBytes:
+    @pytest.mark.parametrize("fmt", ["ascii", "json", "csv"])
+    @pytest.mark.parametrize("n", sorted(STRIATIONS_DIGESTS))
+    def test_striations(self, n, fmt):
+        assert _stdout_digest("--format", fmt, "striations", str(n)) == STRIATIONS_DIGESTS[n][fmt]
+
+    def test_wigner_line_sums(self):
+        assert _stdout_digest("wigner", "2", "--state", "singlet", "--lines") == SINGLET_LINES_DIGEST
 
 
 class TestMainFunction:

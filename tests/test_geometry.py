@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -7,10 +8,12 @@ import pytest
 from qphase.fields import field_create
 from qphase.geometry import (
     DegenerateLineError,
+    Line,
     Point,
     Striation,
     enumerate_striations,
     find_wraparound_witness,
+    grid_points,
     intersect,
     line_from_equation,
     line_glyph_rows,
@@ -19,6 +22,7 @@ from qphase.geometry import (
     striation_points,
     striation_to_json_dict,
 )
+from qphase.system import build_system
 
 
 def pt(ctx, q_label, p_label):
@@ -147,19 +151,20 @@ class TestIntersection:
 
 
 def striations_from_equations(ctx):
-    """The striations built line by line with line_from_equation, in the
-    documented order, the ray found by membership of the origin."""
+    """(lines, ray, stabilizer vectors) of each striation, built line by line
+    with line_from_equation in the documented order, the ray found by
+    membership of the origin."""
     one, zero = ctx.one, ctx.zero
     origin = Point(zero, zero)
 
-    def build(direction, eqs):
+    def build(eqs):
         lines = tuple(line_from_equation(a, b, c) for a, b, c in eqs)
         ray = next(ln for ln in lines if origin in ln)
-        return Striation(direction, lines, ray, tuple(p for p in ray.points if not p.is_origin))
+        return lines, ray, tuple(p for p in ray.points if not p.is_origin)
 
-    out = [build(0, [(one, zero, c) for c in ctx.elements()]), build(1, [(zero, one, c) for c in ctx.elements()])]
-    for k, slope in enumerate(ctx.nonzero_elements()):
-        out.append(build(2 + k, [(slope, one, c) for c in ctx.elements()]))
+    out = [build([(one, zero, c) for c in ctx.elements()]), build([(zero, one, c) for c in ctx.elements()])]
+    for slope in ctx.nonzero_elements():
+        out.append(build([(slope, one, c) for c in ctx.elements()]))
     return tuple(out)
 
 
@@ -169,11 +174,11 @@ class TestIntegerStriations:
         ctx = field_create(n)
         built = enumerate_striations(ctx)
         reference = striations_from_equations(ctx)
-        assert built == reference
-        for s_built, s_ref in zip(built, reference):
-            assert [(ln.a, ln.b, ln.c) for ln in s_built.lines] == [(ln.a, ln.b, ln.c) for ln in s_ref.lines]
-            assert s_built.ray == s_ref.ray
-            assert s_built.stabilizer_vectors == s_ref.stabilizer_vectors
+        assert built == tuple(Striation(ctx, s) for s in range(len(reference)))
+        for s_built, (lines, ray, stabilizer_vectors) in zip(built, reference):
+            assert s_built.lines == lines  # equation triples and points
+            assert s_built.ray == ray
+            assert s_built.stabilizer_vectors == stabilizer_vectors
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_index_array_lists_the_line_points(self, n):
@@ -191,16 +196,17 @@ class TestIntegerStriations:
             points[0, 0, 0] = 1
 
     def test_build_peaks_near_what_it_keeps(self):
-        # The line objects are read from the index array one striation at a
-        # time; a list of all N^3 point indices at once peaks at ~3x.
+        # Every striation's lines are read from the index array one
+        # striation at a time; a list of all N^3 point indices at once
+        # peaks at ~3x.
         ctx = field_create(6)
         tracemalloc.start()
         try:
-            striations = enumerate_striations(ctx)
+            lines = [s.lines for s in enumerate_striations(ctx)]
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(striations) == ctx.order + 1
+        assert len(lines) == ctx.order + 1 and {len(ls) for ls in lines} == {ctx.order}
         assert peak <= 1.5 * kept, (peak, kept)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -208,6 +214,42 @@ class TestIntegerStriations:
         ctx = field_create(n)
         for lines in striation_points(ctx):
             assert np.array_equal(np.sort(lines.reshape(-1)), np.arange(ctx.order**2))
+
+
+class TestLinesOnRequest:
+    def test_striation_stores_only_its_context_and_direction(self):
+        assert [f.name for f in dataclasses.fields(Striation)] == ["ctx", "direction"]
+        ctx = field_create(2)
+        striation = Striation(ctx, 3)
+        assert "lines" not in vars(striation)
+        assert striation.lines is striation.lines
+        assert striation.ray is striation.lines[0]
+        assert striation.stabilizer_vectors == striation.lines[0].points[1:]
+
+    def test_cold_build_constructs_no_line(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Line on the build")
+
+        monkeypatch.setattr(Line, "__init__", refuse)
+        build_system.cache_clear()
+        try:
+            for n in range(1, 7):
+                system = build_system(n)
+                system.net.outcome_index_table()
+                assert not any("lines" in vars(s) for s in system.striations)
+        finally:
+            build_system.cache_clear()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_grid_points_decode_the_point_index(self, n):
+        ctx = field_create(n)
+        points = grid_points(ctx)
+        assert points is grid_points(ctx)
+        assert [pt.index for pt in points] == list(range(ctx.order**2))
+        assert points == tuple(Point(q, p) for q in ctx.elements() for p in ctx.elements())
+        # Every line shares the context's points.
+        lines = [ln for s in enumerate_striations(ctx) for ln in s.lines]
+        assert all(pt is points[pt.index] for ln in lines for pt in ln.points)
 
 
 class TestTranslate:

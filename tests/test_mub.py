@@ -8,7 +8,6 @@ from qphase.geometry import enumerate_striations
 from qphase.mub import (
     LabelingError,
     StriationBasis,
-    basis_for_striation,
     bell_reference_basis,
     check_conjugacy,
     full_mub_set,
@@ -38,15 +37,14 @@ class TestSingleQubitBases:
     def setup_method(self):
         self.ctx = field_create(1)
         self.lab = default_labeling(self.ctx)
-        self.striations = enumerate_striations(self.ctx)
 
     def test_vertical_is_computational(self):
-        basis = basis_for_striation(self.striations[0], self.lab)
+        basis = full_mub_set(self.ctx, self.lab)[0]
         assert projector_match([1, 0], basis.vectors) < 1e-12
         assert projector_match([0, 1], basis.vectors) < 1e-12
 
     def test_horizontal_is_x_eigenbasis(self):
-        basis = basis_for_striation(self.striations[1], self.lab)
+        basis = full_mub_set(self.ctx, self.lab)[1]
         s = 1 / np.sqrt(2)
         assert projector_match([s, s], basis.vectors) < 1e-12
         assert projector_match([s, -s], basis.vectors) < 1e-12
@@ -54,7 +52,7 @@ class TestSingleQubitBases:
     def test_diagonal_is_y_eigenbasis(self):
         # the diagonal striation is fixed by the combined translation, whose
         # unitary is proportional to sigma_y
-        basis = basis_for_striation(self.striations[2], self.lab)
+        basis = full_mub_set(self.ctx, self.lab)[2]
         s = 1 / np.sqrt(2)
         assert projector_match([s, 1j * s], basis.vectors) < 1e-12
         assert projector_match([s, -1j * s], basis.vectors) < 1e-12
@@ -67,8 +65,7 @@ class TestTwoQubitBases:
     def test_striation3_matches_displayed_vectors(self):
         # joint eigenbasis of the slope-w striation's stabilizers
         ctx = field_create(2)
-        striations = enumerate_striations(ctx)
-        basis = basis_for_striation(striations[3], default_labeling(ctx))
+        basis = full_mub_set(ctx, default_labeling(ctx))[3]
         reference = np.array(
             [
                 [1, 1, 1j, -1j],
@@ -87,7 +84,7 @@ class TestTwoQubitBases:
     def test_vertical_basis_is_computational_any_n(self):
         for n in (1, 2, 3):
             ctx = field_create(n)
-            basis = basis_for_striation(enumerate_striations(ctx)[0], default_labeling(ctx))
+            basis = full_mub_set(ctx, default_labeling(ctx))[0]
             eye = np.eye(ctx.order, dtype=complex)
             for col in eye:
                 assert projector_match(col, basis.vectors) < 1e-12
@@ -128,11 +125,10 @@ class TestConjugacy:
 class TestUniqueness:
     def test_permuted_stabilizers_same_subspaces(self):
         ctx = field_create(2)
-        striations = enumerate_striations(ctx)
         lab = default_labeling(ctx)
-        for s in striations:
-            b1 = basis_for_striation(s, lab)
-            b2 = basis_for_striation(s, lab)
+        for k in range(ctx.order + 1):
+            b1 = full_mub_set(ctx, lab)[k]
+            b2 = full_mub_set(ctx, lab)[k]
             assert np.array_equal(b1.vectors, b2.vectors)
             for v in b1.vectors:
                 assert projector_match(v, b1.vectors) < 1e-12
@@ -232,6 +228,20 @@ class TestBuildWithoutDenseAlgebra:
                 assert len(system.bases) == system.dim + 1
         finally:
             build_system.cache_clear()
+
+
+class TestOneVectorStack:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bases_are_read_only_views_of_the_net_stack(self, n):
+        system = build_system(n)
+        stack = system.net._vectors
+        assert system.bases is system.net.bases
+        assert stack.shape == (system.dim + 1, system.dim, system.dim)
+        assert not stack.flags.writeable
+        for s, basis in enumerate(system.bases):
+            assert np.shares_memory(stack, basis.vectors)
+            assert np.array_equal(basis.vectors, stack[s])
+            assert not basis.vectors.flags.writeable
 
 
 class TestBellReference:

@@ -270,7 +270,10 @@ class TestCountsValidation:
         with pytest.raises(InvalidCountsError, match="3 outcomes"):
             CountsRecord.from_json_dict(self.payload(**{"2": [5, 5, 0]}))
 
-    @pytest.mark.parametrize("keys", [["0", "1"], ["0", "1", "2", "3"], ["0", "1", "3"]])
+    # "02" names striation 2 again; it must not silently replace "2".
+    @pytest.mark.parametrize(
+        "keys", [["0", "1"], ["0", "1", "2", "3"], ["0", "1", "3"], ["0", "1", "2", "02"]]
+    )
     def test_striation_keys_must_be_complete(self, keys):
         payload = {**self.GOOD, "counts": {k: [5, 5] for k in keys}}
         with pytest.raises(InvalidCountsError, match="keys 0..2"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qphase.fields import FieldContext
+from qphase.geometry import Striation
 from qphase.operators import translation_unitary
 from qphase.system import build_system
 from qphase.verify import (
@@ -63,8 +64,13 @@ def swapped_points(sys_, s=2, m=0):
     a[m], b[m] = b[m], a[m]
     lines[1] = dataclasses.replace(lines[1], points=tuple(a))
     lines[2] = dataclasses.replace(lines[2], points=tuple(b))
+    swapped = tuple(lines)
+
+    class Swapped(Striation):
+        lines = swapped
+
     striations = list(sys_.striations)
-    striations[s] = dataclasses.replace(striation, lines=tuple(lines))
+    striations[s] = Swapped(striation.ctx, striation.direction)
     return dataclasses.replace(sys_, striations=tuple(striations))
 
 
