@@ -148,8 +148,13 @@ class Striation:
             inv_s = int(np.argmax(mul[s - 1] == 1))
             triples = [(one, elements[inv_s], elements[c]) for c in mul[inv_s].tolist()]
         grid = grid_points(ctx)
-        rows = striation_points(ctx)[s].tolist()
+        rows = self.point_indices.tolist()
         return tuple(Line(a, b, c, itemgetter(*row)(grid)) for (a, b, c), row in zip(triples, rows))
+
+    @property
+    def point_indices(self) -> np.ndarray:
+        """Read-only row of ``striation_points``: [l, m] indexes point m of line l."""
+        return striation_points(self.ctx)[self.direction]
 
     @property
     def ray(self) -> Line:

@@ -76,10 +76,10 @@ def basis_for_striation(striation: Striation, labeling: QubitLabeling, arrays) -
 
     arrays are its (vectors, exponents, masks) from ``full_mub_set``'s
     batched pass; the stabilizers are the translations by the nonzero points
-    of the ray, read from ``striation_points``.
+    of the ray, read from the striation's ``point_indices``.
     """
     grid = grid_points(striation.ctx)
-    ray = striation_points(striation.ctx)[striation.direction, 0, 1:].tolist()
+    ray = striation.point_indices[0, 1:].tolist()
     stabilizers = tuple(translation_unitary(grid[i], labeling) for i in ray)
     return StriationBasis(striation.direction, arrays[0], stabilizers, *arrays[1:])
 

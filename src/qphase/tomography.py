@@ -104,8 +104,8 @@ class CountsRecord:
         """Inverse of to_json_dict.
 
         Raises InvalidCountsError unless n >= 1, shots >= 0 and seed are
-        whole numbers, the striation keys are exactly 0..N with no two naming
-        the same striation (as "2" and "02" do), and every vector has
+        whole numbers, the striation keys are "0".."N" as written by
+        to_json_dict (not "02" or " 2"), and every vector has
         N = 2^n finite non-negative entries that, when shots > 0, are whole
         and sum to shots, and otherwise sum to 1 within PROB_DRIFT_TOL.
         """
@@ -114,13 +114,11 @@ class CountsRecord:
         seed = _whole_number(payload, "seed")
         dim = 1 << n
         try:
-            items = [(int(k), np.array(v, dtype=float)) for k, v in payload["counts"].items()]
+            items = [(k, np.array(v, dtype=float)) for k, v in payload["counts"].items()]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidCountsError(f"counts must map striation numbers to lists of numbers ({exc!r})") from None
-        # Sorted with repeats, so "2" and "02" cannot merge into one key.
-        keys = sorted(s for s, _ in items)
-        if keys != list(range(dim + 1)):
-            raise InvalidCountsError(f"counts need striation keys 0..{dim}, got {keys}")
+        if {s for s, _ in items} != {str(s) for s in range(dim + 1)}:
+            raise InvalidCountsError(f"counts need striation keys 0..{dim}, got {[s for s, _ in items]}")
         counts = {}
         for s, c in items:
             if c.shape != (dim,):
@@ -135,7 +133,7 @@ class CountsRecord:
                 c = c.astype(np.int64)
             elif abs(c.sum() - 1.0) >= PROB_DRIFT_TOL:
                 raise InvalidCountsError(f"striation {s} frequencies sum to {float(c.sum())!r}, expected 1")
-            counts[s] = c
+            counts[int(s)] = c
         return cls(n=n, shots=shots, seed=seed, counts=counts)
 
 

@@ -11,10 +11,12 @@ users, not on its internal tables:
 - Field axioms run on addition and multiplication tables built from
   ``FieldElement`` ``+`` and ``*`` (``fields.field_axiom_failure``, the
   routine behind the construction self-test).
-- Geometry checks read ``Line.points`` once into an (N+1, N, N) array of
-  point indices q_index * N + p_index and an addition table from
-  ``FieldElement`` ``+``; point and pair incidences are ``bincount``s, and a
-  translation is a permutation of the point indices.
+- Geometry checks stack the striations' ``point_indices`` rows, the (N+1,
+  N, N) array of point indices q_index * N + p_index, and read an addition
+  table from ``FieldElement`` ``+``; incidences are ``bincount``s and a
+  translation is a permutation of the point indices.  As the rows are the
+  build's own array, the affine check also compares them with the lines
+  that ``line_from_equation`` solves by ``FieldElement`` arithmetic.
 - Operator checks stack the dense ``unitary`` matrices of the translations
   and test unitarity, the homomorphism and projective closure with batched
   matrix products.  The dense matrices stay the ground truth: no expected
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import field_axiom_failure
-from .geometry import find_wraparound_witness, grid_points
+from .geometry import find_wraparound_witness, grid_points, line_from_equation
 from .mub import check_conjugacy
 from .operators import projective_phases, translation_unitary
 from .states import random_density_matrix, random_pure_state, registry_vector
@@ -69,21 +71,6 @@ def _table(sys: PhaseSpaceSystem, op) -> np.ndarray:
     """t[i, j] = op(e_i, e_j).index, from the FieldElement operators."""
     elems = sys.ctx.elements()
     return np.array([[op(a, b).index for b in elems] for a in elems], dtype=np.intp)
-
-
-def _line_points(sys: PhaseSpaceSystem) -> np.ndarray | None:
-    """points[s, l, m]: index of point m of line l of striation s, read from
-    ``Line.points``; None unless the lines form N+1 striations of N lines of
-    N points."""
-    rows = [[[pt.index for pt in ln.points] for ln in s.lines] for s in sys.striations]
-    try:
-        points = np.array(rows, dtype=np.intp)
-    except ValueError:
-        return None
-    return points if points.shape == (sys.dim + 1, sys.dim, sys.dim) else None
-
-
-_NOT_A_PLANE = "lines do not form N+1 striations of N lines of N points"
 
 
 def _counts(rows: np.ndarray, n: int) -> np.ndarray:
@@ -141,12 +128,12 @@ def check_label_bijection(sys: PhaseSpaceSystem) -> CheckResult:
 
 def check_affine_axioms(sys: PhaseSpaceSystem) -> CheckResult:
     """Every point on N+1 lines, every two points on exactly one common line
-    (so two lines share at most one point), every striation a partition."""
+    (so two lines share at most one point), every striation a partition, and
+    line l of striation s (all for n <= 4, 64 seeded beyond) the solutions of
+    q = e_l, p = e_l or e_(s-1) q + p = e_l for s = 0, 1, >= 2 (e_0 = 0, e_1 = 1)."""
     n_elems = sys.dim
     n_pts = n_elems**2
-    points = _line_points(sys)
-    if points is None:
-        return CheckResult("affine axioms", False, _NOT_A_PLANE)
+    points = np.stack([s.point_indices for s in sys.striations])
     lines = points.reshape(-1, n_elems)
     if np.any(np.bincount(lines.ravel(), minlength=n_pts) != n_elems + 1):
         return CheckResult("affine axioms", False, "some point is not on exactly N+1 lines")
@@ -167,6 +154,14 @@ def check_affine_axioms(sys: PhaseSpaceSystem) -> CheckResult:
         if np.any(covered != 1):
             gap = "overlaps" if covered.max() > 1 else "misses points"
             return CheckResult("affine axioms", False, f"striation {s.direction} {gap}")
+
+    elems, rng = sys.ctx.elements(), np.random.default_rng(20)
+    for k in range(len(lines)) if sys.n <= 4 else rng.choice(len(lines), 64, replace=False):
+        d, l = sys.striations[k // n_elems].direction, k % n_elems
+        a, b = ((1, 0), (0, 1))[d] if d < 2 else (d - 1, 1)
+        line = line_from_equation(elems[a], elems[b], elems[l])
+        if [pt.index for pt in line.points] != lines[k].tolist():
+            return CheckResult("affine axioms", False, f"striation {d} line {l} is not {line}")
     return CheckResult(
         "affine axioms", True, f"{len(lines)} lines, {n_pts} points, exhaustive"
     )
@@ -177,9 +172,7 @@ def check_translation_geometry(sys: PhaseSpaceSystem) -> CheckResult:
     ctx = sys.ctx
     n_elems = ctx.order
     n_pts = n_elems**2
-    points = _line_points(sys)
-    if points is None:
-        return CheckResult("translation geometry", False, _NOT_A_PLANE)
+    points = np.stack([s.point_indices for s in sys.striations])
     # line_of[s, point] = the line of striation s through the point.
     line_of = np.empty((len(points), n_pts), dtype=np.intp)
     covered = _counts(points.reshape(len(points), -1), n_pts)
@@ -294,13 +287,11 @@ def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
     n_elems = sys.dim
     add = _table(sys, operator.add)
     for s, basis in zip(sys.striations, sys.bases):
-        if len(s.stabilizer_vectors) != n_elems - 1:
-            return CheckResult("stabilizer group", False, f"striation {s.direction} count")
         ops = basis.stabilizers
         index = np.array([op.vector.index for op in ops], dtype=np.intp)
         q, p = np.divmod(index, n_elems)
         total = add[q[:, None], q[None, :]] * n_elems + add[p[:, None], p[None, :]]
-        if not np.all(np.isin(total, [pt.index for pt in s.ray.points])):
+        if not np.all(np.isin(total, s.point_indices[0])):
             return CheckResult("stabilizer group", False, "product leaves ray")
         # row[point]: the table row of the stabilizer at that point; the
         # origin (index 0) gets the appended all-ones row.
@@ -410,9 +401,9 @@ def check_wigner_roundtrip(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_line_sums(sys: PhaseSpaceSystem) -> CheckResult:
-    points = _line_points(sys)
-    if points is None:
-        return CheckResult("line sums = outcome probabilities", False, _NOT_A_PLANE)
+    """W summed over each index row is tr(rho P) for the net's projector of
+    that row's ``Line``: the one check that reads both forms of a line."""
+    points = np.stack([s.point_indices for s in sys.striations])
     lines = [ln for s in sys.striations for ln in s.lines]
     unknown = sum(ln not in sys.net.vector_index for ln in lines)
     if unknown:

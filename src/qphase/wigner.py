@@ -252,6 +252,8 @@ class WignerGrid:
         n_elems = self.ctx.order
         if self.values.shape != (n_elems, n_elems):
             raise ValueError(f"grid must be {n_elems}x{n_elems}, got {self.values.shape}")
+        if not np.isfinite(self.values).all():
+            raise ValueError("grid values must be finite")
         self.values.setflags(write=False)
 
     @property

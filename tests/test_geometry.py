@@ -226,6 +226,14 @@ class TestLinesOnRequest:
         assert striation.ray is striation.lines[0]
         assert striation.stabilizer_vectors == striation.lines[0].points[1:]
 
+    def test_point_indices_are_a_read_only_view_of_the_array(self):
+        ctx = field_create(3)
+        points = striation_points(ctx)
+        for s in enumerate_striations(ctx):
+            assert np.shares_memory(s.point_indices, points)
+            assert np.array_equal(s.point_indices, points[s.direction])
+            assert not s.point_indices.flags.writeable
+
     def test_cold_build_constructs_no_line(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a Line on the build")

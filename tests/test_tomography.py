@@ -270,9 +270,13 @@ class TestCountsValidation:
         with pytest.raises(InvalidCountsError, match="3 outcomes"):
             CountsRecord.from_json_dict(self.payload(**{"2": [5, 5, 0]}))
 
-    # "02" names striation 2 again; it must not silently replace "2".
+    # Only the keys to_json_dict writes: "02" must neither replace nor stand for "2".
     @pytest.mark.parametrize(
-        "keys", [["0", "1"], ["0", "1", "2", "3"], ["0", "1", "3"], ["0", "1", "2", "02"]]
+        "keys",
+        [
+            ["0", "1"], ["0", "1", "2", "3"], ["0", "1", "3"], ["0", "1", "2", "02"],
+            ["0", "0_1", "2"], ["0", "1", " +2 "], ["0", "1", "２"], ["0", "1", "02"],
+        ],
     )
     def test_striation_keys_must_be_complete(self, keys):
         payload = {**self.GOOD, "counts": {k: [5, 5] for k in keys}}

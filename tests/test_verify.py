@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qphase.fields import FieldContext
-from qphase.geometry import Striation
+from qphase.geometry import Line, Striation, line_from_equation
 from qphase.operators import translation_unitary
 from qphase.system import build_system
 from qphase.verify import (
@@ -55,23 +55,31 @@ def test_module_entry_point_runs_verify():
 # -- corrupted systems: each check reports the fault, none raises -------------
 
 
+def with_rows(sys_, s, rows):
+    """Striation s reads the (N, N) index rows given in place of its row of
+    striation_points; its lines are made from them."""
+
+    class Replaced(Striation):
+        point_indices = rows
+
+    striations = list(sys_.striations)
+    striations[s] = Replaced(sys_.ctx, s)
+    return dataclasses.replace(sys_, striations=tuple(striations))
+
+
 def swapped_points(sys_, s=2, m=0):
     """Point m of lines 1 and 2 of striation s trade places; the striation
     still partitions the grid, but the lines are no longer lines."""
-    striation = sys_.striations[s]
-    lines = list(striation.lines)
-    a, b = list(lines[1].points), list(lines[2].points)
-    a[m], b[m] = b[m], a[m]
-    lines[1] = dataclasses.replace(lines[1], points=tuple(a))
-    lines[2] = dataclasses.replace(lines[2], points=tuple(b))
-    swapped = tuple(lines)
+    rows = sys_.striations[s].point_indices.copy()
+    rows[[1, 2], m] = rows[[2, 1], m]
+    return with_rows(sys_, s, rows)
 
-    class Swapped(Striation):
-        lines = swapped
 
-    striations = list(sys_.striations)
-    striations[s] = Swapped(striation.ctx, striation.direction)
-    return dataclasses.replace(sys_, striations=tuple(striations))
+def swapped_lines(sys_, s=2):
+    """Lines 1 and 2 of striation s trade places: still an affine plane, but
+    line 1 no longer solves its equation."""
+    order = [0, 2, 1, *range(3, sys_.dim)]
+    return with_rows(sys_, s, sys_.striations[s].point_indices[order])
 
 
 def corrupted_masks(sys_):
@@ -129,7 +137,9 @@ def corrupted_multiplication(sys_):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("corrupt", [swapped_points, corrupted_masks, misassigned_line])
+@pytest.mark.parametrize(
+    "corrupt", [swapped_points, swapped_lines, corrupted_masks, misassigned_line]
+)
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.__name__)
 def test_no_check_raises_on_a_corrupted_system(check, corrupt, n):
     assert isinstance(check(corrupt(build_system(n))), CheckResult)
@@ -165,6 +175,40 @@ def test_swapped_points_name_the_pair_and_the_translation():
     assert "share != 1 line" in check_affine_axioms(sys_).detail
     assert check_translation_geometry(sys_).detail.startswith("translate by ")
     assert check_line_sums(sys_).detail == "2 lines not in the net"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_swapped_lines_fail_the_equation_check(n):
+    good = check_affine_axioms(build_system(n))
+    bad = check_affine_axioms(swapped_lines(build_system(n)))
+    assert good.passed and not bad.passed
+    assert bad.detail.startswith("striation 2 line 1 is not 1*q + ")
+
+
+def test_affine_axioms_pass_on_sampled_lines():
+    # n = 5 compares 64 seeded lines with their equations, not all 1056
+    assert check_affine_axioms(build_system(5)).passed
+
+
+@pytest.mark.parametrize(
+    "check", [check_affine_axioms, check_translation_geometry, check_stabilizer_group]
+)
+def test_geometry_and_group_checks_read_no_striation_line(monkeypatch, check):
+    """The only Lines these checks make are line_from_equation's references."""
+    init = Line.__init__
+
+    def refuse(self, *args, **kwargs):
+        if sys._getframe(1).f_code is not line_from_equation.__code__:
+            raise AssertionError("a Line outside line_from_equation")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Line, "__init__", refuse)
+    build_system.cache_clear()
+    try:
+        for n in range(1, 5):
+            assert check(build_system(n)).passed
+    finally:
+        build_system.cache_clear()
 
 
 @pytest.mark.parametrize(

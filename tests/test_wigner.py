@@ -344,6 +344,14 @@ class TestValidationAndRendering:
         assert rows[1].startswith("p=0")
         assert "-0.183" in rows[1]
 
+    @pytest.mark.parametrize(
+        "values", [[[np.nan] * 2] * 2, [[np.inf, 0.0], [0.0, 0.0]], [[np.inf, 0.0], [-np.inf, 1.0]]]
+    )
+    def test_grid_values_must_be_finite(self, values):
+        # NaN passes state_from_wigner's total check, and inf - inf is NaN.
+        with pytest.raises(ValueError, match="finite"):
+            WignerGrid(build_system(1).ctx, np.array(values))
+
     def test_grid_values_read_only(self):
         grid = grid_of(1, "up")
         with pytest.raises(ValueError):
