@@ -124,10 +124,10 @@ class Striation:
     """One of the N+1 parallel classes: N disjoint lines covering the grid.
 
     A view of row ``direction`` of ``striation_points(ctx)``: its lines are
-    made from that row on first read and kept.  The ray is the member line
-    through the origin (line 0, c = 0, whose first point is the origin); its
-    N-1 nonzero points are the stabilizer vectors, the translations that map
-    every member line to itself.
+    made from that row on first read and kept.  Line 0 is the ray, the
+    member line through the origin (c = 0, first point the origin); its N-1
+    nonzero points, ``lines[0].points[1:]``, are the stabilizer vectors, the
+    translations that map every member line to itself.
     """
 
     ctx: FieldContext
@@ -155,14 +155,6 @@ class Striation:
     def point_indices(self) -> np.ndarray:
         """Read-only row of ``striation_points``: [l, m] indexes point m of line l."""
         return striation_points(self.ctx)[self.direction]
-
-    @property
-    def ray(self) -> Line:
-        return self.lines[0]
-
-    @property
-    def stabilizer_vectors(self) -> tuple[Point, ...]:
-        return self.ray.points[1:]
 
 
 def enumerate_striations(ctx: FieldContext) -> tuple[Striation, ...]:

@@ -2,10 +2,10 @@
 
 A phase-space translation by (q0, p0) acts on the 2^n-dimensional state space
 as a tensor product of sigma_x factors (for the q component) times sigma_z
-factors (for the p component).  Which tensor slot each field-basis coefficient
-drives is fixed by a QubitLabeling; the representation is projective, so
-products of translation unitaries close only up to a sign
-(``projective_check``).
+factors (for the p component).  A QubitLabeling fixes the field bases, and
+the coefficient of basis element i drives tensor slot n-1-i; the
+representation is projective, so products of translation unitaries close
+only up to a sign (``projective_check``).
 
 Two bit masks (x, z) fix such a Pauli string completely: tensor slot s
 carries sigma_x when bit n-1-s of x is set and sigma_z when that bit of z is
@@ -67,45 +67,6 @@ def pauli(name: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli name {name!r}; expected one of I, X, Y, Z") from None
 
 
-# -- GF(2) linear algebra for basis expansions -----------------------------
-
-
-def _gf2_invert(rows: list[int], n: int) -> list[int]:
-    """Invert an n x n matrix over GF(2); rows are ints, bit (n-1-c) = column c."""
-    aug = [(row << n) | (1 << (n - 1 - i)) for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_bit = 2 * n - 1 - col
-        pivot = next((r for r in range(col, n) if aug[r] >> pivot_bit & 1), None)
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and aug[r] >> pivot_bit & 1:
-                aug[r] ^= aug[col]
-    return [row & ((1 << n) - 1) for row in aug]
-
-
-def _expansion_matrix(basis: Sequence[FieldElement]) -> list[int]:
-    """Inverse of the matrix whose columns are the basis coefficient vectors.
-
-    Row i of the result gives element -> coefficient of basis[i]; raises if
-    the basis is linearly dependent.
-    """
-    n = basis[0].ctx.n
-    if len(basis) != n:
-        raise ValueError(f"basis must have {n} elements, got {len(basis)}")
-    rows = []
-    for r in range(n):
-        row = 0
-        for c, e in enumerate(basis):
-            row |= (e.bits >> r & 1) << (n - 1 - c)
-        rows.append(row)
-    try:
-        return _gf2_invert(rows, n)
-    except ValueError:
-        raise ValueError("basis elements are linearly dependent over Z2") from None
-
-
 # Parity of every byte value.
 _PARITY8 = np.array([i.bit_count() & 1 for i in range(256)], dtype=np.int8)
 
@@ -133,35 +94,44 @@ def pauli_permutation(x, z, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return src, 1 - 2 * _parity(src & np.asarray(z)[..., None])
 
 
-def _coords(bits: int, inverse_rows: list[int], n: int) -> tuple[int, ...]:
-    out = []
-    for r in range(n):
-        acc = 0
-        for k in range(n):
-            acc ^= (inverse_rows[r] >> (n - 1 - k) & 1) & (bits >> k & 1)
-        out.append(acc)
-    return tuple(out)
+def _check_basis(ctx: FieldContext, basis: Sequence[FieldElement]) -> None:
+    if len(basis) != ctx.n:
+        raise ValueError(f"basis must have {ctx.n} elements, got {len(basis)}")
+    if any(e.ctx is not ctx for e in basis):
+        raise ContextMismatchError("basis elements belong to a different context")
+
+
+def _basis_masks(ctx: FieldContext, basis: Sequence[FieldElement]) -> tuple[int, ...]:
+    """Mask of every element in ``basis``, by canonical index: mask m stands
+    for the sum of basis[i] over the set bits i of m, so listing the N sums
+    and inverting the list gives the table."""
+    _check_basis(ctx, basis)
+    sums = [0]
+    for e in basis:
+        sums += [s ^ e.bits for s in sums]  # the masks with bit i set follow those without
+    index = {e.bits: i for i, e in enumerate(ctx.elements())}
+    table = dict(zip((index[s] for s in sums), range(ctx.order)))
+    if len(table) < ctx.order:
+        raise ValueError("basis elements are linearly dependent over Z2")
+    return tuple(table[i] for i in range(ctx.order))
 
 
 def trace_dual_basis(basis: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Basis {f_j} with trace(e_i * f_j) = delta_ij for the given {e_i}."""
+    """Basis {f_j} with trace(e_i * f_j) = delta_ij for the given {e_i}.
+
+    Bit i of element f's pairing mask is trace(e_i * f), and f_j is the
+    element whose mask is 1 << j.
+    """
     ctx = basis[0].ctx
-    n = ctx.n
-    rows = []
-    for r in range(n):
-        row = 0
-        for c in range(n):
-            row |= (basis[r] * basis[c]).trace() << (n - 1 - c)
-        rows.append(row)
-    inv = _gf2_invert(rows, n)
-    dual = []
-    for j in range(n):
-        bits = 0
-        for i in range(n):
-            if inv[i] >> (n - 1 - j) & 1:
-                bits ^= basis[i].bits
-        dual.append(ctx.element(bits))
-    return tuple(dual)
+    _check_basis(ctx, basis)
+    n, elements = ctx.n, ctx.elements()
+    _, mul = ctx.index_tables()
+    trace = np.array([e.trace() for e in elements])
+    pairing = (trace[mul[[e.index for e in basis]]] << np.arange(n)[:, None]).sum(axis=0)
+    hits = pairing[:, None] == 1 << np.arange(n)
+    if not hits.any(axis=0).all():
+        raise ValueError("basis elements are linearly dependent over Z2")
+    return tuple(elements[f] for f in hits.argmax(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -169,44 +139,24 @@ class QubitLabeling:
     """How field coordinates map onto tensor slots.
 
     q is expanded in q_basis and p in p_basis (both bases of GF(2^n) over
-    Z2); the coefficient of basis element i drives tensor slot
-    factor_order[i].  The default order puts the most significant basis
-    element in the leftmost slot.
+    Z2).  The coefficient of basis element i is bit i of the mask, so it
+    drives tensor slot n-1-i: the last basis element sits in the leftmost
+    slot, and reversing a basis tuple reverses its slot order.
 
-    The x and z masks of every field element (its q and p coordinates placed
-    in their slots, slot 0 as the most significant bit) are tabulated once
-    at construction, indexed by the element's canonical index; ``masks``,
+    The x and z masks of every field element are tabulated once at
+    construction, indexed by the element's canonical index; ``masks``,
     ``point_masks``, equality and hashing all read these two tables.
     """
 
     ctx: FieldContext
     q_basis: tuple[FieldElement, ...]
     p_basis: tuple[FieldElement, ...]
-    factor_order: tuple[int, ...]
-    _q_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _p_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _x_masks: tuple[int, ...] = field(init=False, repr=False)
     _z_masks: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.ctx.n
-        if sorted(self.factor_order) != list(range(n)):
-            raise ValueError("factor_order must be a permutation of the tensor slots")
-        for e in (*self.q_basis, *self.p_basis):
-            if e.ctx is not self.ctx:
-                raise ContextMismatchError("labeling basis elements belong to a different context")
-        object.__setattr__(self, "_q_inv", tuple(_expansion_matrix(self.q_basis)))
-        object.__setattr__(self, "_p_inv", tuple(_expansion_matrix(self.p_basis)))
-        object.__setattr__(self, "_x_masks", self._mask_table(self._q_inv))
-        object.__setattr__(self, "_z_masks", self._mask_table(self._p_inv))
-
-    def _mask_table(self, inverse_rows: tuple[int, ...]) -> tuple[int, ...]:
-        n, rows = self.n, list(inverse_rows)
-        slot_bits = [1 << (n - 1 - slot) for slot in self.factor_order]
-        return tuple(
-            sum(bit for bit, c in zip(slot_bits, _coords(e.bits, rows, n)) if c)
-            for e in self.ctx.elements()
-        )
+        object.__setattr__(self, "_x_masks", _basis_masks(self.ctx, self.q_basis))
+        object.__setattr__(self, "_z_masks", _basis_masks(self.ctx, self.p_basis))
 
     @property
     def n(self) -> int:
@@ -215,13 +165,6 @@ class QubitLabeling:
     @property
     def dim(self) -> int:
         return self.ctx.order
-
-    def q_coords(self, e: FieldElement) -> tuple[int, ...]:
-        """Z2 coefficients of e in q_basis (index i = basis element i)."""
-        return _coords(e.bits, list(self._q_inv), self.n)
-
-    def p_coords(self, e: FieldElement) -> tuple[int, ...]:
-        return _coords(e.bits, list(self._p_inv), self.n)
 
     def masks(self, v: Point) -> tuple[int, int]:
         """Pauli masks (x, z) of the translation by v: U_v = X^x Z^z."""
@@ -236,16 +179,13 @@ class QubitLabeling:
 
 def polynomial_basis(ctx: FieldContext) -> tuple[FieldElement, ...]:
     """{1, w, w^2, ..., w^(n-1)}; for n = 1 just {1}."""
-    if ctx.n == 1:
-        return (ctx.one,)
     return tuple(ctx.power(k) for k in range(ctx.n))
 
 
 def same_basis_labeling(ctx: FieldContext) -> QubitLabeling:
     """q and p both expanded in the polynomial basis."""
     basis = polynomial_basis(ctx)
-    order = tuple(ctx.n - 1 - i for i in range(ctx.n))
-    return QubitLabeling(ctx, basis, basis, order)
+    return QubitLabeling(ctx, basis, basis)
 
 
 def trace_dual_labeling(ctx: FieldContext) -> QubitLabeling:
@@ -257,8 +197,7 @@ def trace_dual_labeling(ctx: FieldContext) -> QubitLabeling:
     commute, for every n.
     """
     basis = polynomial_basis(ctx)
-    order = tuple(ctx.n - 1 - i for i in range(ctx.n))
-    return QubitLabeling(ctx, basis, trace_dual_basis(basis), order)
+    return QubitLabeling(ctx, basis, trace_dual_basis(basis))
 
 
 def default_labeling(ctx: FieldContext) -> QubitLabeling:

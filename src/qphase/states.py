@@ -131,6 +131,8 @@ def parse_state_spec(spec: str, n: int) -> tuple[np.ndarray, list[str]]:
             payload = json.loads(spec)
         except json.JSONDecodeError as exc:
             raise InvalidStateError(f"inline state is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise InvalidStateError("inline state is nested too deeply") from None
         if not isinstance(payload, list) or not payload:
             raise InvalidStateError("inline state must be a non-empty JSON array")
         if isinstance(payload[0], list) and payload[0] and isinstance(payload[0][0], list):

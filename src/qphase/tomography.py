@@ -117,7 +117,7 @@ class CountsRecord:
             items = [(k, np.array(v, dtype=float)) for k, v in payload["counts"].items()]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidCountsError(f"counts must map striation numbers to lists of numbers ({exc!r})") from None
-        if {s for s, _ in items} != {str(s) for s in range(dim + 1)}:
+        if len(items) != dim + 1 or {s for s, _ in items} != {str(s) for s in range(dim + 1)}:
             raise InvalidCountsError(f"counts need striation keys 0..{dim}, got {[s for s, _ in items]}")
         counts = {}
         for s, c in items:

@@ -149,6 +149,19 @@ class TestWigner:
         assert "Traceback" not in out.stderr
         assert "finite" in out.stderr
 
+    def test_deeply_nested_state_exits_2(self):
+        # json.loads raises RecursionError, not JSONDecodeError, at this depth
+        spec = "[" * 5000 + "]" * 5000
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["wigner", "1", "--state", spec])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")] == [
+            "error: inline state is nested too deeply"
+        ]
+        assert "Traceback" not in err.getvalue()
+
     @pytest.mark.parametrize(
         "spec,message",
         [

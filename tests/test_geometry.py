@@ -95,11 +95,11 @@ class TestStriations:
         for idx, s in zip((2, 3, 4), ("1", "w", "w2")):
             slope = ctx.parse(s)
             expected = {Point(q, slope * q) for q in ctx.elements()}
-            assert striations[idx].ray.point_set == expected
+            assert striations[idx].lines[0].point_set == expected
 
     def test_slope_w_ray_contents(self):
         ctx = field_create(2)
-        ray = enumerate_striations(ctx)[3].ray
+        ray = enumerate_striations(ctx)[3].lines[0]
         assert ray.point_set == {
             pt(ctx, "0", "0"), pt(ctx, "1", "w"), pt(ctx, "w", "w2"), pt(ctx, "w2", "1")
         }
@@ -107,7 +107,7 @@ class TestStriations:
     def test_stabilizer_vectors_on_ray(self):
         ctx = field_create(2)
         s = enumerate_striations(ctx)[3]
-        assert set(s.stabilizer_vectors) == {
+        assert set(s.lines[0].points[1:]) == {
             pt(ctx, "1", "w"), pt(ctx, "w", "w2"), pt(ctx, "w2", "1")
         }
 
@@ -117,7 +117,7 @@ class TestStriations:
             ctx = field_create(n)
             for s in enumerate_striations(ctx):
                 for line in s.lines:
-                    for v in s.stabilizer_vectors:
+                    for v in s.lines[0].points[1:]:
                         assert {p + v for p in line.points} == line.point_set
 
     def test_direction_ids(self):
@@ -177,8 +177,8 @@ class TestIntegerStriations:
         assert built == tuple(Striation(ctx, s) for s in range(len(reference)))
         for s_built, (lines, ray, stabilizer_vectors) in zip(built, reference):
             assert s_built.lines == lines  # equation triples and points
-            assert s_built.ray == ray
-            assert s_built.stabilizer_vectors == stabilizer_vectors
+            assert s_built.lines[0] == ray
+            assert s_built.lines[0].points[1:] == stabilizer_vectors
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_index_array_lists_the_line_points(self, n):
@@ -223,8 +223,7 @@ class TestLinesOnRequest:
         striation = Striation(ctx, 3)
         assert "lines" not in vars(striation)
         assert striation.lines is striation.lines
-        assert striation.ray is striation.lines[0]
-        assert striation.stabilizer_vectors == striation.lines[0].points[1:]
+        assert striation.lines[0].points[0].is_origin  # line 0 is the ray
 
     def test_point_indices_are_a_read_only_view_of_the_array(self):
         ctx = field_create(3)

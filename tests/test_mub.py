@@ -161,7 +161,7 @@ class TestLabelingFallback:
             full_mub_set(ctx, lab)
         for s in enumerate_striations(ctx):
             exc = first_noncommuting_pair(
-                [translation_unitary(v, lab).unitary for v in s.stabilizer_vectors]
+                [translation_unitary(v, lab).unitary for v in s.lines[0].points[1:]]
             )
             if exc is not None:
                 expected = str(LabelingError(s.direction, exc))

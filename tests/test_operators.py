@@ -10,6 +10,7 @@ from qphase.fields import field_create
 from qphase.geometry import Point, striation_points
 from qphase.operators import (
     NonCommutingError,
+    QubitLabeling,
     TranslationOperator,
     default_labeling,
     pauli,
@@ -239,18 +240,19 @@ class TestLabelings:
     def test_polynomial_basis_coords(self):
         ctx = field_create(2)
         lab = same_basis_labeling(ctx)
-        assert lab.q_coords(ctx.one) == (1, 0)
-        assert lab.q_coords(ctx.omega) == (0, 1)
-        assert lab.q_coords(ctx.elements()[3]) == (1, 1)  # w2 = 1 + w
+        assert lab.masks(Point(ctx.one, ctx.zero))[0] == 0b01
+        assert lab.masks(Point(ctx.omega, ctx.zero))[0] == 0b10
+        assert lab.masks(Point(ctx.elements()[3], ctx.zero))[0] == 0b11  # w2 = 1 + w
 
     def test_coords_invert_expansion(self):
         for n in (2, 3, 4):
             ctx = field_create(n)
             lab = trace_dual_labeling(ctx)
             for e in ctx.elements():
+                _, z = lab.masks(Point(ctx.zero, e))
                 bits = 0
-                for coeff, basis_elem in zip(lab.p_coords(e), lab.p_basis):
-                    if coeff:
+                for i, basis_elem in enumerate(lab.p_basis):
+                    if z >> i & 1:
                         bits ^= basis_elem.bits
                 assert bits == e.bits
 
@@ -279,22 +281,61 @@ class TestLabelings:
         last = Point(ctx.elements()[-1], ctx.zero)
         assert corrupt.masks(last) == (0, 0) != lab.masks(last)
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_any_tuple_is_expanded_or_refused(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        ctx = field_create(n)
+        t = tuple(data.draw(st.lists(st.sampled_from(ctx.elements()), min_size=n, max_size=n), label="t"))
+        if len(basis_span(t)) < ctx.order:
+            with pytest.raises(ValueError):
+                QubitLabeling(ctx, t, t)
+            with pytest.raises(ValueError):
+                trace_dual_basis(t)
+            return
+        lab = QubitLabeling(ctx, t, t)
+        for e in ctx.elements():
+            for mask in lab.masks(Point(e, e)):
+                bits = 0
+                for i, b in enumerate(t):
+                    bits ^= b.bits if mask >> i & 1 else 0
+                assert bits == e.bits
+        dual = trace_dual_basis(t)
+        assert [[(a * f).trace() for f in dual] for a in t] == np.eye(n, dtype=int).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_default_masks_are_the_basis_coefficients(self, n):
+        ctx = field_create(n)
+        lab = default_labeling(ctx)
+        q_span, p_span = basis_span(lab.q_basis), basis_span(lab.p_basis)
+        for e in ctx.elements():
+            expected = [sum(c << i for i, c in enumerate(span[e.bits])) for span in (q_span, p_span)]
+            assert list(lab.masks(Point(e, e))) == expected, e
+
     def test_dependent_basis_rejected(self):
         ctx = field_create(2)
-        from qphase.operators import QubitLabeling
-
         with pytest.raises(ValueError):
-            QubitLabeling(ctx, (ctx.one, ctx.one), (ctx.one, ctx.omega), (1, 0))
+            QubitLabeling(ctx, (ctx.one, ctx.one), (ctx.one, ctx.omega))
+
+
+def basis_span(basis):
+    """{bits: Z2 coefficients} of the span of basis, found by trying all
+    2^n combinations; the first combination reaching an element is kept."""
+    span = {}
+    for coeffs in itertools.product((0, 1), repeat=len(basis)):
+        bits = 0
+        for c, b in zip(coeffs, basis):
+            bits ^= b.bits if c else 0
+        span.setdefault(bits, coeffs)
+    return span
 
 
 def kron_translation(v, lab):
     """Reference U_v: the n-fold np.kron of I / X / Z / XZ factors, one per
-    tensor slot, read from the labeling's coordinates and factor order."""
+    tensor slot; the coefficient of basis element i drives slot n-1-i."""
     n = lab.n
-    x_by_slot, z_by_slot = [0] * n, [0] * n
-    for i, (a, b) in enumerate(zip(lab.q_coords(v.q), lab.p_coords(v.p))):
-        x_by_slot[lab.factor_order[i]] = a
-        z_by_slot[lab.factor_order[i]] = b
+    x_by_slot = basis_span(lab.q_basis)[v.q.bits][::-1]
+    z_by_slot = basis_span(lab.p_basis)[v.p.bits][::-1]
     factors = {(0, 0): I2, (1, 0): X, (0, 1): Z, (1, 1): X @ Z}
     u = np.ones((1, 1), dtype=complex)
     for slot in range(n):

@@ -283,6 +283,12 @@ class TestCountsValidation:
         with pytest.raises(InvalidCountsError, match="keys 0..2"):
             CountsRecord.from_json_dict(payload)
 
+    def test_huge_n_rejected_by_key_count(self):
+        # The key count is compared with N + 1 before the N + 1 expected
+        # keys are listed, so n = 64 does not try to build 2^64 strings.
+        with pytest.raises(InvalidCountsError, match="keys 0..18446744073709551616"):
+            CountsRecord.from_json_dict({**self.GOOD, "n": 64})
+
     @pytest.mark.parametrize(
         "field, value",
         [("shots", -10), ("shots", 10.7), ("n", -1), ("n", 0), ("seed", 0.5), ("seed", "0"), ("n", True)],

@@ -54,13 +54,13 @@ def pt(ctx, q, p):
 class TestNetAssignments1Q:
     def test_diagonal_ray_carries_y_plus(self):
         sys = build_system(1)
-        ray = sys.striations[2].ray
+        ray = sys.striations[2].lines[0]
         v = np.array([1, 1j], dtype=complex) / np.sqrt(2)
         assert np.max(np.abs(sys.net.projector(ray) - np.outer(v, v.conj()))) < 1e-12
 
     def test_antidiagonal_carries_y_minus(self):
         sys = build_system(1)
-        other = next(ln for ln in sys.striations[2].lines if ln is not sys.striations[2].ray)
+        other = next(ln for ln in sys.striations[2].lines if ln is not sys.striations[2].lines[0])
         v = np.array([1, -1j], dtype=complex) / np.sqrt(2)
         assert np.max(np.abs(sys.net.projector(other) - np.outer(v, v.conj()))) < 1e-12
 
@@ -86,7 +86,7 @@ class TestNetAssignments2Q:
             4: np.array([1, -1j, 1, 1j], dtype=complex) / 2,
         }
         for direction, ref in refs.items():
-            ray = sys.striations[direction].ray
+            ray = sys.striations[direction].lines[0]
             assert np.max(np.abs(sys.net.projector(ray) - np.outer(ref, ref.conj()))) < 1e-9
 
     def test_vertical_lines_follow_axis_labels(self):
@@ -121,7 +121,7 @@ class TestPhasePointOperators:
         sys = build_system(1)
         expected = -np.eye(2, dtype=complex)
         for s in sys.striations:
-            expected += sys.net.projector(s.ray)
+            expected += sys.net.projector(s.lines[0])
         a00 = sys.net.phase_point_matrix(Point(sys.ctx.zero, sys.ctx.zero))
         assert np.max(np.abs(a00 - expected)) < 1e-12
         assert np.allclose(np.diag(a00), [1, 0])
@@ -237,13 +237,13 @@ class TestLineSums:
     def test_y_plus_diagonal_line(self):
         sys = build_system(1)
         grid = grid_of(1, "y+")
-        diag = sys.striations[2].ray
+        diag = sys.striations[2].lines[0]
         assert line_sum(grid, diag) == pytest.approx(1.0)
 
     def test_upup_first_vertical_line(self):
         sys = build_system(2)
         grid = grid_of(2, "upup")
-        first = sys.striations[0].ray
+        first = sys.striations[0].lines[0]
         assert line_sum(grid, first) == pytest.approx(1.0)
 
     def test_striation_sums_to_one(self):
@@ -374,7 +374,7 @@ def dense_vector_index(system):
     for striation, basis in zip(system.striations, system.bases):
         vectors = basis.vectors
         forms = []
-        for w in striation.stabilizer_vectors:
+        for w in striation.lines[0].points[1:]:
             u = translation_unitary(w, lab).unitary
             forms.append(u if np.allclose(u, u.conj().T) else 1j * u)
         keys = [tuple(int(np.real(np.vdot(v, t @ v)) < 0) for t in forms) for v in vectors]
@@ -402,7 +402,7 @@ def float_lex_sign_reference(system):
     for striation, basis in zip(system.striations, system.bases):
         vectors = basis.vectors
         signs = []
-        for w in striation.stabilizer_vectors:
+        for w in striation.lines[0].points[1:]:
             x, z = lab.masks(w)
             src, sign = pauli_permutation(x, z, dim)
             scale = 1j if (x & z).bit_count() & 1 else 1
@@ -500,7 +500,8 @@ class TestNetGuards:
         # Pauli conjugation flips exponent rows onto valid rows either way:
         # at n = 3 no other guard notices the mismatch.
         system = build_system(n)
-        swapped = dataclasses.replace(system.labeling, factor_order=system.labeling.factor_order[::-1])
+        lab = system.labeling
+        swapped = dataclasses.replace(lab, q_basis=lab.q_basis[::-1], p_basis=lab.p_basis[::-1])
         assert swapped != system.labeling
         with pytest.raises(NetConstructionError, match="different labeling"):
             default_net(system.ctx, system.labeling, full_mub_set(system.ctx, swapped))
