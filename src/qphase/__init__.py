@@ -31,7 +31,6 @@ from .mub import (
     LabelingError,
     StriationBasis,
     basis_for_striation,
-    bell_reference_basis,
     check_conjugacy,
     full_mub_set,
 )

@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .fields import FieldError, field_create
 from .mub import LabelingError, check_conjugacy
 from .serialize import dumps_canonical, matrix_to_json, round_float, vector_to_json
@@ -24,11 +26,12 @@ from .tomography import (
     simulate_counts,
 )
 from .verify import run_checks
-from .wigner import NetConstructionError, grid_ascii, line_sum, wigner_from_state
+from .wigner import NetConstructionError, grid_ascii, wigner_from_state
 from . import geometry
 
 MAX_FIELD_DEGREE = 8   # field tables stay cheap
 MAX_PHASE_DEGREE = 4   # full phase-space construction at desk scale
+MAX_SHOTS = 1 << 27    # one basis's draws are this many float64 values, 1 GiB
 
 
 class UsageError(ValueError):
@@ -219,9 +222,9 @@ def cmd_wigner(args) -> int:
 
     sums = None
     if args.lines:
-        sums = {
-            s.direction: [line_sum(grid, ln) for ln in s.lines] for s in sys_.striations
-        }
+        # Summed point by point in line order, as line_sum adds them.
+        rows = grid.values.reshape(-1)[geometry.striation_points(sys_.ctx)]
+        sums = dict(enumerate(np.cumsum(rows, axis=-1)[..., -1].tolist()))
 
     if args.format == "json":
         payload = grid.to_json_dict(precision)
@@ -266,23 +269,31 @@ def _parse_shot_list(text: str) -> list[int]:
         raise UsageError(f"--scaling expects a comma-separated integer list, got {text!r}") from None
     if not shots or shots != sorted(shots) or shots[0] < 1:
         raise UsageError("--scaling shot counts must be ascending positive integers")
+    _check_shots(shots[-1], "--scaling")
     return shots
+
+
+def _check_shots(shots: int, flag: str) -> None:
+    if shots > MAX_SHOTS:
+        raise UsageError(f"{flag} allows at most {MAX_SHOTS} (2^27) shots per basis, got {shots}")
 
 
 def cmd_tomo(args) -> int:
     _check_degree(args.n)
-    if args.shots is not None and args.shots < 0:
-        raise UsageError("--shots must be >= 0 (0 = exact mode)")
+    if args.shots is not None:
+        if args.shots < 0:
+            raise UsageError("--shots must be >= 0 (0 = exact mode)")
+        _check_shots(args.shots, "--shots")
+    shot_list = _parse_shot_list(args.scaling) if args.scaling is not None else None
     sys_ = build_system(args.n)
     rho, warnings = parse_state_spec(args.state, args.n)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     precision = args.precision
 
-    if args.scaling is not None:
+    if shot_list is not None:
         if args.trials < 1:
             raise UsageError("--trials must be at least 1")
-        shot_list = _parse_shot_list(args.scaling)
         seeds = [args.seed + k for k in range(args.trials)]
         rows = error_scaling_study(rho, sys_.net, list(sys_.bases), shot_list, seeds)
         if args.format == "json":

@@ -272,9 +272,6 @@ class FieldContext:
         """All N elements in canonical order 0, 1, w, w2, ...; stable across runs."""
         return self._elements
 
-    def nonzero_elements(self) -> tuple[FieldElement, ...]:
-        return self._elements[1:]
-
     def parse(self, text: str) -> FieldElement:
         """Inverse of the label map: "0", "1", "w", "w2", ... -> element."""
         bits = self._parse.get(text)

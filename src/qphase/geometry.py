@@ -49,10 +49,6 @@ class Point:
         return Point(self.q + other.q, self.p + other.p)
 
     @property
-    def is_origin(self) -> bool:
-        return self.q.is_zero and self.p.is_zero
-
-    @property
     def index(self) -> int:
         """The point as one integer, q_index * N + p_index."""
         return self.q.index * self.ctx.order + self.p.index

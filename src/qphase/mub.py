@@ -164,22 +164,3 @@ def check_conjugacy(bases: list[StriationBasis], tolerance: float = CONJUGACY_TO
             verdicts[(i, j)] = bool(max(abs(lo - target), abs(hi - target)) <= tolerance)
     return ConjugacyReport(dim, tolerance, target, overlaps, verdicts, ortho)
 
-
-def bell_reference_basis() -> np.ndarray:
-    """The four maximally entangled two-qubit reference vectors.
-
-    Rows: (|00> + |11>)/sqrt2, (|00> - |11>)/sqrt2, (|01> + |10>)/sqrt2,
-    (|01> - |10>)/sqrt2.  Used in docs and tests to relate the two
-    entangled striation bases to the standard Bell measurement, which is
-    itself not conjugate to the product bases.
-    """
-    s = 1.0 / np.sqrt(2.0)
-    return np.array(
-        [
-            [s, 0, 0, s],
-            [s, 0, 0, -s],
-            [0, s, s, 0],
-            [0, s, -s, 0],
-        ],
-        dtype=complex,
-    )

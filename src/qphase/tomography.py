@@ -112,13 +112,14 @@ class CountsRecord:
         n = _whole_number(payload, "n", minimum=1)
         shots = _whole_number(payload, "shots", minimum=0)
         seed = _whole_number(payload, "seed")
-        dim = 1 << n
         try:
             items = [(k, np.array(v, dtype=float)) for k, v in payload["counts"].items()]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidCountsError(f"counts must map striation numbers to lists of numbers ({exc!r})") from None
-        if len(items) != dim + 1 or {s for s, _ in items} != {str(s) for s in range(dim + 1)}:
-            raise InvalidCountsError(f"counts need striation keys 0..{dim}, got {[s for s, _ in items]}")
+        # N = 2^n is read off the key count, so a huge n builds no 2^n.
+        dim, keys = len(items) - 1, [s for s, _ in items]
+        if dim & (dim - 1) or dim.bit_length() != n + 1 or set(keys) != {str(s) for s in range(dim + 1)}:
+            raise InvalidCountsError(f"counts for n = {n} need striation keys 0..2^{n}, got {keys}")
         counts = {}
         for s, c in items:
             if c.shape != (dim,):

@@ -61,21 +61,20 @@ def _ray_index(exponents: np.ndarray, x: np.ndarray, z: np.ndarray, n: int) -> n
 class QuantumNet:
     """Covariant assignment of basis vectors to lines.
 
-    The assignment is two index arrays: _line_of[s, q_index * N + p_index]
-    is the line of striation s through that point and _line_vector[s, l]
-    the index of line l's vector within the striation's basis.
+    The assignment is one index array: _line_vector[s, l] is the index of
+    line l's vector within the basis of striation s.  Every other view is a
+    lookup through the striation rows (``striation_points``): the outcome
+    table reads the vector on the line through each point, and
+    vector_index and striation_of are read-only Line-keyed views.
     _vectors[s, k] is vector k of the basis of striation s, read-only; the
-    bases' vectors are views of it.  vector_index and striation_of are
-    read-only Line-keyed views of the index arrays.  They, the outcome
-    table and the phase-point stack are built on first use and shared
-    read-only.
+    bases' vectors are views of it.  The views and the phase-point stack
+    are built on first use and shared read-only.
     """
 
     ctx: FieldContext
     labeling: QubitLabeling
     striations: tuple[Striation, ...]
     bases: tuple[StriationBasis, ...]
-    _line_of: np.ndarray = field(repr=False, compare=False)
     _line_vector: np.ndarray = field(repr=False, compare=False)
     _vectors: np.ndarray = field(repr=False, compare=False)
     _aux: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
@@ -108,13 +107,6 @@ class QuantumNet:
 
     def projector(self, line: Line) -> np.ndarray:
         return self.bases[self.striation_of[line]].projector(self.vector_index[line])
-
-    def lines_through(self, pt: Point) -> tuple[Line, ...]:
-        """The N+1 lines through pt, one per striation in striation order."""
-        if pt.ctx is not self.ctx:
-            raise ContextMismatchError("point and net use different field contexts")
-        ids = self._line_of[:, pt.index].tolist()
-        return tuple(s.lines[l] for s, l in zip(self.striations, ids))
 
     def phase_point_matrix(self, pt: Point) -> np.ndarray:
         """A at pt: a read-only row of phase_point_stack()."""
@@ -157,7 +149,10 @@ class QuantumNet:
         index of the line through that point in striation s."""
         cached = self._aux.get("outcome_table")
         if cached is None:
-            table = np.take_along_axis(self._line_vector, self._line_of, axis=1).T.copy()
+            points = striation_points(self.ctx)
+            table = np.empty((self.dim**2, len(self.bases)), dtype=self._line_vector.dtype)
+            # Each point lies on exactly one line of each striation.
+            table[points, np.arange(len(self.bases))[:, None, None]] = self._line_vector[..., None]
             table.setflags(write=False)
             self._aux["outcome_table"] = cached = table
         return cached
@@ -188,7 +183,6 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
             raise NetConstructionError(f"basis of striation {s} carries no stabilizer eigenvalues")
         if any(op.labeling is not labeling and op.labeling != labeling for op in basis.stabilizers):
             raise NetConstructionError(f"basis of striation {s} was built under a different labeling")
-    n_elems = ctx.order
     points = striation_points(ctx)
     vectors = np.stack([b.vectors for b in mub_set])
     vectors.setflags(write=False)
@@ -204,19 +198,13 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     repeats = (np.diff(np.sort(line_vector, axis=-1), axis=-1) == 0).any(axis=-1)
     if repeats.any():
         raise NetConstructionError(f"striation {int(np.argmax(repeats))} maps two lines to one vector")
-
-    # Each point lies on exactly one line of each striation.
-    line_of = np.empty((len(striations), n_elems * n_elems), dtype=np.min_scalar_type(n_elems - 1))
-    line_of[np.arange(len(striations))[:, None, None], points] = np.arange(n_elems)[:, None]
     line_vector.setflags(write=False)
-    line_of.setflags(write=False)
 
     return QuantumNet(
         ctx=ctx,
         labeling=labeling,
         striations=striations,
         bases=tuple(replace(b, vectors=v) for b, v in zip(mub_set, vectors)),
-        _line_of=line_of,
         _line_vector=line_vector,
         _vectors=vectors,
     )

@@ -8,11 +8,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qphase.cli import main
-from qphase.serialize import dumps_canonical
+from qphase.cli import MAX_SHOTS, main
+from qphase.serialize import dumps_canonical, round_float
+from qphase.states import parse_state_spec, random_density_matrix, random_pure_state
+from qphase.system import build_system
+from qphase.wigner import line_sum, wigner_from_state
 
 
 def run_cli(*args):
@@ -117,6 +121,40 @@ class TestWigner:
         payload = json.loads(out.stdout)
         assert payload["line_sums"]["0"] == [1.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_line_sums_equal_line_sum_over_each_line(self, n):
+        system = build_system(n)
+        rng = np.random.default_rng(n)
+        for k in range(10):
+            if k % 2:
+                rows = random_density_matrix(rng, system.dim)
+                spec = json.dumps([[[z.real, z.imag] for z in row] for row in rows.tolist()])
+            else:
+                spec = json.dumps([[z.real, z.imag] for z in random_pure_state(rng, system.dim).tolist()])
+            argv = ["wigner", str(n), "--state", spec, "--lines", "--format", "json", "--precision", "12"]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0
+            grid = wigner_from_state(parse_state_spec(spec, n)[0], system.net)
+            expected = {
+                str(s.direction): [round_float(line_sum(grid, ln), 12) for ln in s.lines]
+                for s in system.striations
+            }
+            assert json.loads(buf.getvalue())["line_sums"] == expected
+
+    def test_line_sums_build_no_line(self):
+        code = (
+            "import contextlib, io\n"
+            "from qphase.cli import main\n"
+            "from qphase.system import build_system\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['wigner', '4', '--state', '[[1, 0]' + ', [0, 0]' * 15 + ']', '--lines']) == 0\n"
+            "print([s.direction for s in build_system(4).striations if 'lines' in vars(s)])\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+
     def test_inline_vector_state(self):
         out = run_cli("wigner", "1", "--state", "[[1,0],[0,0]]")
         assert out.returncode == 0
@@ -210,6 +248,23 @@ class TestTomo:
     def test_missing_shots_exits_2(self):
         out = run_cli("tomo", "1", "--state", "up")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--shots", str(MAX_SHOTS + 1)], ["--scaling", f"64,{MAX_SHOTS + 1}", "--trials", "1"]]
+    )
+    def test_shots_above_the_cap_exit_2_before_building(self, flags, monkeypatch, capsys):
+        # Past the cap one basis's draws would take over 1 GiB; the cap is
+        # checked before the system is built.
+        def unreachable(n):
+            raise AssertionError("built a system")
+
+        monkeypatch.setattr("qphase.cli.build_system", unreachable)
+        assert main(["tomo", "1", "--state", "up", *flags]) == 2
+        assert f"at most {MAX_SHOTS}" in capsys.readouterr().err
+
+    def test_shots_at_the_default_scale_still_run(self):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["tomo", "1", "--state", "up", "--shots", "4096"]) == 0
 
     def test_scaling_csv(self):
         out = run_cli(

@@ -61,7 +61,7 @@ class TestAxioms:
 
     def test_every_nonzero_invertible_gf8(self):
         ctx = gf(3)
-        for a in ctx.nonzero_elements():
+        for a in ctx.elements()[1:]:
             assert a * a.inverse() == ctx.one
 
     def test_not_arithmetic_mod_n(self):
@@ -69,7 +69,7 @@ class TestAxioms:
         # nonzero element does.
         assert all((2 * b) % 4 != 1 for b in range(4))
         ctx = gf(2)
-        assert all(a * a.inverse() == ctx.one for a in ctx.nonzero_elements())
+        assert all(a * a.inverse() == ctx.one for a in ctx.elements()[1:])
 
     def test_inverse_of_one(self):
         ctx = gf(3)
@@ -132,7 +132,7 @@ class TestFieldAxiomRoutine:
 
     @staticmethod
     def inverses(ctx):
-        return [e.inverse().index for e in ctx.nonzero_elements()]
+        return [e.inverse().index for e in ctx.elements()[1:]]
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_default_moduli_beyond_the_self_test(self, n):

@@ -8,7 +8,6 @@ from qphase.geometry import enumerate_striations
 from qphase.mub import (
     LabelingError,
     StriationBasis,
-    bell_reference_basis,
     check_conjugacy,
     full_mub_set,
 )
@@ -242,25 +241,6 @@ class TestOneVectorStack:
             assert np.shares_memory(stack, basis.vectors)
             assert np.array_equal(basis.vectors, stack[s])
             assert not basis.vectors.flags.writeable
-
-
-class TestBellReference:
-    def test_first_vector(self):
-        b = bell_reference_basis()
-        assert np.allclose(b[0], np.array([1, 0, 0, 1]) / np.sqrt(2))
-
-    def test_orthonormal(self):
-        b = bell_reference_basis()
-        assert np.max(np.abs(b.conj() @ b.T - np.eye(4))) < 1e-12
-
-    def test_not_conjugate_to_computational(self):
-        # overlaps with the computational basis are 1/sqrt(2) or 0 -- the Bell
-        # measurement itself is not conjugate to ZZ, which is why the two
-        # entangled striation bases differ from it
-        b = bell_reference_basis()
-        overlaps = np.abs(b.conj() @ np.eye(4).T)
-        s = 1 / np.sqrt(2)
-        assert set(np.round(overlaps.reshape(-1), 12)) == {0.0, round(s, 12)}
 
 
 class TestMixedDimension:

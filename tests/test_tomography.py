@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -286,8 +287,17 @@ class TestCountsValidation:
     def test_huge_n_rejected_by_key_count(self):
         # The key count is compared with N + 1 before the N + 1 expected
         # keys are listed, so n = 64 does not try to build 2^64 strings.
-        with pytest.raises(InvalidCountsError, match="keys 0..18446744073709551616"):
+        with pytest.raises(InvalidCountsError, match=r"n = 64 need striation keys 0..2\^64"):
             CountsRecord.from_json_dict({**self.GOOD, "n": 64})
+
+    @pytest.mark.parametrize("n", [20000, 10**9])
+    def test_huge_n_builds_no_power_of_two(self, n):
+        # 2^20000 has more decimal digits than int-to-str allows, and 2^(10^9)
+        # takes 125 MB; N is read off the three keys instead.
+        start = time.perf_counter()
+        with pytest.raises(InvalidCountsError, match=f"n = {n} need"):
+            CountsRecord.from_json_dict({**self.GOOD, "n": n})
+        assert time.perf_counter() - start < 0.01
 
     @pytest.mark.parametrize(
         "field, value",
@@ -545,7 +555,7 @@ class TestPointHelper:
         ctx = sys.ctx
         pts = [Point(q, p) for q in ctx.elements() for p in ctx.elements()]
         for a in pts:
-            lines_a = sys.net.lines_through(a)
+            lines_a = [next(ln for ln in s.lines if a in ln) for s in sys.striations]
             assert len(lines_a) == 5
             for b in pts:
                 if a == b:

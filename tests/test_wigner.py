@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qphase.fields import ContextMismatchError, field_create
+from qphase.fields import field_create
 from qphase.geometry import Point, line_from_equation
 from qphase.mub import full_mub_set
 from qphase.operators import pauli, pauli_permutation, translation_unitary
@@ -433,18 +433,13 @@ class TestNetAgainstDenseReference:
         assert system.net.outcome_index_table().tobytes() == table.tobytes()
         assert system.net.outcome_index_table().flags.c_contiguous
 
-    def test_lines_through_rejects_a_foreign_point(self):
-        other = field_create(2)
-        with pytest.raises(ContextMismatchError):
-            build_system(2).net.lines_through(Point(other.zero, other.one))
-
     @pytest.mark.parametrize("n", [3, 4])
     def test_vector_index_matches_dense_closure(self, n):
         system = build_system(n)
         assert system.net.vector_index == dense_vector_index(system)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_lines_through_table_and_stack_agree_with_membership(self, n):
+    def test_table_and_stack_agree_with_membership(self, n):
         system = build_system(n)
         net = system.net
         table = net.outcome_index_table()
@@ -454,7 +449,6 @@ class TestNetAgainstDenseReference:
                 pt = Point(q, p)
                 row = q.index * system.dim + p.index
                 member = [next(ln for ln in s.lines if pt in ln) for s in system.striations]
-                assert net.lines_through(pt) == tuple(member)
                 assert table[row].tolist() == [net.vector_index[ln] for ln in member]
                 a = -np.eye(system.dim, dtype=complex)
                 for line in member:
