@@ -32,6 +32,7 @@ from . import geometry
 MAX_FIELD_DEGREE = 8   # field tables stay cheap
 MAX_PHASE_DEGREE = 4   # full phase-space construction at desk scale
 MAX_SHOTS = 1 << 27    # one basis's draws are this many float64 values, 1 GiB
+MAX_TRIALS = 1 << 16   # seeds per --scaling point, each a full sample and reconstruction
 
 
 class UsageError(ValueError):
@@ -285,6 +286,8 @@ def cmd_tomo(args) -> int:
             raise UsageError("--shots must be >= 0 (0 = exact mode)")
         _check_shots(args.shots, "--shots")
     shot_list = _parse_shot_list(args.scaling) if args.scaling is not None else None
+    if shot_list is not None and not 1 <= args.trials <= MAX_TRIALS:
+        raise UsageError(f"--trials must be between 1 and {MAX_TRIALS} (2^16), got {args.trials}")
     sys_ = build_system(args.n)
     rho, warnings = parse_state_spec(args.state, args.n)
     for w in warnings:
@@ -292,8 +295,6 @@ def cmd_tomo(args) -> int:
     precision = args.precision
 
     if shot_list is not None:
-        if args.trials < 1:
-            raise UsageError("--trials must be at least 1")
         seeds = [args.seed + k for k in range(args.trials)]
         rows = error_scaling_study(rho, sys_.net, list(sys_.bases), shot_list, seeds)
         if args.format == "json":

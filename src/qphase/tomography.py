@@ -4,11 +4,13 @@ Counts come from deterministic counter-based streams keyed by (seed,
 striation), so per-basis simulation is reproducible bit-exactly and
 order-insensitive.  Each basis sorts its draws once and counts the outcomes
 with one search of the N cumulative edges; the counts are exactly those of
-placing every shot by inverse transform.  Reconstruction is linear inversion
-through the same line probabilities as the exact Wigner map (see wigner):
+placing every shot by inverse transform.  Reconstruction is linear inversion:
 W_a = (sum of the empirical line probabilities through a, minus 1)/N, then
-rho = sum_l (line sum of W) |v_l><v_l| - I, with optional projection back to
-the physical set.  No step builds the dense phase-point stack.
+rho = sum_a W_a A_a in the Pauli form of the Wigner map (see wigner),
+rho = (1/N) sum_b i^c_b (sum_a (-1)^<a,b> W_a) U_b, with optional projection
+back to the physical set.  With a power-of-two shot count every step of
+that sum is exact in floating point.  No step builds the dense phase-point
+stack.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .mub import StriationBasis
 from .states import InvalidStateError, validate_density_matrix
 from .wigner import PROB_DRIFT_TOL, QuantumNet, WignerGrid, basis_probabilities, grid_from_probabilities
-from .wigner import _valid_state_probabilities, state_from_wigner, wigner_from_state
+from .wigner import _grid_from_valid_state, _valid_state_probabilities, state_from_wigner, wigner_from_state
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -356,7 +358,7 @@ def error_scaling_study(
     bases = tuple(mub_set)
     MeasurementPlan(bases=bases, shots_per_basis=0, seed=0)  # rejects a malformed basis set
     probs = _clip_renormalise(_valid_state_probabilities(rho, np.stack([b.vectors for b in bases])))
-    true_grid = grid_from_probabilities(_valid_state_probabilities(rho, net._vectors), net)
+    true_grid = _grid_from_valid_state(rho, net)
     rows = []
     for shots in shot_list:
         dw, td = [], []

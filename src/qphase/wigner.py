@@ -7,14 +7,25 @@ stabilizer signs, a translation flips a stabilizer eigenvector's exponent row
 where it anticommutes with the stabilizers (``operators.translated_rows``,
 shared with the basis construction), and each line's row is looked up among
 its basis's sorted rows; ``verify`` checks the result against dense
-projectors.  Both directions of the Wigner map go through the line
-probabilities p_l = <v_l|rho|v_l>: W_a = (sum of p_l over the N+1 lines
-through a, minus 1)/N, and rho = sum_l p_l |v_l><v_l| - I with p_l the line
-sums of the grid.  These are W_a = tr(rho A_a)/N and rho = sum_a W_a A_a for
-the phase-point operators A_a (the line projectors through a, minus the
-identity), whose dense stack of 16 N^4 bytes is built only on request.
-"""
+projectors.
 
+The Wigner map runs on Pauli expectations.  A ray's projector is the average
+of its stabilizer group, (1/N) sum_b i^c_b U_b over the N points b of the
+ray (U_0 = I, c_0 = 0), and the line through a carries U_a P U_a^dag, whose
+terms gain the sign (-1)^<a,b> of the symplectic parity of the masks.
+Summed over the N+1 lines through a, minus I, this is
+A_a = (1/N) sum_b i^c_b (-1)^<a,b> U_b over all N^2 points b, so with
+E_b = tr(rho X^x Z^z):
+
+    W_a = tr(rho A_a) / N = (1/N^2) sum_b (-1)^<a,b> i^c_b E_b
+    rho = sum_a W_a A_a = (1/N) sum_b i^c_b (sum_a (-1)^<a,b> W_a) U_b
+
+Every sign is an entry of the N x N Sylvester-Hadamard matrix
+h[j, z] = (-1)^popcount(j & z), so each direction is three real or complex
+matrix products, O(N^3), and reads no basis vector.  The phase-point
+operators themselves, a dense stack of 16 N^4 bytes built from the line
+projectors, exist only on request.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
@@ -26,7 +37,7 @@ import numpy as np
 from .fields import ContextMismatchError, FieldContext
 from .geometry import Line, Point, Striation, enumerate_striations, grid_points, striation_points
 from .mub import StriationBasis
-from .operators import QubitLabeling, symplectic_parity, translated_rows
+from .operators import QubitLabeling, pauli_permutation, symplectic_parity, translated_rows
 from .serialize import round_float
 from .states import InvalidStateError, validate_density_matrix
 
@@ -67,8 +78,11 @@ class QuantumNet:
     table reads the vector on the line through each point, and
     vector_index and striation_of are read-only Line-keyed views.
     _vectors[s, k] is vector k of the basis of striation s, read-only; the
-    bases' vectors are views of it.  The views and the phase-point stack
-    are built on first use and shared read-only.
+    bases' vectors are views of it.  The Wigner map reads neither: it reads
+    _i_powers[x, z], the int8 exponent c with i^c X^x Z^z in the stabilizer
+    group of the ray through the point with masks (x, z), and c = 0 at the
+    origin.  The views, the Wigner map's Sylvester-Hadamard matrices and
+    the phase-point stack are built on first use and shared read-only.
     """
 
     ctx: FieldContext
@@ -77,6 +91,7 @@ class QuantumNet:
     bases: tuple[StriationBasis, ...]
     _line_vector: np.ndarray = field(repr=False, compare=False)
     _vectors: np.ndarray = field(repr=False, compare=False)
+    _i_powers: np.ndarray = field(repr=False, compare=False)
     _aux: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -139,6 +154,25 @@ class QuantumNet:
             self._aux["stack"] = cached
         return cached
 
+    def _pauli_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(src, h, hq, hp, phase) for the Wigner map: src[x, j] = j ^ x, the
+        Sylvester-Hadamard matrix h[z, j] = (-1)^popcount(j & z) (the
+        diagonal of Z^z), its rows and columns read at the grid's masks,
+        hq[q, z] = h[x_mask(q), z] and hp[x, p] = h[x, z_mask(p)], and
+        phase = i^_i_powers."""
+        cached = self._aux.get("pauli_tables")
+        if cached is None:
+            k = np.arange(self.dim)
+            src, _ = pauli_permutation(k, 0, self.dim)
+            _, h = pauli_permutation(0, k, self.dim)
+            h = h.astype(float)
+            x, z = self.labeling.point_masks(k * (self.dim + 1))  # of q and p at the points (k, k)
+            cached = (src, h, h[x], h[:, z], np.array([1, 1j, -1, -1j])[self._i_powers])
+            for table in cached:
+                table.setflags(write=False)
+            self._aux["pauli_tables"] = cached
+        return cached
+
     def _line_ids(self) -> np.ndarray:
         """[q_index * N + p_index, s] -> s * N + k for the line through that
         point in striation s, whose vector is k: a flat index into p[s, k]."""
@@ -199,6 +233,11 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     if repeats.any():
         raise NetConstructionError(f"striation {int(np.argmax(repeats))} maps two lines to one vector")
     line_vector.setflags(write=False)
+    # Each nonzero point lies on one ray; the ray's vector v has U_b v = i^e_b v,
+    # so i^-e_b U_b is in its stabilizer group.
+    i_powers = np.zeros((ctx.order, ctx.order), dtype=np.int8)
+    i_powers[x, z] = -ray_rows % 4
+    i_powers.setflags(write=False)
 
     return QuantumNet(
         ctx=ctx,
@@ -207,6 +246,7 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         bases=tuple(replace(b, vectors=v) for b, v in zip(mub_set, vectors)),
         _line_vector=line_vector,
         _vectors=vectors,
+        _i_powers=i_powers,
     )
 
 
@@ -290,27 +330,39 @@ def grid_from_probabilities(p: np.ndarray, net: QuantumNet) -> WignerGrid:
 
 
 def wigner_from_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
-    """W_a = tr(rho A_a) / N for every grid point, from the line probabilities.
+    """W_a = tr(rho A_a) / N for every grid point, from the Pauli expectations.
 
     The input must be a physical state (Hermitian, unit trace, PSD within
     1e-9); otherwise InvalidStateError.
     """
-    return grid_from_probabilities(basis_probabilities(rho, net._vectors), net)
+    return _grid_from_valid_state(validate_density_matrix(rho, net.dim), net)
+
+
+def _grid_from_valid_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
+    """wigner_from_state for a rho that the caller has already validated.
+
+    e[z, x] = sum_j h[z, j] rho[j, j ^ x] = tr(rho X^x Z^z), and W is
+    (1/N^2) sum over (x, z) of i^c e with the signs of the symplectic
+    parity, one Sylvester-Hadamard product on each side."""
+    src, h, hq, hp, phase = net._pauli_tables()
+    e = h @ rho[src[0][:, None], src]
+    return WignerGrid(net.ctx, hq @ (phase.T * e).real @ hp / net.dim**2)
 
 
 def state_from_wigner(grid: WignerGrid, net: QuantumNet) -> np.ndarray:
-    """rho = sum_a W_a A_a, the exact inverse of wigner_from_state, computed
-    as sum_l p_l |v_l><v_l| - (sum_a W_a) I with p_l the line sums of W."""
+    """rho = sum_a W_a A_a, the exact inverse of wigner_from_state.
+
+    s[x, z] = sum_a (-1)^<a,b> W_a for b = (x, z), one Sylvester-Hadamard
+    product on each side; then rho[j ^ x, j] = (1/N) sum_z i^c s h[z, j].
+    """
     if grid.ctx is not net.ctx:
         raise ContextMismatchError("grid and net use different field contexts")
     total = grid.total
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"grid sums to {total!r}, expected 1")
-    # Every line has N points, so each line id occurs and p has N(N+1) entries.
-    weights = np.repeat(grid.values.reshape(-1), len(net.bases))
-    p = np.bincount(net._line_ids().reshape(-1), weights=weights)
-    vectors = net._vectors.reshape(-1, net.dim)
-    return (vectors.T * p) @ vectors.conj() - total * np.eye(net.dim)
+    src, h, hq, hp, phase = net._pauli_tables()
+    t = (phase * (hp @ grid.values.T @ hq)) @ h / net.dim
+    return t[src, src[0]]
 
 
 def line_sum(grid: WignerGrid, line: Line) -> float:

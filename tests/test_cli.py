@@ -7,12 +7,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qphase.cli import MAX_SHOTS, main
+from qphase.cli import MAX_TRIALS
 from qphase.serialize import dumps_canonical, round_float
 from qphase.states import parse_state_spec, random_density_matrix, random_pure_state
 from qphase.system import build_system
@@ -265,6 +267,23 @@ class TestTomo:
     def test_shots_at_the_default_scale_still_run(self):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["tomo", "1", "--state", "up", "--shots", "4096"]) == 0
+
+    @pytest.mark.parametrize("trials", ["1000000000", str(MAX_TRIALS + 1), "0"])
+    def test_trials_outside_the_cap_exit_2_before_building(self, trials, monkeypatch, capsys):
+        # The seed list is built before any trial runs, so 10^9 trials would
+        # first allocate 10^9 Python ints; the cap is checked before the build.
+        def unreachable(n):
+            raise AssertionError("built a system")
+
+        monkeypatch.setattr("qphase.cli.build_system", unreachable)
+        start = time.perf_counter()
+        assert main(["tomo", "1", "--state", "up", "--scaling", "64", "--trials", trials]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert f"between 1 and {MAX_TRIALS}" in capsys.readouterr().err
+
+    def test_trials_within_the_cap_still_run(self):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["tomo", "1", "--state", "up", "--scaling", "64", "--trials", "3"]) == 0
 
     def test_scaling_csv(self):
         out = run_cli(

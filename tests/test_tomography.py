@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -425,6 +426,34 @@ class TestEstimateState:
         report = estimate_state(counts, sys.net, project=False)
         assert report.rho_projected is None
         assert np.max(np.abs(report.estimate - report.rho_raw)) == 0
+
+
+class TestExactReconstruction:
+    """With a power-of-two shot count every intermediate of the raw estimate
+    is a dyadic rational, so rho_raw is exact and printed digits at a
+    rounding tie do not depend on summation order."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_raw_estimate_equals_the_rational_sum(self, seed):
+        sys, shots = build_system(3), 4096
+        dim = sys.dim
+        counts = simulate_counts(state_of_kind("wishart", dim, seed), plan_for(sys, shots, seed))
+        report = estimate_state(counts, sys.net)
+        # W_a = (sum over the lines through a of count / shots - 1) / N.
+        w = [
+            (sum(Fraction(int(counts.counts[s][k]), shots) for s, k in enumerate(row)) - 1) / dim
+            for row in sys.net.outcome_index_table().tolist()
+        ]
+        assert [Fraction(x) for x in report.wigner.values.reshape(-1).tolist()] == w
+        # N A_a is a sum of Pauli strings with +-1 and +-i weights: Gaussian integers.
+        scaled = sys.net.phase_point_stack() * dim
+        whole = np.round(scaled)
+        assert np.max(np.abs(scaled - whole)) < 1e-9
+        for part in (np.real, np.imag):
+            # Column e of the (N^2, N^2) table holds entry e of every N A_a.
+            columns = part(whole).reshape(len(w), -1).T.tolist()
+            exact = [sum(w[a] * int(m) for a, m in enumerate(col) if m) / dim for col in columns]
+            assert [Fraction(x) for x in part(report.rho_raw).reshape(-1).tolist()] == exact
 
 
 class TestMetrics:

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from qphase.fields import field_create
 from qphase.geometry import Point, line_from_equation
+from qphase.geometry import striation_points
 from qphase.mub import full_mub_set
 from qphase.operators import pauli, pauli_permutation, translation_unitary
+from qphase.states import density_from_vector, random_pure_state
 from qphase.states import (
     InvalidStateError,
     random_density_matrix,
@@ -572,3 +574,50 @@ class TestPhasePointReference:
         sys = build_system(1)
         with pytest.raises(ValueError, match="shape"):
             grid_from_probabilities(np.full((2, 2), 0.5), sys.net)
+
+
+class TestPauliMap:
+    """The Pauli form of the Wigner map against the basis vectors and the
+    dense phase-point operators, which it never reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 16))
+    def test_matches_the_stack_and_inverts(self, n, seed, rank):
+        sys = build_system(n)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((sys.dim, min(rank, sys.dim))) * (1 + 0j)
+        g += 1j * rng.standard_normal(g.shape)
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        grid = wigner_from_state(rho, sys.net)
+        ref = np.einsum("aij,ji->a", sys.net.phase_point_stack(), rho).real / sys.dim
+        assert np.max(np.abs(grid.values.reshape(-1) - ref)) < 1e-12
+        assert np.max(np.abs(state_from_wigner(grid, sys.net) - rho)) < 1e-12
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_line_sums_are_basis_probabilities(self, n):
+        sys = build_system(n)
+        points = striation_points(sys.ctx)
+        vectors = np.stack([b.vectors for b in sys.bases])
+        rng = np.random.default_rng(n)
+        for rho in (random_density_matrix(rng, sys.dim), density_from_vector(random_pure_state(rng, sys.dim))):
+            sums = wigner_from_state(rho, sys.net).values.reshape(-1)[points].sum(axis=-1)
+            probs = ((vectors.conj() @ rho) * vectors).sum(axis=-1).real
+            # The vector on line l of striation s is the outcome at its first point.
+            k = sys.net.outcome_index_table()[points[..., 0], np.arange(len(points))[:, None]]
+            line_probs = np.take_along_axis(probs, k, axis=1)
+            assert np.max(np.abs(sums - line_probs)) < 1e-12
+
+    def test_reads_no_basis_vector(self):
+        net = build_system(3).net
+        nan = np.full(net._vectors.shape, np.nan + 0j)
+        blind = dataclasses.replace(
+            net,
+            _vectors=nan,
+            bases=tuple(dataclasses.replace(b, vectors=v) for b, v in zip(net.bases, nan)),
+            _aux={},
+        )
+        rho = random_density_matrix(np.random.default_rng(3), net.dim)
+        grid = wigner_from_state(rho, net)
+        assert np.array_equal(wigner_from_state(rho, blind).values, grid.values)
+        assert np.array_equal(state_from_wigner(grid, blind), state_from_wigner(grid, net))
