@@ -52,8 +52,9 @@ class StriationBasis:
     vectors[k] is the k-th unit vector; every vector is a simultaneous
     eigenvector of all the striation's stabilizer unitaries, with
     stabilizers[i] v_k = i^exponents[k, i] v_k, and masks[:, i] = (x, z)
-    of stabilizers[i].  A basis assembled by hand may leave exponents and
-    masks as None.
+    of stabilizers[i]; measurement and the quantum net read only these.  A
+    basis assembled by hand may leave them as None: ``check_conjugacy``
+    audits it, ``MeasurementPlan`` and ``default_net`` refuse it.
     """
 
     striation: int
@@ -99,8 +100,9 @@ def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> li
 
 
 def _stabilizer_bases(labeling: QubitLabeling):
-    """Stacked (vectors, exponents, masks) of all striations, masks[s] =
-    (x, z) of the ray's nonzero points.  Another ray (horizontal for the
+    """Stacked (vectors, exponents, masks) of all striations, read-only,
+    masks[s] = (x, z) of the ray's nonzero points, so every basis holds
+    views of the same three arrays.  Another ray (horizontal for the
     vertical striation, else vertical) carries each seed onto its basis."""
     rays = striation_points(labeling.ctx)[:, 0]
     x, z = labeling.point_masks(rays[:, 1:])
@@ -109,7 +111,10 @@ def _stabilizer_bases(labeling: QubitLabeling):
         vectors, exponents = stabilizer_eigenbasis(x, z, labeling.dim, tx, tz)
     except NonCommutingError as exc:
         raise LabelingError(exc.group, exc) from exc
-    return vectors, exponents, np.stack([x, z], axis=1)
+    masks = np.stack([x, z], axis=1)
+    for a in (vectors, exponents, masks):
+        a.setflags(write=False)
+    return vectors, exponents, masks
 
 
 @dataclass

@@ -16,8 +16,8 @@ from .wigner import QuantumNet, default_net
 class PhaseSpaceSystem:
     """Field, geometry, labeling, conjugate bases and quantum net for one n.
 
-    The bases are the net's: their vectors are read-only views of its one
-    vector stack.
+    The bases are the net's, and each holds read-only views of the batched
+    pass's one vector, exponent and mask arrays (``mub.full_mub_set``).
     """
 
     n: int

@@ -1,5 +1,7 @@
 """Conjugate-basis measurement simulation and statistical state reconstruction.
 
+Outcome probabilities come from the Pauli expectations and each basis's
+integer rows, never from a basis vector (see outcome_probabilities).
 Counts come from deterministic counter-based streams keyed by (seed,
 striation), so per-basis simulation is reproducible bit-exactly and
 order-insensitive.  Each basis sorts its draws once and counts the outcomes
@@ -16,14 +18,16 @@ stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .mub import StriationBasis
 from .states import InvalidStateError, validate_density_matrix
-from .wigner import PROB_DRIFT_TOL, QuantumNet, WignerGrid, basis_probabilities, grid_from_probabilities
-from .wigner import _grid_from_valid_state, _valid_state_probabilities, state_from_wigner, wigner_from_state
+from .wigner import QuantumNet, WignerGrid, grid_from_probabilities, state_from_wigner, wigner_from_state
+from .wigner import _grid_from_valid_state, _pauli_expectations
 
+PROB_DRIFT_TOL = 1e-9
 _UINT64_MASK = (1 << 64) - 1
 
 
@@ -33,7 +37,7 @@ class MeasurementPlan:
 
     shots_per_basis = 0 is the exact-probability sentinel: the true outcome
     distribution flows through the same reconstruction path, giving the
-    infinite-ensemble limit.
+    infinite-ensemble limit.  Every basis must carry its exponents and masks.
     """
 
     bases: tuple[StriationBasis, ...]
@@ -43,6 +47,7 @@ class MeasurementPlan:
     def __post_init__(self) -> None:
         if self.shots_per_basis < 0:
             raise ValueError("shots_per_basis must be >= 0 (0 = exact mode)")
+        _check_integer_rows(self.bases)
         dims = {b.dim for b in self.bases}
         if len(dims) != 1:
             raise ValueError("bases have mixed dimensions")
@@ -150,18 +155,39 @@ def _whole_number(payload: dict, key: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def outcome_probabilities(rho: np.ndarray, basis: StriationBasis | np.ndarray) -> np.ndarray:
-    """p_k = <v_k| rho |v_k>, clipped to [0, 1] and renormalized.
+def outcome_probabilities(rho: np.ndarray, bases: Sequence[StriationBasis]) -> np.ndarray:
+    """p[s, k] for outcome k of bases[s], clipped to [0, 1] and renormalised.
 
-    basis_probabilities for one basis, or one row per basis for stacked
-    vectors[s, k]: probability drift of PROB_DRIFT_TOL or more (before
-    renormalization) means the input was not a physical state and raises.
+    Outcome k projects onto the average of the stabilizer group U_i =
+    X^x_si Z^z_si with the signs of U_i v_k = i^e[s,k,i] v_k, so with
+    E = tr(rho X^x Z^z), p[s, k] = (1/N)(tr rho + sum_i Re(i^-e[s,k,i] E_si)),
+    where Re(i^-e E) is Re E, Im E, -Re E or -Im E for e = 0..3.  Every basis
+    must carry its exponents and masks; a drift from 1 by PROB_DRIFT_TOL or
+    more, which no valid rows give, or a non-physical rho raises.
     """
-    vectors = basis.vectors if isinstance(basis, StriationBasis) else np.asarray(basis)
-    return _clip_renormalise(basis_probabilities(rho, vectors))
+    _check_integer_rows(bases)
+    return _outcome_probabilities(validate_density_matrix(rho, bases[0].dim), bases)
 
 
-def _clip_renormalise(p: np.ndarray) -> np.ndarray:
+def _check_integer_rows(bases: Sequence[StriationBasis]) -> None:
+    if not bases:
+        raise ValueError("no bases to measure")
+    for b in bases:
+        if b.exponents is None or b.masks is None:
+            raise ValueError(f"basis of striation {b.striation} carries no stabilizer exponents or masks")
+
+
+def _outcome_probabilities(rho: np.ndarray, bases: Sequence[StriationBasis]) -> np.ndarray:
+    """outcome_probabilities for a rho and bases that the caller has already checked."""
+    e = _pauli_expectations(rho)
+    x, z = np.array([b.masks for b in bases]).transpose(1, 0, 2)
+    rows = np.array([b.exponents for b in bases])
+    at = e[z, x][:, None]
+    terms = np.where(rows & 1, at.imag, at.real) * (1 - (rows & 2))  # Re(i^-e E)
+    p = (e[0, 0].real + terms.sum(axis=-1)) / len(e)
+    drift = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
+    if drift >= PROB_DRIFT_TOL:
+        raise InvalidStateError(f"outcome probabilities drift from 1 by {drift:.3e}")
     p = np.clip(p, 0.0, 1.0)
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -198,8 +224,7 @@ def simulate_counts(rho: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     its sorted draws against the cumulative outcome probabilities, which
     gives the same counts as placing every shot by inverse transform.
     """
-    probs = outcome_probabilities(rho, np.stack([b.vectors for b in plan.bases]))
-    return _record_from_probabilities(probs, plan)
+    return _record_from_probabilities(outcome_probabilities(rho, plan.bases), plan)
 
 
 def _record_from_probabilities(probs: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
@@ -234,18 +259,19 @@ def estimate_wigner(counts: CountsRecord, net: QuantumNet) -> WignerGrid:
 # -- distance measures ------------------------------------------------------
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    eigvals = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
+def _floored(eigvals: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, 0 below the rounding floor N eps max(eigvals)."""
+    floor = len(eigvals) * np.finfo(float).eps * max(eigvals[-1], 0.0)
+    return np.where(eigvals > floor, eigvals, 0.0)
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Squared-overlap fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    root = _psd_sqrt(rho)
-    inner = root @ sigma @ root
-    eigvals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sqrt(eigvals).sum() ** 2)
+    """Squared-overlap fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.  Both
+    roots floor the eigenvalues, so ~1e-17 of rounding where a rank-deficient
+    matrix has 0 does not add its root, ~3e-9, to the result."""
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    root = (eigvecs * np.sqrt(_floored(eigvals))) @ eigvecs.conj().T
+    return float(np.sqrt(_floored(np.linalg.eigvalsh(root @ sigma @ root))).sum() ** 2)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -357,7 +383,7 @@ def error_scaling_study(
     rho = validate_density_matrix(rho, net.dim)
     bases = tuple(mub_set)
     MeasurementPlan(bases=bases, shots_per_basis=0, seed=0)  # rejects a malformed basis set
-    probs = _clip_renormalise(_valid_state_probabilities(rho, np.stack([b.vectors for b in bases])))
+    probs = _outcome_probabilities(rho, bases)
     true_grid = _grid_from_valid_state(rho, net)
     rows = []
     for shots in shot_list:

@@ -22,13 +22,15 @@ E_b = tr(rho X^x Z^z):
 
 Every sign is an entry of the N x N Sylvester-Hadamard matrix
 h[j, z] = (-1)^popcount(j & z), so each direction is three real or complex
-matrix products, O(N^3), and reads no basis vector.  The phase-point
-operators themselves, a dense stack of 16 N^4 bytes built from the line
-projectors, exist only on request.
+matrix products, O(N^3), and reads no basis vector; tomography's outcome
+probabilities share ``_pauli_expectations``.  The phase-point operators, a
+dense stack of 16 N^4 bytes built from the line projectors, exist only on
+request.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -39,10 +41,9 @@ from .geometry import Line, Point, Striation, enumerate_striations, grid_points,
 from .mub import StriationBasis
 from .operators import QubitLabeling, pauli_permutation, symplectic_parity, translated_rows
 from .serialize import round_float
-from .states import InvalidStateError, validate_density_matrix
+from .states import validate_density_matrix
 
 CLOSURE_TOL = 1e-9
-PROB_DRIFT_TOL = 1e-9
 
 
 class NetConstructionError(RuntimeError):
@@ -76,12 +77,10 @@ class QuantumNet:
     line l's vector within the basis of striation s.  Every other view is a
     lookup through the striation rows (``striation_points``): the outcome
     table reads the vector on the line through each point, and
-    vector_index and striation_of are read-only Line-keyed views.
-    _vectors[s, k] is vector k of the basis of striation s, read-only; the
-    bases' vectors are views of it.  The Wigner map reads neither: it reads
-    _i_powers[x, z], the int8 exponent c with i^c X^x Z^z in the stabilizer
-    group of the ray through the point with masks (x, z), and c = 0 at the
-    origin.  The views, the Wigner map's Sylvester-Hadamard matrices and
+    vector_index and striation_of are read-only Line-keyed views.  The
+    Wigner map reads no basis vector, only _i_powers[x, z], the int8
+    exponent c with i^c X^x Z^z in the stabilizer group of the ray through
+    the point with masks (x, z), and c = 0 at the origin.  Views, tables and
     the phase-point stack are built on first use and shared read-only.
     """
 
@@ -90,31 +89,19 @@ class QuantumNet:
     striations: tuple[Striation, ...]
     bases: tuple[StriationBasis, ...]
     _line_vector: np.ndarray = field(repr=False, compare=False)
-    _vectors: np.ndarray = field(repr=False, compare=False)
     _i_powers: np.ndarray = field(repr=False, compare=False)
     _aux: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
-    @property
+    @cached_property
     def vector_index(self) -> Mapping[Line, int]:
         """Line -> index of its vector within its striation's basis."""
-        return self._line_maps()[0]
+        rows = zip(self.striations, self._line_vector.tolist())
+        return MappingProxyType({ln: k for st, ks in rows for ln, k in zip(st.lines, ks)})
 
-    @property
+    @cached_property
     def striation_of(self) -> Mapping[Line, int]:
         """Line -> index of its striation."""
-        return self._line_maps()[1]
-
-    def _line_maps(self) -> tuple[Mapping[Line, int], Mapping[Line, int]]:
-        cached = self._aux.get("line_maps")
-        if cached is None:
-            vector_index: dict[Line, int] = {}
-            striation_of: dict[Line, int] = {}
-            for s, (striation, ks) in enumerate(zip(self.striations, self._line_vector.tolist())):
-                vector_index.update(zip(striation.lines, ks))
-                striation_of.update(dict.fromkeys(striation.lines, s))
-            cached = (MappingProxyType(vector_index), MappingProxyType(striation_of))
-            self._aux["line_maps"] = cached
-        return cached
+        return MappingProxyType({ln: s for s, st in enumerate(self.striations) for ln in st.lines})
 
     @property
     def dim(self) -> int:
@@ -154,29 +141,18 @@ class QuantumNet:
             self._aux["stack"] = cached
         return cached
 
+    @cached_property
     def _pauli_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(src, h, hq, hp, phase) for the Wigner map: src[x, j] = j ^ x, the
-        Sylvester-Hadamard matrix h[z, j] = (-1)^popcount(j & z) (the
-        diagonal of Z^z), its rows and columns read at the grid's masks,
-        hq[q, z] = h[x_mask(q), z] and hp[x, p] = h[x, z_mask(p)], and
-        phase = i^_i_powers."""
-        cached = self._aux.get("pauli_tables")
-        if cached is None:
-            k = np.arange(self.dim)
-            src, _ = pauli_permutation(k, 0, self.dim)
-            _, h = pauli_permutation(0, k, self.dim)
-            h = h.astype(float)
-            x, z = self.labeling.point_masks(k * (self.dim + 1))  # of q and p at the points (k, k)
-            cached = (src, h, h[x], h[:, z], np.array([1, 1j, -1, -1j])[self._i_powers])
-            for table in cached:
-                table.setflags(write=False)
-            self._aux["pauli_tables"] = cached
-        return cached
-
-    def _line_ids(self) -> np.ndarray:
-        """[q_index * N + p_index, s] -> s * N + k for the line through that
-        point in striation s, whose vector is k: a flat index into p[s, k]."""
-        return self.outcome_index_table() + self.dim * np.arange(len(self.bases))
+        """(src, h, hq, hp, phase) for the Wigner map: ``_sylvester_tables``, h
+        read at the grid's masks, hq[q, z] = h[x_mask(q), z] and
+        hp[x, p] = h[x, z_mask(p)], and phase = i^_i_powers."""
+        src, h = _sylvester_tables(self.dim)
+        k = np.arange(self.dim)
+        x, z = self.labeling.point_masks(k * (self.dim + 1))  # of q and p at the points (k, k)
+        tables = (src, h, h[x], h[:, z], np.array([1, 1j, -1, -1j])[self._i_powers])
+        for table in tables:
+            table.setflags(write=False)
+        return tables
 
     def outcome_index_table(self) -> np.ndarray:
         """outcome_index_table()[q_index * N + p_index, s] is the basis-vector
@@ -206,8 +182,8 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     gives the same row, so covariance holds by construction; ``verify``
     holds the dense evidence (``check_line_sums``, ``check_a_covariance``).
     The bases must be built under ``labeling``; their masks name each
-    exponent column's stabilizer.  The net stacks their vectors once, and
-    its bases are read-only views of that stack.
+    exponent column's stabilizer.  The net keeps the bases as given and
+    reads none of their vectors.
     """
     striations = enumerate_striations(ctx)
     if len(mub_set) != len(striations):
@@ -218,8 +194,6 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         if any(op.labeling is not labeling and op.labeling != labeling for op in basis.stabilizers):
             raise NetConstructionError(f"basis of striation {s} was built under a different labeling")
     points = striation_points(ctx)
-    vectors = np.stack([b.vectors for b in mub_set])
-    vectors.setflags(write=False)
     exponents = np.stack([b.exponents for b in mub_set])
     x, z = np.stack([b.masks for b in mub_set], axis=1)
     ray_rows = exponents[np.arange(len(striations)), _ray_index(exponents, x, z, ctx.n)]
@@ -243,9 +217,8 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         ctx=ctx,
         labeling=labeling,
         striations=striations,
-        bases=tuple(replace(b, vectors=v) for b, v in zip(mub_set, vectors)),
+        bases=tuple(mub_set),
         _line_vector=line_vector,
-        _vectors=vectors,
         _i_powers=i_powers,
     )
 
@@ -296,37 +269,16 @@ class WignerGrid:
         }
 
 
-def basis_probabilities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """p[s, k] = <v_sk|rho|v_sk> for stacked bases vectors[s, k], unclipped.
-
-    rho is validated once (Hermitian, unit trace, PSD within 1e-9); a basis
-    whose probabilities drift from 1 by PROB_DRIFT_TOL or more raises
-    InvalidStateError.
-    """
-    vectors = np.asarray(vectors)
-    return _valid_state_probabilities(validate_density_matrix(rho, vectors.shape[-1]), vectors)
-
-
-def _valid_state_probabilities(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """basis_probabilities for a rho that the caller has already validated."""
-    flat = vectors.reshape(-1, vectors.shape[-1])
-    p = ((flat.conj() @ rho) * flat).sum(1).real.reshape(vectors.shape[:-1])
-    drift = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
-    if drift >= PROB_DRIFT_TOL:
-        raise InvalidStateError(f"outcome probabilities drift from 1 by {drift:.3e}")
-    return p
-
-
 def grid_from_probabilities(p: np.ndarray, net: QuantumNet) -> WignerGrid:
     """W_a = (sum_s p[s, k_s(a)] - 1) / N, where k_s(a) is the outcome of
     striation s assigned to the line through a."""
-    n_elems = net.ctx.order
     p = np.asarray(p, dtype=float)
     expected = (len(net.bases), net.dim)
     if p.shape != expected:
         raise ValueError(f"line probabilities must have shape {expected}, got {p.shape}")
-    totals = sum(p.reshape(-1)[ids] for ids in net._line_ids().T)  # in striation order
-    return WignerGrid(net.ctx, ((totals - 1.0) / net.dim).reshape(n_elems, n_elems))
+    ids = net.outcome_index_table() + net.dim * np.arange(len(net.bases))  # flat indices into p[s, k]
+    totals = sum(p.reshape(-1)[col] for col in ids.T)  # in striation order
+    return WignerGrid(net.ctx, ((totals - 1.0) / net.dim).reshape(net.dim, net.dim))
 
 
 def wigner_from_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
@@ -338,14 +290,30 @@ def wigner_from_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
     return _grid_from_valid_state(validate_density_matrix(rho, net.dim), net)
 
 
+@lru_cache(maxsize=None)
+def _sylvester_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, h), read-only: src[x, j] = j ^ x and the Sylvester-Hadamard
+    matrix h[z, j] = (-1)^popcount(j & z), the diagonal of Z^z."""
+    k = np.arange(dim)
+    src, h = k ^ k[:, None], pauli_permutation(0, k, dim)[1].astype(float)
+    src.setflags(write=False)
+    h.setflags(write=False)
+    return src, h
+
+
+def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
+    """e[z, x] = sum_j h[z, j] rho[j, j ^ x] = tr(rho X^x Z^z)."""
+    src, h = _sylvester_tables(len(rho))
+    return h @ rho[src[0][:, None], src]
+
+
 def _grid_from_valid_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
     """wigner_from_state for a rho that the caller has already validated.
 
-    e[z, x] = sum_j h[z, j] rho[j, j ^ x] = tr(rho X^x Z^z), and W is
-    (1/N^2) sum over (x, z) of i^c e with the signs of the symplectic
-    parity, one Sylvester-Hadamard product on each side."""
-    src, h, hq, hp, phase = net._pauli_tables()
-    e = h @ rho[src[0][:, None], src]
+    W is (1/N^2) sum over (x, z) of i^c tr(rho X^x Z^z) with the signs of
+    the symplectic parity, one Sylvester-Hadamard product on each side."""
+    _, _, hq, hp, phase = net._pauli_tables
+    e = _pauli_expectations(rho)
     return WignerGrid(net.ctx, hq @ (phase.T * e).real @ hp / net.dim**2)
 
 
@@ -360,7 +328,7 @@ def state_from_wigner(grid: WignerGrid, net: QuantumNet) -> np.ndarray:
     total = grid.total
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"grid sums to {total!r}, expected 1")
-    src, h, hq, hp, phase = net._pauli_tables()
+    src, h, hq, hp, phase = net._pauli_tables
     t = (phase * (hp @ grid.values.T @ hq)) @ h / net.dim
     return t[src, src[0]]
 

@@ -233,14 +233,17 @@ class TestOneVectorStack:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bases_are_read_only_views_of_the_net_stack(self, n):
         system = build_system(n)
-        stack = system.net._vectors
+        dim = system.dim
         assert system.bases is system.net.bases
-        assert stack.shape == (system.dim + 1, system.dim, system.dim)
-        assert not stack.flags.writeable
-        for s, basis in enumerate(system.bases):
-            assert np.shares_memory(stack, basis.vectors)
-            assert np.array_equal(basis.vectors, stack[s])
-            assert not basis.vectors.flags.writeable
+        for name, shape in (("vectors", (dim, dim)), ("exponents", (dim, dim - 1)), ("masks", (2, dim - 1))):
+            stack = getattr(system.bases[0], name).base
+            assert stack.shape == (dim + 1, *shape)
+            assert not stack.flags.writeable
+            for s, basis in enumerate(system.bases):
+                array = getattr(basis, name)
+                assert array.base is stack
+                assert np.array_equal(array, stack[s])
+                assert not array.flags.writeable
 
 
 class TestMixedDimension:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import qphase.tomography
 import qphase.wigner
 from qphase.geometry import Point
+from qphase.mub import StriationBasis
 from qphase.states import (
     InvalidStateError,
     random_density_matrix,
@@ -48,24 +50,28 @@ def plan_for(sys, shots, seed=0):
 class TestOutcomeProbabilities:
     def test_up_in_z_basis(self):
         sys = build_system(1)
-        p = outcome_probabilities(rho_of("up"), sys.bases[0])
+        p = outcome_probabilities(rho_of("up"), sys.bases)[0]
         assert np.allclose(p, [1, 0])
 
     def test_up_in_x_basis_equal_superposition(self):
         sys = build_system(1)
-        p = outcome_probabilities(rho_of("up"), sys.bases[1])
+        p = outcome_probabilities(rho_of("up"), sys.bases[1:2])[0]
         assert np.allclose(p, [0.5, 0.5])
+        # the +1 eigenvector of X comes first in basis 1
+        assert np.allclose(outcome_probabilities(rho_of("plus"), sys.bases)[1], [1, 0])
 
     def test_singlet_in_entangled_basis_cross_checked_against_line_sums(self):
-        # dual route: <v|rho|v> versus the sums of the singlet grid over the
+        # dual route: the Pauli expectations under the basis's exponent rows
+        # versus <v|rho|v> and the sums of the singlet grid over the
         # striation's lines
         sys = build_system(2)
         rho = rho_of("singlet")
         grid = wigner_from_state(rho, sys.net)
         basis = sys.bases[3]
-        p = outcome_probabilities(rho, basis)
+        p = outcome_probabilities(rho, [basis])[0]
         assert np.all(p >= 0) and np.all(p <= 1)
         assert p.sum() == pytest.approx(1.0)
+        assert np.allclose(p, [(v.conj() @ rho @ v).real for v in basis.vectors], atol=1e-12)
         striation = sys.striations[3]
         for line in striation.lines:
             k = sys.net.vector_index[line]
@@ -74,7 +80,15 @@ class TestOutcomeProbabilities:
     def test_unphysical_state_rejected(self):
         sys = build_system(1)
         with pytest.raises(InvalidStateError):
-            outcome_probabilities(np.diag([1.2, -0.2]).astype(complex), sys.bases[0])
+            outcome_probabilities(np.diag([1.2, -0.2]).astype(complex), sys.bases)
+
+    def test_bases_without_integer_rows_refused(self):
+        sys = build_system(1)
+        bare = [StriationBasis(b.striation, b.vectors, b.stabilizers) for b in sys.bases]
+        with pytest.raises(ValueError, match="striation 0 carries no stabilizer exponents"):
+            outcome_probabilities(rho_of("up"), bare)
+        with pytest.raises(ValueError, match="no bases"):
+            outcome_probabilities(rho_of("up"), [])
 
 
 class TestSimulateCounts:
@@ -116,6 +130,20 @@ class TestSimulateCounts:
             MeasurementPlan(bases=sys.bases[:3], shots_per_basis=10, seed=0)
         with pytest.raises(ValueError):
             MeasurementPlan(bases=sys.bases, shots_per_basis=-1, seed=0)
+
+    def test_plan_without_bases_names_the_fault(self):
+        with pytest.raises(ValueError, match="no bases"):
+            MeasurementPlan(bases=(), shots_per_basis=10, seed=0)
+
+    def test_plan_refuses_a_basis_without_integer_rows(self):
+        sys = build_system(2)
+        bases = list(sys.bases)
+        bases[3] = StriationBasis(3, bases[3].vectors, bases[3].stabilizers)
+        with pytest.raises(ValueError, match="basis of striation 3 carries no stabilizer exponents or masks"):
+            MeasurementPlan(bases=tuple(bases), shots_per_basis=10, seed=0)
+        bases[3] = dataclasses.replace(sys.bases[3], masks=None)
+        with pytest.raises(ValueError, match="basis of striation 3"):
+            MeasurementPlan(bases=tuple(bases), shots_per_basis=0, seed=0)
 
     def test_json_round_trip(self):
         sys = build_system(1)
@@ -172,7 +200,7 @@ class TestSortedDrawCounting:
         sys = build_system(n)
         rho = state_of_kind(kind, sys.dim, state_seed)
         record = simulate_counts(rho, plan_for(sys, shots, seed))
-        probs = outcome_probabilities(rho, np.stack([b.vectors for b in sys.bases]))
+        probs = outcome_probabilities(rho, sys.bases)
         for basis, p in zip(sys.bases, probs):
             got = record.counts[basis.striation]
             ref = per_shot_counts(p, _basis_stream(seed, basis.striation).random(shots))
@@ -463,6 +491,18 @@ class TestMetrics:
 
     def test_fidelity_orthogonal_states(self):
         assert fidelity(rho_of("up"), rho_of("down")) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fidelity_with_a_pure_truth_is_the_overlap(self, n):
+        # For rho = |psi><psi| the fidelity is <psi|sigma|psi>; rounding noise
+        # in the zero eigenvalues must not reach it through the square roots.
+        sys = build_system(n)
+        for seed in range(20):
+            psi = random_pure_state(np.random.default_rng(seed), sys.dim)
+            rho = np.outer(psi, psi.conj())
+            counts = simulate_counts(rho, plan_for(sys, 64, seed))
+            sigma = estimate_state(counts, sys.net).estimate
+            assert abs(fidelity(rho, sigma) - (psi.conj() @ sigma @ psi).real) < 1e-12
 
     def test_trace_distance_extremes(self):
         assert trace_distance(rho_of("up"), rho_of("up")) == pytest.approx(0.0)

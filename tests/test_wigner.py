@@ -22,12 +22,17 @@ from qphase.states import (
 )
 from qphase.system import build_system
 from qphase import wigner
-from qphase.tomography import MeasurementPlan, estimate_state, simulate_counts
+from qphase.tomography import (
+    MeasurementPlan,
+    error_scaling_study,
+    estimate_state,
+    outcome_probabilities,
+    simulate_counts,
+)
 from qphase.wigner import (
     NetConstructionError,
     QuantumNet,
     WignerGrid,
-    basis_probabilities,
     default_net,
     grid_from_probabilities,
     grid_ascii,
@@ -565,10 +570,12 @@ class TestPhasePointReference:
 
     def test_drifting_probabilities_rejected(self):
         sys = build_system(1)
-        vectors = np.stack([b.vectors for b in sys.bases])
-        vectors[1] *= 1.001  # no longer unit vectors
+        bases = list(sys.bases)
+        exponents = bases[0].exponents.copy()
+        exponents[1, 0] = 0  # both outcomes of Z now claim Z = +1
+        bases[0] = dataclasses.replace(bases[0], exponents=exponents)
         with pytest.raises(InvalidStateError, match="drift"):
-            basis_probabilities(rho_of("up"), vectors)
+            outcome_probabilities(rho_of("up"), bases)
 
     def test_grid_needs_one_row_per_striation(self):
         sys = build_system(1)
@@ -608,16 +615,39 @@ class TestPauliMap:
             line_probs = np.take_along_axis(probs, k, axis=1)
             assert np.max(np.abs(sums - line_probs)) < 1e-12
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+    def test_probabilities_are_line_sums_and_overlaps(self, n, seed, pure):
+        sys = build_system(n)
+        rng = np.random.default_rng(seed)
+        if pure:
+            rho = density_from_vector(random_pure_state(rng, sys.dim))
+        else:
+            rho = random_density_matrix(rng, sys.dim)
+        counts = simulate_counts(rho, MeasurementPlan(bases=sys.bases, shots_per_basis=0, seed=0))
+        p = np.stack([counts.counts[s] for s in range(sys.dim + 1)])
+        points = striation_points(sys.ctx)
+        sums = wigner_from_state(rho, sys.net).values.reshape(-1)[points].sum(axis=-1)
+        # The vector on line l of striation s is the outcome at its first point.
+        k = sys.net.outcome_index_table()[points[..., 0], np.arange(len(points))[:, None]]
+        assert np.max(np.abs(np.take_along_axis(p, k, axis=1) - sums)) < 1e-12
+        vectors = np.stack([b.vectors for b in sys.bases])
+        assert np.max(np.abs(p - ((vectors.conj() @ rho) * vectors).sum(axis=-1).real)) < 1e-12
+        back = estimate_state(counts, sys.net, project=False).rho_raw
+        assert np.max(np.abs(back - rho)) < 1e-12
+
     def test_reads_no_basis_vector(self):
         net = build_system(3).net
-        nan = np.full(net._vectors.shape, np.nan + 0j)
-        blind = dataclasses.replace(
-            net,
-            _vectors=nan,
-            bases=tuple(dataclasses.replace(b, vectors=v) for b, v in zip(net.bases, nan)),
-            _aux={},
-        )
+        bases = tuple(dataclasses.replace(b, vectors=np.full(b.vectors.shape, np.nan + 0j)) for b in net.bases)
+        blind = dataclasses.replace(net, bases=bases, _aux={})
         rho = random_density_matrix(np.random.default_rng(3), net.dim)
         grid = wigner_from_state(rho, net)
         assert np.array_equal(wigner_from_state(rho, blind).values, grid.values)
         assert np.array_equal(state_from_wigner(grid, blind), state_from_wigner(grid, net))
+        for shots in (0, 4096):
+            record = simulate_counts(rho, MeasurementPlan(bases=net.bases, shots_per_basis=shots, seed=5))
+            blind_record = simulate_counts(rho, MeasurementPlan(bases=bases, shots_per_basis=shots, seed=5))
+            assert blind_record == record
+            assert all(c.tobytes() == record.counts[s].tobytes() for s, c in blind_record.counts.items())
+        rows = error_scaling_study(rho, net, list(net.bases), [64, 256], [1, 2])
+        assert error_scaling_study(rho, blind, list(bases), [64, 256], [1, 2]) == rows
