@@ -16,6 +16,7 @@ carry it onto the whole basis, whose vectors are ordered by their exponent rows
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .operators import (
     NonCommutingError,
     QubitLabeling,
     TranslationOperator,
+    _parity,
     default_labeling,
     stabilizer_eigenbasis,
     translation_unitary,
@@ -52,9 +54,9 @@ class StriationBasis:
     vectors[k] is the k-th unit vector; every vector is a simultaneous
     eigenvector of all the striation's stabilizer unitaries, with
     stabilizers[i] v_k = i^exponents[k, i] v_k, and masks[:, i] = (x, z)
-    of stabilizers[i]; measurement and the quantum net read only these.  A
-    basis assembled by hand may leave them as None: ``check_conjugacy``
-    audits it, ``MeasurementPlan`` and ``default_net`` refuse it.
+    of stabilizers[i]; measurement and the quantum net read only these (and
+    ``flips``).  A basis assembled by hand may leave them as None:
+    ``check_conjugacy`` audits it, ``MeasurementPlan`` and ``default_net`` refuse it.
     """
 
     striation: int
@@ -66,6 +68,11 @@ class StriationBasis:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    @cached_property
+    def flips(self) -> np.ndarray:
+        """Stabilizer i flips sign on outcomes k with popcount(k & flips[i]) odd (``_sign_flips``)."""
+        return _sign_flips(self.exponents[None], [self.striation])[0]
 
     def projector(self, k: int) -> np.ndarray:
         v = self.vectors[k]
@@ -95,8 +102,11 @@ def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> li
     """
     if labeling is None:
         labeling = default_labeling(ctx)
-    arrays = zip(*_stabilizer_bases(labeling))
-    return [basis_for_striation(s, labeling, a) for s, a in zip(enumerate_striations(ctx), arrays)]
+    arrays = _stabilizer_bases(labeling)
+    bases = [basis_for_striation(s, labeling, a) for s, a in zip(enumerate_striations(ctx), zip(*arrays))]
+    for basis, flips in zip(bases, _sign_flips(arrays[1], range(len(bases)))):
+        object.__setattr__(basis, "flips", flips)  # StriationBasis.flips, checked for all at once
+    return bases
 
 
 def _stabilizer_bases(labeling: QubitLabeling):
@@ -115,6 +125,24 @@ def _stabilizer_bases(labeling: QubitLabeling):
     for a in (vectors, exponents, masks):
         a.setflags(write=False)
     return vectors, exponents, masks
+
+
+def _sign_flips(exponents: np.ndarray, striations) -> np.ndarray:
+    """flips[s, i] of a stack of (N, N-1) exponent tables, read-only: bit j is
+    set where row 2^j differs from row 0 in column i.  Exact check: row k is
+    row 0 + 2 parity(k & flips) mod 4 (for exponents 0..3, row 0 XOR that) and
+    the flips are a permutation of 1..N-1; else ValueError naming the striation."""
+    dim = exponents.shape[1]
+    k, bits = np.arange(dim), 1 << np.arange(dim.bit_length() - 1)
+    d = (exponents ^ exponents[:, :1]).swapaxes(1, 2)  # d[s, i, k]: 2 where outcome k flips sign i
+    flips = (d[..., bits] >> 1) @ bits
+    bad = ((2 * _parity(k[:, None] & k)).astype(np.int8)[flips] != d).any(axis=(1, 2))
+    bad |= (np.sort(flips, axis=-1) != k[1:]).any(axis=-1)
+    if bad.any():
+        s = striations[np.argmax(bad)]
+        raise ValueError(f"exponent rows of striation {s} are not row 0 with signs flipped by outcome bits")
+    flips.setflags(write=False)
+    return flips
 
 
 @dataclass

@@ -1,18 +1,14 @@
 """Conjugate-basis measurement simulation and statistical state reconstruction.
 
-Outcome probabilities come from the Pauli expectations and each basis's
-integer rows, never from a basis vector (see outcome_probabilities).
-Counts come from deterministic counter-based streams keyed by (seed,
-striation), so per-basis simulation is reproducible bit-exactly and
-order-insensitive.  Each basis sorts its draws once and counts the outcomes
-with one search of the N cumulative edges; the counts are exactly those of
-placing every shot by inverse transform.  Reconstruction is linear inversion:
-W_a = (sum of the empirical line probabilities through a, minus 1)/N, then
-rho = sum_a W_a A_a in the Pauli form of the Wigner map (see wigner),
-rho = (1/N) sum_b i^c_b (sum_a (-1)^<a,b> W_a) U_b, with optional projection
-back to the physical set.  With a power-of-two shot count every step of
-that sum is exact in floating point.  No step builds the dense phase-point
-stack.
+Stabilizer i of basis s changes sign on the outcomes k with popcount(k &
+flips_si) odd (``StriationBasis.flips``), so one Sylvester-Hadamard product
+takes Pauli expectations to every outcome probability, and one takes
+frequencies back to expectations, from which the Wigner map (see wigner)
+gives the grid and rho, optionally projected to the physical set.  No step
+reads a basis vector, the outcome table or the phase-point stack; with a
+power-of-two shot count the reconstruction is exact in floating point.
+Counts come from counter-based streams keyed by (seed, striation): bit-exact
+and order-insensitive, one search of the N cumulative edges per basis.
 """
 
 from __future__ import annotations
@@ -23,9 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .mub import StriationBasis
+from .operators import _I_POWERS
 from .states import InvalidStateError, validate_density_matrix
-from .wigner import QuantumNet, WignerGrid, grid_from_probabilities, state_from_wigner, wigner_from_state
-from .wigner import _grid_from_valid_state, _pauli_expectations
+from .wigner import QuantumNet, WignerGrid, state_from_wigner, wigner_from_state
+from .wigner import _grid_from_expectations, _pauli_expectations, _sylvester_tables
 
 PROB_DRIFT_TOL = 1e-9
 _UINT64_MASK = (1 << 64) - 1
@@ -37,7 +34,7 @@ class MeasurementPlan:
 
     shots_per_basis = 0 is the exact-probability sentinel: the true outcome
     distribution flows through the same reconstruction path, giving the
-    infinite-ensemble limit.  Every basis must carry its exponents and masks.
+    infinite-ensemble limit.  Every basis must pass ``_check_integer_rows``.
     """
 
     bases: tuple[StriationBasis, ...]
@@ -81,19 +78,16 @@ class CountsRecord:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountsRecord):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.shots == other.shots
-            and self.seed == other.seed
-            and self.counts.keys() == other.counts.keys()
-            and all(np.array_equal(self.counts[k], other.counts[k]) for k in self.counts)
-        )
+        head = (self.n, self.shots, self.seed, self.counts.keys())
+        same = head == (other.n, other.shots, other.seed, other.counts.keys())
+        return same and all(np.array_equal(c, other.counts[k]) for k, c in self.counts.items())
 
     def frequencies(self, striation: int) -> np.ndarray:
-        c = self.counts[striation]
-        if self.shots == 0:
-            return c
-        return c / self.shots
+        """Outcome frequencies of one striation; InvalidCountsError unless it has 2^n."""
+        c = self.counts.get(striation, ())
+        if np.shape(c) != (1 << self.n,):
+            raise InvalidCountsError(f"striation {striation} has {np.size(c)} outcomes, expected {1 << self.n}")
+        return c if self.shots == 0 else c / self.shots
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,14 +153,24 @@ def outcome_probabilities(rho: np.ndarray, bases: Sequence[StriationBasis]) -> n
     """p[s, k] for outcome k of bases[s], clipped to [0, 1] and renormalised.
 
     Outcome k projects onto the average of the stabilizer group U_i =
-    X^x_si Z^z_si with the signs of U_i v_k = i^e[s,k,i] v_k, so with
-    E = tr(rho X^x Z^z), p[s, k] = (1/N)(tr rho + sum_i Re(i^-e[s,k,i] E_si)),
-    where Re(i^-e E) is Re E, Im E, -Re E or -Im E for e = 0..3.  Every basis
-    must carry its exponents and masks; a drift from 1 by PROB_DRIFT_TOL or
-    more, which no valid rows give, or a non-physical rho raises.
+    X^x_si Z^z_si with the signs of U_i v_k = i^e[s,k,i] v_k, where e[s, k]
+    is e[s, 0] flipped by 2 at the columns with popcount(k & flips) odd.
+    So with E = tr(rho X^x Z^z), f_s[0] = tr rho and f_s[flips_si] =
+    Re(i^-e[s,0,i] E_si), p[s] = h @ f_s / N.  rho must be physical and
+    every basis pass ``_check_integer_rows``.
     """
     _check_integer_rows(bases)
-    return _outcome_probabilities(validate_density_matrix(rho, bases[0].dim), bases)
+    return _outcome_probabilities(_pauli_expectations(validate_density_matrix(rho, bases[0].dim)), bases)
+
+
+def _outcome_probabilities(e: np.ndarray, bases: Sequence[StriationBasis]) -> np.ndarray:
+    """outcome_probabilities from the expectations e[z, x] of a valid rho, for checked bases."""
+    x, z, row0, flips = _sign_frame(bases)
+    at = e[z, x]
+    f = np.full((len(bases), len(e)), e[0, 0].real)  # f_s[0] = tr rho; the flips fill 1..N-1
+    f[np.arange(len(bases))[:, None], flips] = np.where(row0 & 1, at.imag, at.real) * (1 - (row0 & 2))
+    p = np.clip(f @ _sylvester_tables(len(e))[1] / len(e), 0.0, 1.0)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _check_integer_rows(bases: Sequence[StriationBasis]) -> None:
@@ -175,21 +179,13 @@ def _check_integer_rows(bases: Sequence[StriationBasis]) -> None:
     for b in bases:
         if b.exponents is None or b.masks is None:
             raise ValueError(f"basis of striation {b.striation} carries no stabilizer exponents or masks")
+        b.flips  # the exact row check, naming the striation
 
 
-def _outcome_probabilities(rho: np.ndarray, bases: Sequence[StriationBasis]) -> np.ndarray:
-    """outcome_probabilities for a rho and bases that the caller has already checked."""
-    e = _pauli_expectations(rho)
+def _sign_frame(bases: Sequence[StriationBasis]) -> tuple[np.ndarray, ...]:
+    """(x, z, exponent row 0, flips) of checked bases, each (S, N-1)."""
     x, z = np.array([b.masks for b in bases]).transpose(1, 0, 2)
-    rows = np.array([b.exponents for b in bases])
-    at = e[z, x][:, None]
-    terms = np.where(rows & 1, at.imag, at.real) * (1 - (rows & 2))  # Re(i^-e E)
-    p = (e[0, 0].real + terms.sum(axis=-1)) / len(e)
-    drift = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
-    if drift >= PROB_DRIFT_TOL:
-        raise InvalidStateError(f"outcome probabilities drift from 1 by {drift:.3e}")
-    p = np.clip(p, 0.0, 1.0)
-    return p / p.sum(axis=-1, keepdims=True)
+    return x, z, np.array([b.exponents[0] for b in bases]), np.array([b.flips for b in bases])
 
 
 def _basis_stream(seed: int, striation: int) -> np.random.Generator:
@@ -220,40 +216,37 @@ def simulate_counts(rho: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     """Measure shots_per_basis copies in each conjugate basis.
 
     Deterministic: the same (rho, plan) always yields the identical record,
-    independent of the order the bases are processed in.  Each basis counts
-    its sorted draws against the cumulative outcome probabilities, which
-    gives the same counts as placing every shot by inverse transform.
+    independent of the order the bases are processed in (see _sample_counts).
     """
     return _record_from_probabilities(outcome_probabilities(rho, plan.bases), plan)
 
 
 def _record_from_probabilities(probs: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     """simulate_counts from clipped, renormalised probabilities probs[s, k]."""
-    n = int(np.log2(plan.dim))
-    counts: dict[int, np.ndarray] = {}
-    for basis, p in zip(plan.bases, probs):
-        if plan.exact:
-            counts[basis.striation] = p
-        else:
-            rng = _basis_stream(plan.seed, basis.striation)
-            counts[basis.striation] = _sample_counts(p, plan.shots_per_basis, rng)
-    return CountsRecord(n=n, shots=plan.shots_per_basis, seed=plan.seed, counts=counts)
+    shots = plan.shots_per_basis
+    counts = {
+        b.striation: p if plan.exact else _sample_counts(p, shots, _basis_stream(plan.seed, b.striation))
+        for b, p in zip(plan.bases, probs)
+    }
+    return CountsRecord(n=plan.dim.bit_length() - 1, shots=shots, seed=plan.seed, counts=counts)
 
 
 def estimate_wigner(counts: CountsRecord, net: QuantumNet) -> WignerGrid:
     """Linear-inversion grid estimate from outcome frequencies.
 
-    W_a = (sum over the N+1 lines through a of the empirical probability of
-    the outcome assigned to that line, minus 1) / N.  With exact frequencies
-    this reproduces wigner_from_state up to rounding.
+    The inverse of outcome_probabilities: g = freqs @ h has g[s, flips_si]
+    = Re(i^-e[s,0,i] E_si), and E at the origin is sum_s g[s, 0] - N, so W
+    is (sum over the N+1 lines through a of the frequency of the line's
+    outcome, minus 1) / N, computed as in wigner_from_state.
     """
     if counts.n != net.ctx.n:
         raise InvalidCountsError(f"counts are for n = {counts.n}, the net for n = {net.ctx.n}")
-    missing = [s.direction for s in net.striations if s.direction not in counts.counts]
-    if missing:
-        raise ValueError(f"counts record is missing striations {missing}")
-    freqs = [np.asarray(counts.frequencies(s.direction), dtype=float) for s in net.striations]
-    return grid_from_probabilities(np.stack(freqs), net)
+    freqs = np.array([counts.frequencies(b.striation) for b in net.bases], dtype=float)
+    x, z, row0, flips = _sign_frame(net.bases)
+    g = freqs @ _sylvester_tables(net.dim)[1]
+    e = np.full((net.dim, net.dim), g[:, 0].sum() - net.dim, dtype=complex)  # e[z, x] sets all but e[0, 0]
+    e[z, x] = _I_POWERS[row0 & 3] * np.take_along_axis(g, flips, axis=1)
+    return _grid_from_expectations(e, net)
 
 
 # -- distance measures ------------------------------------------------------
@@ -331,16 +324,9 @@ def estimate_state(
     grid = estimate_wigner(counts, net)
     rho_raw = state_from_wigner(grid, net)
     rho_proj = project_to_physical(rho_raw) if project else None
-    report = ReconstructionReport(
-        wigner=grid,
-        rho_raw=rho_raw,
-        rho_projected=rho_proj,
-        shots=counts.shots,
-        seed=counts.seed,
-    )
+    report = ReconstructionReport(grid, rho_raw, rho_proj, shots=counts.shots, seed=counts.seed)
     if truth is not None:
-        true_grid = wigner_from_state(truth, net)
-        _score(report, np.asarray(truth, dtype=complex), true_grid)
+        _score(report, np.asarray(truth, dtype=complex), wigner_from_state(truth, net))
     return report
 
 
@@ -383,8 +369,8 @@ def error_scaling_study(
     rho = validate_density_matrix(rho, net.dim)
     bases = tuple(mub_set)
     MeasurementPlan(bases=bases, shots_per_basis=0, seed=0)  # rejects a malformed basis set
-    probs = _outcome_probabilities(rho, bases)
-    true_grid = _grid_from_valid_state(rho, net)
+    e = _pauli_expectations(rho)
+    probs, true_grid = _outcome_probabilities(e, bases), _grid_from_expectations(e, net)
     rows = []
     for shots in shot_list:
         dw, td = [], []

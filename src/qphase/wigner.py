@@ -23,9 +23,9 @@ E_b = tr(rho X^x Z^z):
 Every sign is an entry of the N x N Sylvester-Hadamard matrix
 h[j, z] = (-1)^popcount(j & z), so each direction is three real or complex
 matrix products, O(N^3), and reads no basis vector; tomography's outcome
-probabilities share ``_pauli_expectations``.  The phase-point operators, a
-dense stack of 16 N^4 bytes built from the line projectors, exist only on
-request.
+probabilities start from ``_pauli_expectations``, and its counts end in
+``_grid_from_expectations``.  The phase-point operators, a dense stack of
+16 N^4 bytes built from the line projectors, exist only on request.
 """
 from __future__ import annotations
 
@@ -269,25 +269,13 @@ class WignerGrid:
         }
 
 
-def grid_from_probabilities(p: np.ndarray, net: QuantumNet) -> WignerGrid:
-    """W_a = (sum_s p[s, k_s(a)] - 1) / N, where k_s(a) is the outcome of
-    striation s assigned to the line through a."""
-    p = np.asarray(p, dtype=float)
-    expected = (len(net.bases), net.dim)
-    if p.shape != expected:
-        raise ValueError(f"line probabilities must have shape {expected}, got {p.shape}")
-    ids = net.outcome_index_table() + net.dim * np.arange(len(net.bases))  # flat indices into p[s, k]
-    totals = sum(p.reshape(-1)[col] for col in ids.T)  # in striation order
-    return WignerGrid(net.ctx, ((totals - 1.0) / net.dim).reshape(net.dim, net.dim))
-
-
 def wigner_from_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
     """W_a = tr(rho A_a) / N for every grid point, from the Pauli expectations.
 
     The input must be a physical state (Hermitian, unit trace, PSD within
     1e-9); otherwise InvalidStateError.
     """
-    return _grid_from_valid_state(validate_density_matrix(rho, net.dim), net)
+    return _grid_from_expectations(_pauli_expectations(validate_density_matrix(rho, net.dim)), net)
 
 
 @lru_cache(maxsize=None)
@@ -307,13 +295,11 @@ def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
     return h @ rho[src[0][:, None], src]
 
 
-def _grid_from_valid_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
-    """wigner_from_state for a rho that the caller has already validated.
-
-    W is (1/N^2) sum over (x, z) of i^c tr(rho X^x Z^z) with the signs of
-    the symplectic parity, one Sylvester-Hadamard product on each side."""
+def _grid_from_expectations(e: np.ndarray, net: QuantumNet) -> WignerGrid:
+    """W from e[z, x] = tr(rho X^x Z^z): (1/N^2) sum over (x, z) of
+    Re(i^c e) with the signs of the symplectic parity, one
+    Sylvester-Hadamard product on each side."""
     _, _, hq, hp, phase = net._pauli_tables
-    e = _pauli_expectations(rho)
     return WignerGrid(net.ctx, hq @ (phase.T * e).real @ hp / net.dim**2)
 
 

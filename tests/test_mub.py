@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -19,6 +20,7 @@ from qphase.operators import (
     translation_unitary,
 )
 from qphase.system import build_system
+from qphase.tomography import MeasurementPlan
 
 from dense_reference import first_noncommuting_pair, joint_eigenprojectors, projector_matching
 
@@ -244,6 +246,34 @@ class TestOneVectorStack:
                 assert array.base is stack
                 assert np.array_equal(array, stack[s])
                 assert not array.flags.writeable
+
+
+class TestSignFlips:
+    """Each basis's exponent rows are row 0 with the signs of flips[i]
+    flipped by the bits of the outcome, which tomography relies on."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_are_row_zero_flipped_by_outcome_bits(self, n):
+        system = build_system(n)
+        dim = system.dim
+        parity = np.array([bin(v).count("1") & 1 for v in range(dim)])
+        rows = np.stack([b.exponents for b in system.bases]).astype(int)
+        flips = np.stack([b.flips for b in system.bases])
+        outcomes = np.arange(dim)[None, :, None]
+        assert np.array_equal(rows, (rows[:, :1] + 2 * parity[outcomes & flips[:, None]]) % 4)
+        assert (np.sort(flips, axis=-1) == np.arange(1, dim)).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_single_entry_corruption_is_refused(self, n):
+        bases = build_system(n).bases
+        for s, basis in enumerate(bases):
+            for k, i in np.ndindex(basis.exponents.shape):
+                for step in (1, 2):
+                    rows = basis.exponents.copy()
+                    rows[k, i] = (rows[k, i] + step) % 4
+                    bad = bases[:s] + (dataclasses.replace(basis, exponents=rows),) + bases[s + 1 :]
+                    with pytest.raises(ValueError, match=f"exponent rows of striation {s} "):
+                        MeasurementPlan(bases=bad, shots_per_basis=0, seed=0)
 
 
 class TestMixedDimension:

@@ -412,6 +412,18 @@ class TestEstimateWigner:
         counts = simulate_counts(rho_of("tilted-111"), plan_for(sys, 13, seed=2))
         assert estimate_wigner(counts, sys.net).total == pytest.approx(1.0)
 
+    def test_no_per_state_path_reads_the_outcome_table(self, monkeypatch):
+        sys = build_system(3)
+
+        def refuse(self):
+            raise AssertionError("outcome table read")
+
+        monkeypatch.setattr(qphase.wigner.QuantumNet, "outcome_index_table", refuse)
+        rho = random_density_matrix(np.random.default_rng(8), sys.dim)
+        for shots in (0, 64):
+            estimate_state(simulate_counts(rho, plan_for(sys, shots, seed=3)), sys.net, truth=rho)
+        error_scaling_study(rho, sys.net, list(sys.bases), [16, 64], [0, 1])
+
 
 class TestEstimateState:
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -23,8 +23,11 @@ from qphase.states import (
 from qphase.system import build_system
 from qphase import wigner
 from qphase.tomography import (
+    CountsRecord,
+    InvalidCountsError,
     MeasurementPlan,
     error_scaling_study,
+    estimate_wigner,
     estimate_state,
     outcome_probabilities,
     simulate_counts,
@@ -34,7 +37,6 @@ from qphase.wigner import (
     QuantumNet,
     WignerGrid,
     default_net,
-    grid_from_probabilities,
     grid_ascii,
     line_sum,
     state_from_wigner,
@@ -574,13 +576,15 @@ class TestPhasePointReference:
         exponents = bases[0].exponents.copy()
         exponents[1, 0] = 0  # both outcomes of Z now claim Z = +1
         bases[0] = dataclasses.replace(bases[0], exponents=exponents)
-        with pytest.raises(InvalidStateError, match="drift"):
+        with pytest.raises(ValueError, match="exponent rows of striation 0"):
             outcome_probabilities(rho_of("up"), bases)
 
     def test_grid_needs_one_row_per_striation(self):
         sys = build_system(1)
-        with pytest.raises(ValueError, match="shape"):
-            grid_from_probabilities(np.full((2, 2), 0.5), sys.net)
+        counts = {s: np.array([0.5, 0.5]) for s in range(3)}
+        counts[2] = np.array([0.5, 0.25, 0.25])
+        with pytest.raises(InvalidCountsError, match="striation 2 has 3 outcomes, expected 2"):
+            estimate_wigner(CountsRecord(n=1, shots=0, seed=0, counts=counts), sys.net)
 
 
 class TestPauliMap:
