@@ -249,8 +249,8 @@ class TestOneVectorStack:
 
 
 class TestSignFlips:
-    """Each basis's exponent rows are row 0 with the signs of flips[i]
-    flipped by the bits of the outcome, which tomography relies on."""
+    """Row k of each basis's exponents is row 0 with sign i flipped where
+    popcount(k & flips[i]) is odd; tomography's transforms rest on it."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_are_row_zero_flipped_by_outcome_bits(self, n):
