@@ -20,6 +20,7 @@ from .serialize import dumps_canonical, matrix_to_json, round_float, vector_to_j
 from .states import InvalidStateError, parse_state_spec
 from .system import build_system
 from .tomography import (
+    MAX_SEED,
     MeasurementPlan,
     error_scaling_study,
     estimate_state,
@@ -288,6 +289,13 @@ def cmd_tomo(args) -> int:
     shot_list = _parse_shot_list(args.scaling) if args.scaling is not None else None
     if shot_list is not None and not 1 <= args.trials <= MAX_TRIALS:
         raise UsageError(f"--trials must be between 1 and {MAX_TRIALS} (2^16), got {args.trials}")
+    if not 0 <= args.seed <= MAX_SEED:
+        raise UsageError(f"--seed must be between 0 and {MAX_SEED} (2^64 - 1), got {args.seed}")
+    if shot_list is not None and args.seed + args.trials - 1 > MAX_SEED:
+        raise UsageError(
+            f"--scaling uses seeds --seed to --seed + --trials - 1, which must be at most "
+            f"{MAX_SEED} (2^64 - 1), got {args.seed + args.trials - 1}"
+        )
     sys_ = build_system(args.n)
     rho, warnings = parse_state_spec(args.state, args.n)
     for w in warnings:
@@ -429,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="decimal places for numeric output, 1..12 (default 3)",
     )
     common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="base random seed (default 0)"
+        "--seed", type=int, default=argparse.SUPPRESS, help="base random seed, 0..2^64-1 (default 0)"
     )
 
     parser = argparse.ArgumentParser(

@@ -145,6 +145,17 @@ def _sign_flips(exponents: np.ndarray, striations) -> np.ndarray:
     return flips
 
 
+def _sign_frame(bases) -> tuple[np.ndarray, ...]:
+    """(x, z, exponent row 0, flips) of bases that carry masks and exponents,
+    each stacked to (len(bases), N-1) and read-only; row s, column i names
+    stabilizer i of bases[s] and its sign pattern (``StriationBasis.flips``)."""
+    x, z = np.array([b.masks for b in bases]).transpose(1, 0, 2)
+    frame = x, z, np.array([b.exponents[0] for b in bases]), np.array([b.flips for b in bases])
+    for a in frame:
+        a.setflags(write=False)
+    return frame
+
+
 @dataclass
 class ConjugacyReport:
     """Cross-basis overlap extrema and per-pair verdicts.

@@ -7,25 +7,27 @@ frequencies back to expectations, from which the Wigner map (see wigner)
 gives the grid and rho, optionally projected to the physical set.  No step
 reads a basis vector, the outcome table or the phase-point stack; with a
 power-of-two shot count the reconstruction is exact in floating point.
-Counts come from counter-based streams keyed by (seed, striation): bit-exact
-and order-insensitive, one search of the N cumulative edges per basis.
+Counts come from one Philox generator per call, re-keyed to (seed,
+striation) before each basis: the same stream as Philox(key=(seed,
+striation)), so bit-exact and order-insensitive, with one search of the N
+cumulative edges per basis and every basis's counts in one array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .mub import StriationBasis
+from .mub import StriationBasis, _sign_frame
 from .operators import _I_POWERS
 from .states import InvalidStateError, validate_density_matrix
 from .wigner import QuantumNet, WignerGrid, state_from_wigner, wigner_from_state
 from .wigner import _grid_from_expectations, _pauli_expectations, _sylvester_tables
 
 PROB_DRIFT_TOL = 1e-9
-_UINT64_MASK = (1 << 64) - 1
+MAX_SEED = (1 << 64) - 1  # a Philox key word: a larger or negative seed would alias one in range
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,8 @@ class MeasurementPlan:
 
     shots_per_basis = 0 is the exact-probability sentinel: the true outcome
     distribution flows through the same reconstruction path, giving the
-    infinite-ensemble limit.  Every basis must pass ``_check_integer_rows``.
+    infinite-ensemble limit.  seed is 0..MAX_SEED.  Every basis must pass
+    ``_check_integer_rows``.
     """
 
     bases: tuple[StriationBasis, ...]
@@ -44,6 +47,8 @@ class MeasurementPlan:
     def __post_init__(self) -> None:
         if self.shots_per_basis < 0:
             raise ValueError("shots_per_basis must be >= 0 (0 = exact mode)")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must be between 0 and 2^64 - 1, got {self.seed}")
         _check_integer_rows(self.bases)
         dims = {b.dim for b in self.bases}
         if len(dims) != 1:
@@ -182,20 +187,39 @@ def _check_integer_rows(bases: Sequence[StriationBasis]) -> None:
         b.flips  # the exact row check, naming the striation
 
 
-def _sign_frame(bases: Sequence[StriationBasis]) -> tuple[np.ndarray, ...]:
-    """(x, z, exponent row 0, flips) of checked bases, each (S, N-1)."""
-    x, z = np.array([b.masks for b in bases]).transpose(1, 0, 2)
-    return x, z, np.array([b.exponents[0] for b in bases]), np.array([b.flips for b in bases])
-
-
 def _basis_stream(seed: int, striation: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, striation): independent per basis."""
-    key = np.array([seed & _UINT64_MASK, striation & _UINT64_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """A fresh generator on the counter-based stream keyed by (seed, striation)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, striation], dtype=np.uint64)))
+
+
+def _basis_streams(seed: int, striations: Iterable[int]) -> Iterator[np.random.Generator]:
+    """_basis_stream(seed, s) for each s in turn, as one generator re-keyed
+    before each yield.  Philox is counter-based, its stream a pure function
+    of (key, counter): the state a fresh Philox(key=(seed, s)) starts in,
+    counter 0 and its four-word block buffer empty, gives the same stream
+    without building (and OS-seeding) a generator per basis."""
+    bits = np.random.Philox(0)  # its first state is replaced before any draw
+    rng = np.random.Generator(bits)
+    for s in striations:
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, s]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _sample_counts(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts of `shots` categorical draws; shot i uses stream position i.
+    """Outcome counts of `shots` categorical draws from rng (``_sample_rows``)."""
+    return _sample_rows(p[None], shots, [rng])[0]
+
+
+def _sample_rows(probs: np.ndarray, shots: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Outcome counts of `shots` draws from each row of probs, row s drawing
+    from the next generator of rngs; shot i uses stream position i.
 
     Inverse transform places draw u at the first k with u < edges[k].  The
     float cumsum never decreases, and forcing edges[-1] = 1 can only put the
@@ -203,31 +227,35 @@ def _sample_counts(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.nd
     So outcome(u) <= k exactly when u < edges[k], and the number of draws
     below each edge, found with one search of the N edges into the sorted
     draws, gives the per-shot counts exactly, without a search per shot.
+    Each row's numbers below its edges go into one int64 array after a
+    column of zeros, so one subtraction gives every row's counts.
     """
-    edges = np.cumsum(p)
-    edges[-1] = 1.0
-    u = rng.random(shots)
-    u.sort()
-    below = np.searchsorted(u, edges, side="left")
-    return np.diff(below, prepend=0).astype(np.int64, copy=False)
+    edges = np.cumsum(probs, axis=1)
+    edges[:, -1] = 1.0
+    below = np.zeros((len(probs), probs.shape[1] + 1), dtype=np.int64)
+    for row, e, rng in zip(below[:, 1:], edges, rngs):
+        u = rng.random(shots)
+        u.sort()
+        row[:] = np.searchsorted(u, e, side="left")
+    return below[:, 1:] - below[:, :-1]
 
 
 def simulate_counts(rho: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     """Measure shots_per_basis copies in each conjugate basis.
 
     Deterministic: the same (rho, plan) always yields the identical record,
-    independent of the order the bases are processed in (see _sample_counts).
+    independent of the order the bases are processed in.  One generator
+    per call is re-keyed to (seed, striation) before each basis, which gives
+    the same stream as Philox(key=(seed, striation)) (see _basis_streams).
     """
     return _record_from_probabilities(outcome_probabilities(rho, plan.bases), plan)
 
 
 def _record_from_probabilities(probs: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     """simulate_counts from clipped, renormalised probabilities probs[s, k]."""
-    shots = plan.shots_per_basis
-    counts = {
-        b.striation: p if plan.exact else _sample_counts(p, shots, _basis_stream(plan.seed, b.striation))
-        for b, p in zip(plan.bases, probs)
-    }
+    shots, striations = plan.shots_per_basis, [b.striation for b in plan.bases]
+    rows = probs if plan.exact else _sample_rows(probs, shots, _basis_streams(plan.seed, striations))
+    counts = dict(zip(striations, rows))
     return CountsRecord(n=plan.dim.bit_length() - 1, shots=shots, seed=plan.seed, counts=counts)
 
 
@@ -242,7 +270,7 @@ def estimate_wigner(counts: CountsRecord, net: QuantumNet) -> WignerGrid:
     if counts.n != net.ctx.n:
         raise InvalidCountsError(f"counts are for n = {counts.n}, the net for n = {net.ctx.n}")
     freqs = np.array([counts.frequencies(b.striation) for b in net.bases], dtype=float)
-    x, z, row0, flips = _sign_frame(net.bases)
+    x, z, row0, flips = net.sign_frame
     g = freqs @ _sylvester_tables(net.dim)[1]
     e = np.full((net.dim, net.dim), g[:, 0].sum() - net.dim, dtype=complex)  # e[z, x] sets all but e[0, 0]
     e[z, x] = _I_POWERS[row0 & 3] * np.take_along_axis(g, flips, axis=1)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .fields import ContextMismatchError, FieldContext
 from .geometry import Line, Point, Striation, enumerate_striations, grid_points, striation_points
-from .mub import StriationBasis
+from .mub import StriationBasis, _sign_frame
 from .operators import QubitLabeling, pauli_permutation, symplectic_parity, translated_rows
 from .serialize import round_float
 from .states import validate_density_matrix
@@ -140,6 +140,12 @@ class QuantumNet:
             cached.setflags(write=False)
             self._aux["stack"] = cached
         return cached
+
+    @cached_property
+    def sign_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(x, z, exponent row 0, flips) of the bases, each (N+1, N-1) and
+        read-only, stacked once for the counts -> grid map of tomography."""
+        return _sign_frame(self.bases)
 
     @cached_property
     def _pauli_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

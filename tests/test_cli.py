@@ -264,6 +264,37 @@ class TestTomo:
         assert main(["tomo", "1", "--state", "up", *flags]) == 2
         assert f"at most {MAX_SHOTS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shots", "64", "--seed", "-1"],
+            ["--shots", "64", "--seed", str(2**64)],
+            ["--scaling", "64", "--trials", "2", "--seed", str(2**64 - 1)],
+            ["--scaling", "64", "--trials", "1", "--seed", "-1"],
+        ],
+    )
+    def test_seed_outside_the_key_range_exits_2_before_building(self, flags, monkeypatch, capsys):
+        # Stream keys are 64-bit words: -1 would print the counts of 2^64 - 1
+        # and 2^64 + 7 those of 7, so such seeds are refused before the build.
+        def unreachable(n):
+            raise AssertionError("built a system")
+
+        monkeypatch.setattr("qphase.cli.build_system", unreachable)
+        assert main(["tomo", "1", "--state", "up", *flags]) == 2
+        assert f"{2**64 - 1} (2^64 - 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shots", "64", "--seed", "0"],
+            ["--shots", "64", "--seed", str(2**64 - 1)],
+            ["--scaling", "64", "--trials", "2", "--seed", str(2**64 - 2)],
+        ],
+    )
+    def test_seeds_at_the_ends_of_the_key_range_still_run(self, flags):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["tomo", "1", "--state", "up", *flags]) == 0
+
     def test_shots_at_the_default_scale_still_run(self):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["tomo", "1", "--state", "up", "--shots", "4096"]) == 0
@@ -400,7 +431,7 @@ _VALID = {
     "n": ["1", "2"],
     "--format": ["json", "csv", "ascii"],
     "--precision": ["3", "1", "12"],
-    "--seed": ["7", "0", "-1"],
+    "--seed": ["7", "0", str(2**64 - 1)],
     "--shots": ["64", "0", "1"],
     "--scaling": ["16,64"],
     "--trials": ["3", "1"],
@@ -411,7 +442,7 @@ _INVALID = {
     "n": ["0", "-1", "9", "x"],  # 9 is past every degree cap
     "--format": ["xml"],
     "--precision": ["0", "13", "x"],
-    "--seed": ["x"],
+    "--seed": ["x", "-1", str(2**64)],  # tomo refuses seeds outside 0..2^64 - 1
     "--state": ["bogus", "[1,", "[NaN,0]", "[1,0,0]"],
     "--shots": ["-1", "x"],
     "--scaling": ["64,16", "0", "a,b", ""],

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import qphase.tomography
 import qphase.wigner
 from qphase.geometry import Point
-from qphase.mub import StriationBasis
+from qphase.mub import StriationBasis, _sign_frame
 from qphase.states import (
     InvalidStateError,
     random_density_matrix,
@@ -24,6 +26,7 @@ from qphase.tomography import (
     InvalidCountsError,
     MeasurementPlan,
     _basis_stream,
+    _basis_streams,
     _sample_counts,
     error_scaling_study,
     estimate_state,
@@ -130,6 +133,22 @@ class TestSimulateCounts:
             MeasurementPlan(bases=sys.bases[:3], shots_per_basis=10, seed=0)
         with pytest.raises(ValueError):
             MeasurementPlan(bases=sys.bases, shots_per_basis=-1, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_plan_refuses_a_seed_outside_the_key_range(self, seed):
+        # a stream key word is 64 bits: taken mod 2^64 these seeds would
+        # give the counts of 2^64 - 1, 0 and 7
+        with pytest.raises(ValueError, match="seed must be between 0 and 2"):
+            MeasurementPlan(bases=build_system(1).bases, shots_per_basis=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_plan_takes_the_ends_of_the_key_range(self, seed):
+        sys = build_system(1)
+        record = simulate_counts(rho_of("tilted-111"), plan_for(sys, 64, seed))
+        assert record.seed == seed
+        for basis, p in zip(sys.bases, outcome_probabilities(rho_of("tilted-111"), sys.bases)):
+            ref = _sample_counts(p, 64, _basis_stream(seed, basis.striation))
+            assert np.array_equal(record.counts[basis.striation], ref)
 
     def test_plan_without_bases_names_the_fault(self):
         with pytest.raises(ValueError, match="no bases"):
@@ -251,6 +270,76 @@ class TestSortedDrawCounting:
             "seed": 42,
             "counts": {"0": [19, 81], "1": [21, 79], "2": [74, 26]},
         }
+
+
+class TestOneGeneratorPerCall:
+    """simulate_counts re-keys one Philox per call; each basis still draws
+    exactly the stream of a fresh Philox(key=(seed, striation))."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekeyed_draws_equal_fresh_streams(self, n, seed):
+        # Philox buffers four 64-bit words per block, so 1, 2, 3 or 5 draws
+        # leave the buffer mid-block; a re-key that kept its position would
+        # shift the next basis's draws
+        striations = range((1 << n) + 1)
+        for shots in (1, 2, 3, 5, 4096):
+            seen = []
+            for s, rng in zip(striations, _basis_streams(seed, striations)):
+                seen.append(rng)
+                assert np.array_equal(rng.random(shots), _basis_stream(seed, s).random(shots))
+            assert len(seen) == len(striations) and all(rng is seen[0] for rng in seen)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_philox_per_call(self, n, monkeypatch):
+        sys = build_system(n)
+        rho = state_of_kind("wishart", sys.dim, n)
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        for seed in (0, 1):
+            simulate_counts(rho, plan_for(sys, 64, seed))
+        assert len(built) == 2
+
+
+class TestNetSignFrame:
+    def test_estimate_wigner_reads_the_frame_stacked_once(self, monkeypatch):
+        sys = build_system(3)
+        counts = simulate_counts(state_of_kind("wishart", sys.dim, 3), plan_for(sys, 64, seed=1))
+        grid = estimate_wigner(counts, sys.net)
+        frame = sys.net.sign_frame
+        for got, ref in zip(frame, _sign_frame(sys.bases)):
+            assert np.array_equal(got, ref) and not got.flags.writeable
+
+        def refuse(bases):
+            raise AssertionError("stacked the sign frame again")
+
+        monkeypatch.setattr(qphase.tomography, "_sign_frame", refuse)
+        assert np.array_equal(estimate_wigner(counts, sys.net).values, grid.values)
+        assert sys.net.sign_frame is frame
+
+    def test_a_cleared_build_frees_the_net(self):
+        # the frame lives on the net, so clearing build_system frees both
+        def used_net():
+            sys = build_system(3)
+            rho = state_of_kind("haar", sys.dim, 0)
+            estimate_state(simulate_counts(rho, plan_for(sys, 64, seed=1)), sys.net, truth=rho)
+            return weakref.ref(sys.net)
+
+        build_system.cache_clear()
+        try:
+            ref = used_net()
+            assert ref() is not None
+            build_system.cache_clear()
+            gc.collect()
+            assert ref() is None
+        finally:
+            build_system.cache_clear()
 
 
 class TestCountsValidation:
