@@ -69,6 +69,7 @@ from .tomography import (
     loglog_slope,
     outcome_probabilities,
     project_to_physical,
+    simulate_and_estimate,
     simulate_counts,
     trace_distance,
 )

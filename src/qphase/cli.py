@@ -23,8 +23,7 @@ from .tomography import (
     MAX_SEED,
     MeasurementPlan,
     error_scaling_study,
-    estimate_state,
-    simulate_counts,
+    simulate_and_estimate,
 )
 from .verify import run_checks
 from .wigner import NetConstructionError, grid_ascii, wigner_from_state
@@ -341,8 +340,7 @@ def cmd_tomo(args) -> int:
     if args.shots is None:
         raise UsageError("tomo needs --shots M (or --scaling)")
     plan = MeasurementPlan(bases=sys_.bases, shots_per_basis=args.shots, seed=args.seed)
-    counts = simulate_counts(rho, plan)
-    report = estimate_state(counts, sys_.net, project=True, truth=rho)
+    counts, report = simulate_and_estimate(rho, plan, sys_.net)
 
     if args.format == "json":
         payload = {

@@ -186,7 +186,9 @@ def striation_points(ctx: FieldContext) -> np.ndarray:
         cached = np.empty((n_elems + 1, n_elems, n_elems), dtype=np.intp)
         cached[0] = idx[:, None] * n_elems + idx[None, :]
         cached[1] = idx[None, :] * n_elems + idx[:, None]
-        cached[2:] = idx * n_elems + add[mul[1:, None, :], idx[None, :, None]]
+        # The gather in the smallest index type, so no second N^3 intp array is made.
+        cached[2:] = add.astype(np.min_scalar_type(n_elems - 1))[mul[1:, None, :], idx[None, :, None]]
+        cached[2:] += idx * n_elems
         cached.setflags(write=False)
         ctx._derived["striation_points"] = cached
     return cached

@@ -5,12 +5,17 @@ labeling), and their joint eigenbasis is the orthonormal basis attached to
 that striation.  The N+1 bases so produced are pairwise conjugate: every
 cross-basis overlap magnitude equals 1/sqrt(N).
 
-All N+1 bases are built in one batched pass over the stabilizers' Pauli
-masks (``operators.stabilizer_eigenbasis``): commutation is the exact
+All N+1 bases are built in one batched integer pass over the stabilizers'
+Pauli masks (``operators.stabilizer_rows``): commutation is the exact
 symplectic parity test, n independent stabilizers fix the integer eigenvalue
 exponents of one joint eigenvector, and the N points of a transverse ray
-carry it onto the whole basis, whose vectors are ordered by their exponent rows
-(stabilizers in ray order).  No dense stabilizer matrix is formed.
+carry it onto the whole basis.  Vector k is the one whose signs on the n
+pivot stabilizers are the bits of k, so its exponent row is row 0 with the
+signs flipped by those bits (``StriationBasis.flips``).  The vectors
+themselves come from one complex pass over all striations
+(``operators.stabilizer_vectors``), run when any basis's ``vectors`` is
+first read; building a system, the quantum net and tomography never read
+them.  No dense stabilizer matrix is formed.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from .operators import (
     QubitLabeling,
     TranslationOperator,
     _parity,
+    StabilizerRows,
     default_labeling,
-    stabilizer_eigenbasis,
+    stabilizer_rows,
+    stabilizer_vectors,
     translation_unitary,
 )
 
@@ -47,6 +54,21 @@ class LabelingError(RuntimeError):
         )
 
 
+class _Vectors:
+    """The ``vectors`` field of StriationBasis: the array given at
+    construction, or for a basis that ``full_mub_set`` built, its row of the
+    build's vector stack, computed for every striation on the first read."""
+
+    def __get__(self, basis, owner=None):
+        if basis is None:
+            raise AttributeError("vectors")  # a required field: no default
+        build = basis._build
+        return basis.__dict__["vectors"] if build is None else build.vectors[basis.striation]
+
+    def __set__(self, basis, value):
+        basis.__dict__["vectors"] = value
+
+
 @dataclass(frozen=True, eq=False)
 class StriationBasis:
     """Orthonormal basis attached to one striation.
@@ -55,23 +77,35 @@ class StriationBasis:
     eigenvector of all the striation's stabilizer unitaries, with
     stabilizers[i] v_k = i^exponents[k, i] v_k, and masks[:, i] = (x, z)
     of stabilizers[i]; measurement and the quantum net read only these (and
-    ``flips``).  A basis assembled by hand may leave them as None:
-    ``check_conjugacy`` audits it, ``MeasurementPlan`` and ``default_net`` refuse it.
+    ``flips``).  A basis from ``full_mub_set`` builds its vectors on first
+    read (see ``_Vectors``).  A basis assembled by hand may leave exponents
+    and masks as None: ``check_conjugacy`` audits it, ``MeasurementPlan``
+    and ``default_net`` refuse it.
     """
 
     striation: int
-    vectors: np.ndarray
+    vectors: np.ndarray = _Vectors()
     stabilizers: tuple[TranslationOperator, ...]
     exponents: np.ndarray | None = field(default=None, repr=False)
     masks: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.vectors.shape[1] if self.exponents is None else len(self.exponents)
+
+    @property
+    def _build(self) -> _Build | None:
+        """The shared build of a basis from ``full_mub_set``, else None."""
+        value = self.__dict__["vectors"]
+        return value if isinstance(value, _Build) else None
 
     @cached_property
     def flips(self) -> np.ndarray:
-        """Stabilizer i flips sign on outcomes k with popcount(k & flips[i]) odd (``_sign_flips``)."""
+        """Stabilizer i flips sign on outcomes k with popcount(k & flips[i]) odd:
+        the build's, or for any other basis read off and checked by ``_sign_flips``."""
+        build = self._build
+        if build is not None:
+            return build.rows.flips[self.striation]
         return _sign_flips(self.exponents[None], [self.striation])[0]
 
     def projector(self, k: int) -> np.ndarray:
@@ -79,17 +113,39 @@ class StriationBasis:
         return np.outer(v, v.conj())
 
 
-def basis_for_striation(striation: Striation, labeling: QubitLabeling, arrays) -> StriationBasis:
+@dataclass(frozen=True, eq=False)
+class _Build:
+    """The integer pass of one ``full_mub_set`` call, read-only and shared by
+    its bases: rows[s] and masks[s] = (x, z) belong to striation s.  The
+    complex pass fills ``vectors`` for all striations on the first read."""
+
+    rows: StabilizerRows
+    masks: np.ndarray
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        vectors = stabilizer_vectors(self.rows)
+        vectors.setflags(write=False)
+        return vectors
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, ...]:
+        """(x, z, exponent row 0, flips), as ``_sign_frame`` stacks them."""
+        return self.rows.x, self.rows.z, self.rows.exponents[:, 0], self.rows.flips
+
+
+def basis_for_striation(striation: Striation, labeling: QubitLabeling, build: _Build) -> StriationBasis:
     """Joint eigenbasis of the striation's stabilizer translations.
 
-    arrays are its (vectors, exponents, masks) from ``full_mub_set``'s
-    batched pass; the stabilizers are the translations by the nonzero points
-    of the ray, read from the striation's ``point_indices``.
+    build is ``full_mub_set``'s batched integer pass; the stabilizers are
+    the translations by the nonzero points of the ray, read from the
+    striation's ``point_indices``.
     """
     grid = grid_points(striation.ctx)
     ray = striation.point_indices[0, 1:].tolist()
     stabilizers = tuple(translation_unitary(grid[i], labeling) for i in ray)
-    return StriationBasis(striation.direction, arrays[0], stabilizers, *arrays[1:])
+    s = striation.direction
+    return StriationBasis(s, build, stabilizers, build.rows.exponents[s], build.masks[s])
 
 
 def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> list[StriationBasis]:
@@ -102,29 +158,25 @@ def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> li
     """
     if labeling is None:
         labeling = default_labeling(ctx)
-    arrays = _stabilizer_bases(labeling)
-    bases = [basis_for_striation(s, labeling, a) for s, a in zip(enumerate_striations(ctx), zip(*arrays))]
-    for basis, flips in zip(bases, _sign_flips(arrays[1], range(len(bases)))):
-        object.__setattr__(basis, "flips", flips)  # StriationBasis.flips, checked for all at once
-    return bases
+    build = _stabilizer_bases(labeling)
+    return [basis_for_striation(s, labeling, build) for s in enumerate_striations(ctx)]
 
 
-def _stabilizer_bases(labeling: QubitLabeling):
-    """Stacked (vectors, exponents, masks) of all striations, read-only,
-    masks[s] = (x, z) of the ray's nonzero points, so every basis holds
-    views of the same three arrays.  Another ray (horizontal for the
-    vertical striation, else vertical) carries each seed onto its basis."""
+def _stabilizer_bases(labeling: QubitLabeling) -> _Build:
+    """The integer pass of all striations, read-only, with masks[s] = (x, z)
+    of the ray's nonzero points.  Another ray (horizontal for the vertical
+    striation, else vertical) carries each seed onto its basis."""
     rays = striation_points(labeling.ctx)[:, 0]
     x, z = labeling.point_masks(rays[:, 1:])
     tx, tz = labeling.point_masks(rays[[1] + [0] * (len(rays) - 1)])
     try:
-        vectors, exponents = stabilizer_eigenbasis(x, z, labeling.dim, tx, tz)
+        rows = stabilizer_rows(x, z, labeling.dim, tx, tz)
     except NonCommutingError as exc:
         raise LabelingError(exc.group, exc) from exc
-    masks = np.stack([x, z], axis=1)
-    for a in (vectors, exponents, masks):
+    masks = np.stack([rows.x, rows.z], axis=1)
+    for a in (*rows, masks):
         a.setflags(write=False)
-    return vectors, exponents, masks
+    return _Build(rows, masks)
 
 
 def _sign_flips(exponents: np.ndarray, striations) -> np.ndarray:
@@ -147,8 +199,14 @@ def _sign_flips(exponents: np.ndarray, striations) -> np.ndarray:
 
 def _sign_frame(bases) -> tuple[np.ndarray, ...]:
     """(x, z, exponent row 0, flips) of bases that carry masks and exponents,
-    each stacked to (len(bases), N-1) and read-only; row s, column i names
-    stabilizer i of bases[s] and its sign pattern (``StriationBasis.flips``)."""
+    each (len(bases), N-1) and read-only; row s, column i names stabilizer i
+    of bases[s] and its sign pattern (``StriationBasis.flips``).  For the
+    bases of one ``full_mub_set`` call in striation order this is their
+    build's frame; any other list is stacked anew."""
+    build = bases[0]._build if len(bases) else None
+    if build is not None and len(bases) == len(build.masks):
+        if all(b._build is build and b.striation == s for s, b in enumerate(bases)):
+            return build.frame
     x, z = np.array([b.masks for b in bases]).transpose(1, 0, 2)
     frame = x, z, np.array([b.exponents[0] for b in bases]), np.array([b.flips for b in bases])
     for a in frame:

@@ -15,20 +15,24 @@ set.  Acting on a vector it is a signed index permutation,
 Two such strings commute exactly when popcount(x1 & z2 ^ z1 & x2) is even,
 and X^a Z^b X^c Z^d = (-1)^popcount(b & c) X^(a^c) Z^(b^d).
 ``stabilizer_eigenbasis`` builds the joint eigenbases of many commuting
-groups of N-1 strings at once from these rules alone: n independent
-generators fix the integer exponent row of one joint eigenvector v, and N
+groups of N-1 strings at once from these rules alone, in two passes.  The
+integer pass (``stabilizer_rows``) runs every exact check: n independent
+generators fix the exponent row of one joint eigenvector v, and N
 translations U_t with distinct commutation patterns carry v onto the other
-vectors, each row flipped by 2 where U_t anticommutes (``translated_rows``).
-v is read off its exact group-average projector; no dense eigendecomposition
-is run, and ``verify`` checks each basis against the dense matrices of its
-stabilizers through their eigenvalue table.
+vectors, each row flipped by 2 where U_t anticommutes; vector k is the one
+whose signs on the n pivot strings are the bits of k, so each row is row 0
+with the signs flipped by the bits of its number.  The complex pass
+(``stabilizer_vectors``) reads v off its exact group-average projector and
+moves it; no dense eigendecomposition is run, and ``verify`` checks each
+basis against the dense matrices of its stabilizers through their
+eigenvalue table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -281,6 +285,27 @@ def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
     return complex(-1 if (b & c).bit_count() & 1 else 1)
 
 
+class StabilizerRows(NamedTuple):
+    """The integer pass of ``stabilizer_eigenbasis`` over G groups.
+
+    x, z: (G, N-1) masks of the strings.  exponents: (G, N, N-1) int8, with
+    U_i v_k = i^exponents[g, k, i] v_k.  flips: (G, N-1), string i changes
+    sign between vectors 0 and k exactly where popcount(k & flips[g, i]) is
+    odd.  seed: (G, N-1), the exponent row of the seed vector v.  tx, tz:
+    (G, N), the masks of the translation U_t with v_k ~ U_t v.  pivots:
+    (G, n), the first n strings that are independent of those before them.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    exponents: np.ndarray
+    flips: np.ndarray
+    seed: np.ndarray
+    tx: np.ndarray
+    tz: np.ndarray
+    pivots: np.ndarray
+
+
 def stabilizer_eigenbasis(x, z, dim: int, tx, tz) -> tuple[np.ndarray, np.ndarray]:
     """Joint eigenbases of groups of commuting Pauli strings U_i = X^x[g, i] Z^z[g, i].
 
@@ -290,18 +315,99 @@ def stabilizer_eigenbasis(x, z, dim: int, tx, tz) -> tuple[np.ndarray, np.ndarra
     (vectors, exponents), (G, N, N) and (G, N, N-1), with U_i v_k =
     i^exponents[g, k, i] v_k, rows ascending in the exponent tuples (the
     tuples of eigenvalue angles k * pi/2), first nonzero entries real
-    positive, in blocks of about 2^16 complex entries.  The first odd
-    symplectic pair (i < j) of the first such group raises NonCommutingError
-    naming the group (deviation 2, the entrywise norm of U_i U_j - U_j U_i).
+    positive: ``stabilizer_rows`` followed by ``stabilizer_vectors``.  The
+    first odd symplectic pair (i < j) of the first such group raises
+    NonCommutingError naming the group (deviation 2, the entrywise norm of
+    U_i U_j - U_j U_i).
+    """
+    rows = stabilizer_rows(x, z, dim, tx, tz)
+    return stabilizer_vectors(rows), rows.exponents
+
+
+def stabilizer_rows(x, z, dim: int, tx, tz) -> StabilizerRows:
+    """The exact half of ``stabilizer_eigenbasis``: every check, the order of
+    the basis and its exponent rows, with no complex number.
+
+    The rows sorted ascending are the binary numbers of their signs on the
+    pivots c_1..c_n, the first n strings independent of those before them:
+    any other string's signs follow from those of earlier pivots, so two
+    rows first differ at a pivot, where one has exponent 0 or 1 and the
+    other that plus 2.  U_t v has v's row flipped by 2 where U_t
+    anticommutes, so n parities per translation place it in the basis, and
+    every row is row 0 with the signs flipped by the bits of its number.
     """
     x, z, tx, tz = (np.asarray(a, dtype=np.intp) for a in (x, z, tx, tz))
     if x.shape[-1] != dim - 1:
         raise ValueError(f"need {dim - 1} stabilizer masks for dimension {dim}, got {x.shape[-1]}")
-    vectors = np.empty((len(x), dim, dim), dtype=complex)
-    exponents = np.empty((len(x), dim, dim - 1), dtype=np.int8)
-    for b in _blocks(len(x), dim * dim):
-        _eigenbasis_block(x[b], z[b], dim, tx[b], tz[b], b.start, vectors[b], exponents[b])
-    return vectors, exponents
+    n, groups, combo = dim.bit_length() - 1, np.arange(len(x)), np.arange(dim)
+
+    # Elimination: generator r is the first string with the highest bit left.
+    # For each generator P = X^c Z^d, i^parity(c & d) P is +1 on the seed
+    # vector v; reducing string i = X^a Z^b to I takes the generators of its
+    # coordinates, with R = (-1)^parity(b & c) (R P) P at each, and so
+    # collects i^base[i].  Parity is linear: one parity of the XOR of the
+    # b & c gives all the signs.
+    keys = x << n | z
+    rows, swaps, coord = keys.copy(), np.zeros_like(x), np.zeros_like(x)
+    gens = np.empty((len(x), n), dtype=np.intp)
+    for r in range(n):
+        has = rows >> np.maximum(np.frexp(rows.max(axis=-1))[1] - 1, 0)[:, None] & 1
+        gens[:, r] = rows[groups, has.argmax(axis=-1)]  # 0 once nothing is left
+        swaps ^= has * (rows & gens[:, r, None] >> n)  # rows & c = b & c
+        rows ^= has * gens[:, r, None]
+        coord |= has << r
+    # The generators span the strings unless a string is left, and all
+    # commute when none is left and all meet the generators evenly.
+    odd = symplectic_parity(x[..., None], z[..., None], *np.divmod(gens[:, None], dim)).any(axis=(1, 2))
+    odd |= rows.any(axis=-1)
+    if odd.any():
+        g = int(np.argmax(odd))
+        pair = np.argwhere(np.triu(symplectic_parity(x[g, :, None], z[g, :, None], x[g], z[g]), 1))[0]
+        raise NonCommutingError(*pair.tolist(), 2.0, g)
+    if np.any(gens == 0):
+        raise ValueError(f"stabilizer masks span fewer than {n} generators")
+    ordered = np.sort(keys, axis=-1)  # n generators and N-1 distinct nonzero strings: the whole group
+    if np.any(ordered[:, 0] == 0) or np.any(ordered[:, 1:] == ordered[:, :-1]):
+        raise ValueError("stabilizer masks are not closed under products")
+    own = _parity(gens & gens >> n)  # parity(c & d)
+    base = ((coord[..., None] >> np.arange(n) & 1) @ own[..., None])[..., 0] + 2 * _parity(swaps)
+    base %= 4
+
+    # c_j is the first string outside the span of c_1..c_(j-1).  label[g, v] is
+    # the set of pivots, bit n-1-j for c_j, whose product has coordinates v
+    # (-1 outside their span), so a string's label is its flips.
+    label = np.full((len(x), dim), -1)
+    label[:, 0] = 0
+    cols = np.empty((len(x), n), dtype=np.intp)
+    for j in range(n):
+        cols[:, j] = np.argmax(label[groups[:, None], coord] < 0, axis=-1)
+        moved = label[groups[:, None], combo ^ coord[groups, cols[:, j], None]]
+        label = np.where(label < 0, moved | 1 << (n - 1 - j), label)
+    flips = label[groups[:, None], coord]
+
+    # v is vector number seat, its pivot signs; U_t v is v flipped where U_t anticommutes.
+    weights = 1 << np.arange(n - 1, -1, -1)
+    seat = (base[groups[:, None], cols] >> 1) @ weights
+    px, pz = x[groups[:, None], cols], z[groups[:, None], cols]
+    at = symplectic_parity(tx[..., None], tz[..., None], px[:, None], pz[:, None]) @ weights ^ seat[:, None]
+    order = np.full((len(x), dim), -1)
+    order[groups[:, None], at] = combo
+    if np.any(order < 0):
+        raise ValueError("the translations do not reach every joint eigenvector")
+    tx, tz = tx[groups[:, None], order], tz[groups[:, None], order]
+    exponents = (2 * _parity(combo[:, None] & combo)).astype(np.int8)[combo[:, None], flips[:, None]]
+    exponents ^= (base ^ 2 * _parity(seat[:, None] & flips)).astype(np.int8)[:, None]
+    return StabilizerRows(x, z, exponents, flips, base, tx, tz, cols)
+
+
+def stabilizer_vectors(rows: StabilizerRows) -> np.ndarray:
+    """The complex half of ``stabilizer_eigenbasis``: the (G, N, N) vectors
+    of checked rows, in blocks of about 2^16 complex entries."""
+    dim = rows.exponents.shape[1]
+    vectors = np.empty((len(rows.x), dim, dim), dtype=complex)
+    for b in _blocks(len(vectors), dim * dim):
+        _vector_block(rows._make(a[b] for a in rows), vectors[b])
+    return vectors
 
 
 def _blocks(count: int, entries: int) -> list[slice]:
@@ -309,42 +415,11 @@ def _blocks(count: int, entries: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _eigenbasis_block(x, z, dim, tx, tz, start, vectors, exponents):
-    """stabilizer_eigenbasis for the groups from number start on, into vectors and exponents."""
+def _vector_block(rows: StabilizerRows, vectors: np.ndarray) -> None:
+    """stabilizer_vectors for one block of groups, into vectors."""
+    x, z, base = rows.x, rows.z, rows.seed
+    dim = vectors.shape[-1]
     n, groups, combo = dim.bit_length() - 1, np.arange(len(x)), np.arange(dim)
-
-    # Elimination over the 2n bits of (x, z).  Each pivot P = X^c Z^d is a
-    # generator, and i^parity(c & d) P is +1 on the seed vector v; as R =
-    # (-1)^parity(c & d) (R P) P, reducing string i to I collects i^base[i].
-    keys = x << n | z
-    rows, base, pivots = keys.copy(), np.zeros_like(x), []
-    for bit in range(2 * n - 1, -1, -1):
-        has = rows >> bit & 1
-        pivots.append(rows[groups, has.argmax(axis=-1)] * has.any(axis=-1))
-        c, d = np.divmod(pivots[-1][:, None], dim)
-        base += has * (_parity(c & d) + 2 * _parity(rows & c))  # rows & c = b & c
-        rows ^= has * pivots[-1][:, None]
-    pivots = np.stack(pivots, axis=-1)
-    # The strings span the pivots and the pivots the strings, so all commute when all meet the pivots evenly.
-    if symplectic_parity(x[..., None], z[..., None], *np.divmod(pivots[:, None], dim)).any():
-        odd = np.argwhere(np.triu(symplectic_parity(x[:, :, None], z[:, :, None], x[:, None], z[:, None]), 1))
-        raise NonCommutingError(*odd[0, 1:].tolist(), 2.0, start + int(odd[0, 0]))
-    if np.any((pivots != 0).sum(axis=-1) < n):
-        raise ValueError(f"stabilizer masks span fewer than {n} generators")
-    ordered = np.sort(keys, axis=-1)  # n generators and N-1 distinct nonzero strings: the whole group
-    if np.any(ordered[:, 0] == 0) or np.any(ordered[:, 1:] == ordered[:, :-1]):
-        raise ValueError("stabilizer masks are not closed under products")
-    pivots = pivots[pivots != 0].reshape(len(x), n)
-    gens = np.argmax(keys[:, None] == pivots[..., None], axis=-1)  # string gens[j] is pivot j
-    gx, gz, base = np.take_along_axis(x, gens, -1), np.take_along_axis(z, gens, -1), base % 4
-
-    # U_t v has v's row flipped where U_t anticommutes; sorted, the N rows order the basis.
-    rows = translated_rows(base, x, z, tx, tz)
-    order = np.lexsort(np.moveaxis(rows, -1, 0)[::-1], axis=-1)
-    exponents[:] = np.take_along_axis(rows, order[..., None], axis=1)
-    if np.any((exponents[:, 1:] == exponents[:, :-1]).all(axis=-1)):
-        raise ValueError("the translations do not reach every joint eigenvector")
-    tx, tz = np.take_along_axis(tx, order, -1), np.take_along_axis(tz, order, -1)
 
     # Column c of v's projector (1/N) sum_i i^-base_i U_i (U_0 = I), c the
     # first index where every Z-type string has its eigenvalue, is an exact
@@ -355,15 +430,16 @@ def _eigenbasis_block(x, z, dim, tx, tz, start, vectors, exponents):
     units = _I_POWERS[-base] * (1 - 2 * _parity(col[:, None] & z))
     np.add.at(column, (groups[:, None], col[:, None] ^ x), units)
     v = column / dim / np.sqrt(column[groups, col].real / dim)[:, None]
-    src, flip = pauli_permutation(tx, tz, dim)
+    src, flip = pauli_permutation(rows.tx, rows.tz, dim)
     np.multiply(v.reshape(-1)[src + groups[:, None, None] * dim], flip, out=vectors)
     lead = np.take_along_axis(vectors, (vectors != 0).argmax(axis=-1)[..., None], axis=-1)
     vectors *= np.sign(lead.real) - 1j * np.sign(lead.imag)
     vectors += 0.0
 
-    # Float guard: every vector has its eigenvalue on every generator.
+    # Float guard: every vector has its eigenvalue on every pivot string.
+    gx, gz = np.take_along_axis(x, rows.pivots, -1), np.take_along_axis(z, rows.pivots, -1)
     src, flip = pauli_permutation(gx, gz, dim)
-    lam = _I_POWERS[np.take_along_axis(exponents, gens[:, None], axis=-1)]
+    lam = _I_POWERS[np.take_along_axis(rows.exponents, rows.pivots[:, None], axis=-1)]
     entry, worst = (groups[:, None] * dim + combo)[..., None] * dim, 0.0
     for j in range(n):
         res = vectors.reshape(-1)[entry + src[:, None, j]]
@@ -372,15 +448,3 @@ def _eigenbasis_block(x, z, dim, tx, tz, start, vectors, exponents):
         worst = max(worst, float(np.einsum("...i,...i->...", res.view(float), res.view(float)).max()))
     if np.sqrt(worst) > EIGEN_RESIDUAL_TOL:
         raise AssertionError(f"stabilizer basis vector fails its eigenvalue by {np.sqrt(worst):.3e}")
-
-
-def translated_rows(rows, x, z, tx, tz) -> np.ndarray:
-    """(G, T, K) int8 exponent rows of U_t v: rows[g] is v's row on the
-    strings X^x[g, i] Z^z[g, i], and U_t = X^tx[g, t] Z^tz[g, t] adds 2
-    parity(tx & z_i ^ tz & x_i) (mod 4), flipping every eigenvalue whose
-    string anticommutes with it."""
-    out = np.empty((*tx.shape, x.shape[-1]), dtype=np.int8)
-    for b in _blocks(len(out), out[0].size):
-        flips = symplectic_parity(tx[b, :, None], tz[b, :, None], x[b, None], z[b, None])
-        out[b] = (rows[b, None] + 2 * flips) % 4
-    return out

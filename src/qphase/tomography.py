@@ -358,6 +358,27 @@ def estimate_state(
     return report
 
 
+def simulate_and_estimate(
+    rho: np.ndarray, plan: MeasurementPlan, net: QuantumNet
+) -> tuple[CountsRecord, ReconstructionReport]:
+    """simulate_counts(rho, plan), then estimate_state(counts, net,
+    truth=rho), with the same results; rho is validated once, and one table
+    of its Pauli expectations gives both its outcome probabilities and its
+    true grid."""
+    rho, probs, true_grid = _truth(rho, net, plan.bases)
+    counts = _record_from_probabilities(probs, plan)
+    report = estimate_state(counts, net)
+    _score(report, rho, true_grid)
+    return counts, report
+
+
+def _truth(rho: np.ndarray, net: QuantumNet, bases: Sequence[StriationBasis]):
+    """(rho validated, its outcome probabilities in checked bases, its grid)."""
+    rho = validate_density_matrix(rho, net.dim)
+    e = _pauli_expectations(rho)
+    return rho, _outcome_probabilities(e, bases), _grid_from_expectations(e, net)
+
+
 def _score(report: ReconstructionReport, truth: np.ndarray, true_grid: WignerGrid) -> None:
     """Fill the report's metrics against a validated truth and its grid."""
     estimate = report.estimate
@@ -394,11 +415,9 @@ def error_scaling_study(
         raise ValueError("shot_list must be ascending")
     if not seeds:
         raise ValueError("need at least one seed")
-    rho = validate_density_matrix(rho, net.dim)
     bases = tuple(mub_set)
     MeasurementPlan(bases=bases, shots_per_basis=0, seed=0)  # rejects a malformed basis set
-    e = _pauli_expectations(rho)
-    probs, true_grid = _outcome_probabilities(e, bases), _grid_from_expectations(e, net)
+    rho, probs, true_grid = _truth(rho, net, bases)
     rows = []
     for shots in shot_list:
         dw, td = [], []

@@ -3,11 +3,10 @@
 A quantum net assigns one basis vector v_l to every line l so that translated
 lines carry translated vectors.  The net is built with integers, for all
 striations at once: each ray's vector is the basis vector with given
-stabilizer signs, a translation flips a stabilizer eigenvector's exponent row
-where it anticommutes with the stabilizers (``operators.translated_rows``,
-shared with the basis construction), and each line's row is looked up among
-its basis's sorted rows; ``verify`` checks the result against dense
-projectors.
+stabilizer signs, and a translation flips a stabilizer eigenvector's signs
+where it anticommutes with the stabilizers, which flips the bits of the
+vector's index that belong to the n stabilizers with one-bit ``flips``;
+``verify`` checks the result against dense projectors.
 
 The Wigner map runs on Pauli expectations.  A ray's projector is the average
 of its stabilizer group, (1/N) sum_b i^c_b U_b over the N points b of the
@@ -39,7 +38,7 @@ import numpy as np
 from .fields import ContextMismatchError, FieldContext
 from .geometry import Line, Point, Striation, enumerate_striations, grid_points, striation_points
 from .mub import StriationBasis, _sign_frame
-from .operators import QubitLabeling, pauli_permutation, symplectic_parity, translated_rows
+from .operators import QubitLabeling, _parity, pauli_permutation, symplectic_parity
 from .serialize import round_float
 from .states import validate_density_matrix
 
@@ -56,13 +55,19 @@ class NetConstructionError(RuntimeError):
 _RAY_SIGNS_2Q = ((1, 1, 1), (1, 1, 1), (-1, 1, 1), (1, 1, -1), (-1, 1, 1))
 
 
-def _ray_index(exponents: np.ndarray, x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """Index of each striation's ray vector, chosen by its stabilizer signs."""
-    # X^x Z^z is anti-Hermitian exactly when X^x and Z^z anticommute.
-    negative = (exponents + symplectic_parity(x, 0, 0, z)[:, None]) % 4 == 2
+def _ray_index(negative: np.ndarray, flips: np.ndarray, pivots: np.ndarray, n: int) -> np.ndarray:
+    """Index of each striation's ray vector, chosen by its stabilizer signs.
+
+    negative[s, i] is True where stabilizer i is -1 on vector 0 (rescaled to
+    a Hermitian involution), and vector k flips it where popcount(k &
+    flips[s, i]) is odd, so the vector with bit m set where pivot m is
+    negative on vector 0 is +1 on every pivot.  For two qubits, the vector
+    with the signs of _RAY_SIGNS_2Q.
+    """
     if n != 2:
-        return np.lexsort(np.moveaxis(negative, -1, 0)[::-1], axis=-1)[:, 0]
-    match = (negative == (np.array(_RAY_SIGNS_2Q) < 0)[:, None]).all(axis=-1)
+        return negative[np.arange(len(negative))[:, None], pivots] @ (1 << np.arange(n))
+    k = np.arange(1 << n)[:, None, None]
+    match = (negative ^ _parity(k & flips) == (np.array(_RAY_SIGNS_2Q) < 0)).all(axis=-1).T
     if not match.any(axis=-1).all():
         s = int(np.argmin(match.any(axis=-1)))
         raise NetConstructionError(f"ray signs {_RAY_SIGNS_2Q[s]} of striation {s} match no basis vector")
@@ -144,7 +149,8 @@ class QuantumNet:
     @cached_property
     def sign_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x, z, exponent row 0, flips) of the bases, each (N+1, N-1) and
-        read-only, stacked once for the counts -> grid map of tomography."""
+        read-only (``mub._sign_frame``: their build's own when they come from
+        one ``full_mub_set``), kept for the counts -> grid map of tomography."""
         return _sign_frame(self.bases)
 
     @cached_property
@@ -175,21 +181,22 @@ class QuantumNet:
 
 
 def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[StriationBasis]) -> QuantumNet:
-    """The standard quantum net, found by exact integer lookups.
+    """The standard quantum net, computed from the bases' sign frames.
 
     Each ray's vector is the basis vector with given stabilizer signs: for
     two qubits the conventional rows of ``_RAY_SIGNS_2Q`` (axis states on
     the axis rays, fixed vectors on the diagonal-type rays); otherwise the
-    lexicographically first sign row, which for one qubit gives spin up,
+    vector that is +1 on the n pivot stabilizers, those whose ``flips`` is
+    one bit (the first n independent ones in ray order, so this is the
+    lexicographically first sign row), which for one qubit gives spin up,
     spin right and the sigma_y +1 state.  Every other line carries the ray's
-    vector translated by the line's first point w: the ray's row flipped
-    where U_w anticommutes (``operators.translated_rows``), looked up among
-    the sorted rows, for all striations at once.  Every point of a line
-    gives the same row, so covariance holds by construction; ``verify``
-    holds the dense evidence (``check_line_sums``, ``check_a_covariance``).
-    The bases must be built under ``labeling``; their masks name each
-    exponent column's stabilizer.  The net keeps the bases as given and
-    reads none of their vectors.
+    vector translated by the line's first point w: U_w flips bit m of the
+    ray vector's index where it anticommutes with pivot m, O(N^2 n) for all
+    striations at once.  Every point of a line gives the same vector, so
+    covariance holds by construction; ``verify`` holds the dense evidence
+    (``check_line_sums``, ``check_a_covariance``).  The bases must be built
+    under ``labeling``; their masks name each exponent column's stabilizer.
+    The net keeps the bases as given and reads none of their vectors.
     """
     striations = enumerate_striations(ctx)
     if len(mub_set) != len(striations):
@@ -199,16 +206,22 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
             raise NetConstructionError(f"basis of striation {s} carries no stabilizer eigenvalues")
         if any(op.labeling is not labeling and op.labeling != labeling for op in basis.stabilizers):
             raise NetConstructionError(f"basis of striation {s} was built under a different labeling")
-    points = striation_points(ctx)
-    exponents = np.stack([b.exponents for b in mub_set])
-    x, z = np.stack([b.masks for b in mub_set], axis=1)
-    ray_rows = exponents[np.arange(len(striations)), _ray_index(exponents, x, z, ctx.n)]
-    first = labeling.point_masks(points[:, :, 0])  # each line's first point
-    line_vector = _find_rows(exponents, translated_rows(ray_rows, x, z, *first))
-    if np.any(line_vector < 0):
-        s, l = np.argwhere(line_vector < 0)[0].tolist()
-        line = striations[s].lines[l]
-        raise NetConstructionError(f"translated ray on line {line} of striation {s} matches no basis vector")
+        try:
+            basis.flips
+        except ValueError as exc:
+            raise NetConstructionError(f"{exc}, so a translated ray can match no basis vector") from exc
+    x, z, row0, flips = _sign_frame(mub_set)
+    # pivots[s, m]: the stabilizer whose sign flips with bit m of the outcome alone.
+    rows = np.arange(len(striations))[:, None]
+    by_flips = np.empty((len(striations), ctx.order), dtype=np.intp)
+    by_flips[rows, flips] = np.arange(ctx.order - 1)
+    pivots = by_flips[:, 1 << np.arange(ctx.n)]
+    # X^x Z^z is anti-Hermitian exactly when X^x and Z^z anticommute.
+    ray = _ray_index((row0 + symplectic_parity(x, 0, 0, z)) % 4 == 2, flips, pivots, ctx.n)
+    fx, fz = labeling.point_masks(striation_points(ctx)[:, :, 0])  # each line's first point
+    px, pz = x[rows, pivots], z[rows, pivots]
+    moved = symplectic_parity(fx[..., None], fz[..., None], px[:, None], pz[:, None]) @ (1 << np.arange(ctx.n))
+    line_vector = moved ^ ray[:, None]
     repeats = (np.diff(np.sort(line_vector, axis=-1), axis=-1) == 0).any(axis=-1)
     if repeats.any():
         raise NetConstructionError(f"striation {int(np.argmax(repeats))} maps two lines to one vector")
@@ -216,7 +229,7 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     # Each nonzero point lies on one ray; the ray's vector v has U_b v = i^e_b v,
     # so i^-e_b U_b is in its stabilizer group.
     i_powers = np.zeros((ctx.order, ctx.order), dtype=np.int8)
-    i_powers[x, z] = -ray_rows % 4
+    i_powers[x, z] = -(row0 ^ 2 * _parity(ray[:, None] & flips)) % 4
     i_powers.setflags(write=False)
 
     return QuantumNet(
@@ -227,20 +240,6 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         _line_vector=line_vector,
         _i_powers=i_powers,
     )
-
-
-def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """pos[s, k]: index of rows[s, k] among the lexicographically sorted rows
-    of table[s], or -1 where it is absent.  Each row behind its striation
-    number, as bytes (big-endian, so byte order is value order), is one
-    key, and one searchsorted finds them all."""
-    count, size, width = table.shape
-    head = np.arange(count).astype(">u2").view(np.uint8).reshape(count, 1, 2)
-    keyed = [np.dstack([np.repeat(head, a.shape[1], axis=1), a.astype(np.uint8)]) for a in (table, rows)]
-    table, rows = (k.reshape(-1, width + 2) for k in keyed)
-    key = np.dtype((np.void, width + 2))
-    pos = np.minimum(np.searchsorted(table.view(key).ravel(), rows.view(key).ravel()), len(table) - 1)
-    return np.where((table[pos] == rows).all(axis=1), pos % size, -1).reshape(count, -1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,0 +1,147 @@
+"""The build's integer pass: pivot-ordered exponent rows, vectors built only
+when read, and the memory a build takes without them."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qphase.mub
+from qphase import cli
+from qphase.fields import field_create
+from qphase.geometry import striation_points
+from qphase.operators import default_labeling, stabilizer_eigenbasis, symplectic_parity
+from qphase.states import random_density_matrix
+from qphase.system import build_system
+from qphase.tomography import MeasurementPlan, estimate_state, simulate_counts
+from qphase.wigner import state_from_wigner, wigner_from_state
+
+from dense_reference import joint_eigenprojectors
+
+
+_PAULI_FACTORS = {(0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]), (0, 1): np.diag([1, -1])}
+_PAULI_FACTORS[1, 1] = _PAULI_FACTORS[1, 0] @ _PAULI_FACTORS[0, 1]
+
+
+def pauli_strings(x, z, n):
+    """Dense X^x Z^z as kron products, slot 0 on the most significant bit."""
+    out = []
+    for a, b in zip(x, z):
+        u = np.ones((1, 1), dtype=complex)
+        for slot in range(n - 1, -1, -1):
+            u = np.kron(u, _PAULI_FACTORS[a >> slot & 1, b >> slot & 1])
+        out.append(u)
+    return np.array(out)
+
+
+def reference_exponents(x, z, tx, tz, n):
+    """Exponent rows of every group as the sorted translates of one joint
+    eigenvector's row: its row is read off a dense eigenvector, each
+    translation flips it by 2 where it anticommutes, and the N rows are
+    sorted lexicographically."""
+    out = []
+    for g in range(len(x)):
+        u = pauli_strings(x[g], z[g], n)
+        p = joint_eigenprojectors(list(u))[0]
+        v = p[:, np.argmax(np.abs(np.diag(p)))]
+        v = v / np.linalg.norm(v)
+        seed = np.rint(np.angle(np.einsum("i,gij,j->g", v.conj(), u, v)) / (np.pi / 2)).astype(int) % 4
+        rows = (seed + 2 * symplectic_parity(tx[g, :, None], tz[g, :, None], x[g], z[g])) % 4
+        out.append(rows[np.lexsort(rows.T[::-1])])
+    return np.array(out, dtype=np.int8)
+
+
+class TestPivotOrder:
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_exponents_equal_sorted_translated_rows(self, n, seed):
+        # Any column order of the stabilizers and any transverse ray per group.
+        rng = np.random.default_rng(seed)
+        lab = default_labeling(field_create(n))
+        rays = striation_points(lab.ctx)[:, 0]
+        groups, dim = len(rays), lab.dim
+        x, z = lab.point_masks(rays[:, 1:])
+        order = rng.permuted(np.tile(np.arange(dim - 1), (groups, 1)), axis=1)
+        x, z = np.take_along_axis(x, order, 1), np.take_along_axis(z, order, 1)
+        transverse = (np.arange(groups) + 1 + rng.integers(0, groups - 1, groups)) % groups
+        tx, tz = lab.point_masks(rays[transverse])
+        vectors, exponents = stabilizer_eigenbasis(x, z, dim, tx, tz)
+        assert np.array_equal(exponents, reference_exponents(x, z, tx, tz, n))
+        u = np.stack([pauli_strings(x[g], z[g], n) for g in range(groups)])
+        lam = np.array([1, 1j, -1, -1j])[exponents]
+        moved = np.einsum("giab,gkb->gkia", u, vectors)
+        assert np.max(np.abs(moved - lam[..., None] * vectors[:, :, None])) < 1e-12
+
+
+@pytest.fixture
+def complex_passes(monkeypatch):
+    """Count the calls of the build's complex pass, starting from a cold cache."""
+    calls = []
+    real = qphase.mub.stabilizer_vectors
+
+    def counted(rows):
+        calls.append(rows.exponents.shape[1])
+        return real(rows)
+
+    monkeypatch.setattr(qphase.mub, "stabilizer_vectors", counted)
+    build_system.cache_clear()
+    yield calls
+    build_system.cache_clear()
+
+
+def basis_state(n):
+    return json.dumps([[1, 0]] + [[0, 0]] * ((1 << n) - 1))
+
+
+class TestVectorsOnlyWhenRead:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_no_per_state_path_builds_vectors(self, n, complex_passes, capsys):
+        sys = build_system(n)
+        rho = random_density_matrix(np.random.default_rng(n), sys.dim)
+        grid = wigner_from_state(rho, sys.net)
+        state_from_wigner(grid, sys.net)
+        counts = simulate_counts(rho, MeasurementPlan(bases=sys.bases, shots_per_basis=64, seed=1))
+        estimate_state(counts, sys.net, truth=rho)
+        assert complex_passes == []
+        assert "vectors" not in vars(sys.bases[0]._build)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])  # the CLI's degrees
+    def test_no_cli_state_command_builds_vectors(self, n, complex_passes, capsys):
+        assert cli.main(["wigner", str(n), "--state", basis_state(n), "--lines"]) == 0
+        build_system.cache_clear()
+        assert cli.main(["tomo", str(n), "--state", basis_state(n), "--shots", "64"]) == 0
+        assert complex_passes == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mub_builds_them_once(self, n, complex_passes, capsys):
+        assert cli.main(["mub", str(n)]) == 0
+        assert complex_passes == [1 << n]
+
+    def test_verify_builds_them_once_per_system(self, complex_passes, capsys):
+        assert cli.main(["verify", "3"]) == 0
+        assert complex_passes == [2, 4, 8]
+
+    def test_every_basis_shares_one_read_only_stack(self, complex_passes):
+        sys = build_system(3)
+        stack = sys.bases[0]._build.vectors
+        assert all(np.shares_memory(b.vectors, stack) and not b.vectors.flags.writeable for b in sys.bases)
+        assert complex_passes == [8]
+
+
+class TestBuildMemory:
+    def test_cold_n7_build_stays_below_the_vector_stack(self):
+        build_system.cache_clear()
+        tracemalloc.start()
+        try:
+            sys = build_system(7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            assert "vectors" not in vars(sys.bases[0]._build)
+            assert peak < 16 * (sys.dim + 1) * sys.dim**2, peak  # 33.8 MB
+        finally:
+            build_system.cache_clear()

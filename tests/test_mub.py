@@ -327,6 +327,12 @@ BUILD_DIGESTS = {
         "a00452d2068cd3952abd945666e335e96851d4fa2958520703655e291f36e13d",
         "cf4bd71855084a601e575a9a8a6b57fccd8f6ea9f8512479991b247cd1ac5daf",
     ),
+    7: (
+        "f7f6202cd0cfca678e4371a97e92990ccec771cb814319761182c1db47064c47",
+        "db5bddfb0f3aa075c2b4b9f4894d5c1f6a5176319f570f88315a75da4378a0de",
+        "24d7883bf042db44acd9b8b23a3612ea2af31069d5949af4249b7f79c9f8724c",
+        "5d284c4f03199b98765fe1b9cd5212cf34f10edcdfe121aa2f1fae4bbde06bd9",
+    ),
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qphase.tomography
 import qphase.wigner
+from qphase import cli
 from qphase.geometry import Point
 from qphase.mub import StriationBasis, _sign_frame
 from qphase.states import (
@@ -35,6 +36,7 @@ from qphase.tomography import (
     loglog_slope,
     outcome_probabilities,
     project_to_physical,
+    simulate_and_estimate,
     simulate_counts,
     trace_distance,
 )
@@ -323,6 +325,32 @@ class TestNetSignFrame:
         assert np.array_equal(estimate_wigner(counts, sys.net).values, grid.values)
         assert sys.net.sign_frame is frame
 
+    def test_simulate_counts_reads_the_build_frame(self, monkeypatch):
+        sys = build_system(3)
+        frame = sys.bases[0]._build.frame
+        assert _sign_frame(sys.bases) is frame and _sign_frame(list(sys.bases)) is frame
+        assert all(not a.flags.writeable for a in frame)
+        seen = []
+
+        def record(bases):
+            seen.append(_sign_frame(bases))
+            return seen[-1]
+
+        monkeypatch.setattr(qphase.tomography, "_sign_frame", record)
+        simulate_counts(state_of_kind("wishart", sys.dim, 3), plan_for(sys, 64, seed=1))
+        assert len(seen) == 1 and seen[0] is frame
+
+    def test_other_basis_lists_are_stacked_anew(self):
+        sys = build_system(3)
+        frame = _sign_frame(sys.bases)
+        swapped = [sys.bases[1], sys.bases[0], *sys.bases[2:]]
+        copied = [dataclasses.replace(b) for b in sys.bases]
+        for bases in (swapped, copied, sys.bases[:-1]):
+            got = _sign_frame(bases)
+            assert got is not frame
+            for a, ref in zip(got, frame):
+                assert np.array_equal(a, ref[[b.striation for b in bases]])
+
     def test_a_cleared_build_frees_the_net(self):
         # the frame lives on the net, so clearing build_system frees both
         def used_net():
@@ -555,6 +583,32 @@ class TestEstimateState:
         report = estimate_state(counts, sys.net, project=False)
         assert report.rho_projected is None
         assert np.max(np.abs(report.estimate - report.rho_raw)) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_simulate_and_estimate_gives_the_two_step_results(self, n, shots):
+        sys = build_system(n)
+        rho = state_of_kind("wishart", sys.dim, n)
+        counts, report = simulate_and_estimate(rho, plan_for(sys, shots, seed=5), sys.net)
+        assert counts == simulate_counts(rho, plan_for(sys, shots, seed=5))
+        ref = estimate_state(counts, sys.net, truth=rho)
+        assert report.wigner.values.tobytes() == ref.wigner.values.tobytes()
+        assert report.estimate.tobytes() == ref.estimate.tobytes()
+        metrics = ("fidelity", "trace_distance", "max_wigner_error")
+        assert [getattr(report, m) for m in metrics] == [getattr(ref, m) for m in metrics]
+
+    def test_cli_tomo_validates_the_state_once(self, monkeypatch, capsys):
+        calls = []
+        real = qphase.tomography.validate_density_matrix
+
+        def counted(rho, dim=None):
+            calls.append(dim)
+            return real(rho, dim)
+
+        for module in (qphase.tomography, qphase.wigner):
+            monkeypatch.setattr(module, "validate_density_matrix", counted)
+        assert cli.main(["tomo", "2", "--state", "bell0", "--shots", "64"]) == 0
+        assert calls == [4]
 
 
 class TestExactReconstruction:
