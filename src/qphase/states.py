@@ -23,27 +23,45 @@ def _real_trace(rho: np.ndarray) -> float:
         return float(np.trace(rho).real)
 
 
-def validate_density_matrix(rho: np.ndarray, dim: int | None = None, tol: float = DENSITY_TOL) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Check finiteness, Hermiticity, unit trace and positivity; returns rho unchanged.
 
-    Finite entries near the float limit can overflow in the checks; the
-    overflowed deviation or trace is not finite and fails its check.
+    Hermiticity and the trace hold within DENSITY_TOL.  Positivity means
+    every eigenvalue above -DENSITY_TOL: it is decided by a Cholesky
+    factorisation of rho + DENSITY_TOL * I, which reads the lower triangle
+    and succeeds exactly when that matrix is positive definite, within
+    ~N eps of the threshold for a state of dimension N.  Finite entries near
+    the float limit can overflow in the checks; the overflowed deviation,
+    trace or factor is not finite and fails its check, without a warning.
+    A NaN or infinite entry is reported as such before any other failure.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvalidStateError(f"density matrix has dimension {rho.shape[0]}, expected {dim}")
-    if not np.isfinite(rho).all():
-        raise InvalidStateError("density matrix has a NaN or infinite entry")
     with np.errstate(over="ignore", invalid="ignore"):
-        asymmetry = float(np.max(np.abs(rho - rho.conj().T)))
-    if not asymmetry <= tol:
+        # conj(rho) - rho^T holds the entries of rho - rho^H, negated and transposed
+        deviation = rho.conj()
+        deviation -= rho.T
+        asymmetry = float(np.abs(deviation).max())
+        trace = float(rho.trace().real)
+    if not asymmetry <= DENSITY_TOL:
+        # a NaN or infinite entry makes the asymmetry NaN or infinite
+        if not np.isfinite(rho).all():
+            raise InvalidStateError("density matrix has a NaN or infinite entry")
         raise InvalidStateError("density matrix is not Hermitian")
-    trace = _real_trace(rho)
-    if not abs(trace - 1.0) <= tol:
+    if not abs(trace - 1.0) <= DENSITY_TOL:
         raise InvalidStateError(f"density matrix trace {trace!r} is not 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    shifted = rho.copy()
+    shifted.flat[:: len(rho) + 1] += DENSITY_TOL
+    try:
+        # An overflow can leave a NaN pivot, which some LAPACK builds pass
+        # without an error; it reaches every later diagonal entry.
+        positive = np.isfinite(np.linalg.cholesky(shifted).diagonal()).all()
+    except np.linalg.LinAlgError:
+        positive = False
+    if not positive:
         raise InvalidStateError("density matrix has a negative eigenvalue")
     return rho
 

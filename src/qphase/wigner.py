@@ -154,14 +154,21 @@ class QuantumNet:
         return _sign_frame(self.bases)
 
     @cached_property
-    def _pauli_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(src, h, hq, hp, phase) for the Wigner map: ``_sylvester_tables``, h
-        read at the grid's masks, hq[q, z] = h[x_mask(q), z] and
-        hp[x, p] = h[x, z_mask(p)], and phase = i^_i_powers."""
-        src, h = _sylvester_tables(self.dim)
+    def _pauli_tables(self) -> tuple[np.ndarray, ...]:
+        """(hq, hp, hp / N^2, phase, h / N, gather) for the Wigner map, from
+        the Sylvester-Hadamard matrix h of ``_sylvester_tables``: h read at
+        the grid's masks, hq[q, z] = h[x_mask(q), z] and hp[x, p] =
+        h[x, z_mask(p)]; phase = i^_i_powers; h / N as a complex array; and
+        gather[j ^ x, j] = x N + j, the flat index that reads t[x, j] into
+        rho[j ^ x, j].  The scales are powers of two, so folding them in
+        changes no bit."""
+        _, h = _sylvester_tables(self.dim)
         k = np.arange(self.dim)
         x, z = self.labeling.point_masks(k * (self.dim + 1))  # of q and p at the points (k, k)
-        tables = (src, h, h[x], h[:, z], np.array([1, 1j, -1, -1j])[self._i_powers])
+        hp = h[:, z]
+        phase = np.array([1, 1j, -1, -1j])[self._i_powers]
+        gather = (k ^ k[:, None]) * self.dim + k
+        tables = (h[x], hp, hp / self.dim**2, phase, h.astype(complex) / self.dim, gather)
         for table in tables:
             table.setflags(write=False)
         return tables
@@ -277,51 +284,55 @@ class WignerGrid:
 def wigner_from_state(rho: np.ndarray, net: QuantumNet) -> WignerGrid:
     """W_a = tr(rho A_a) / N for every grid point, from the Pauli expectations.
 
-    The input must be a physical state (Hermitian, unit trace, PSD within
-    1e-9); otherwise InvalidStateError.
+    rho must pass ``validate_density_matrix``: Hermitian and of unit trace
+    within DENSITY_TOL = 1e-9, and no eigenvalue below -DENSITY_TOL, which
+    one Cholesky factorisation decides; otherwise InvalidStateError.  Past
+    the check, the map is one gather and three matrix products.
     """
     return _grid_from_expectations(_pauli_expectations(validate_density_matrix(rho, net.dim)), net)
 
 
 @lru_cache(maxsize=None)
 def _sylvester_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(src, h), read-only: src[x, j] = j ^ x and the Sylvester-Hadamard
-    matrix h[z, j] = (-1)^popcount(j & z), the diagonal of Z^z."""
+    """(gather, h), read-only: gather[j, x] = j dim + (j ^ x), the flat index
+    of rho[j, j ^ x], and the Sylvester-Hadamard matrix h[z, j] =
+    (-1)^popcount(j & z), the diagonal of Z^z."""
     k = np.arange(dim)
-    src, h = k ^ k[:, None], pauli_permutation(0, k, dim)[1].astype(float)
-    src.setflags(write=False)
+    gather, h = k[:, None] * dim + (k ^ k[:, None]), pauli_permutation(0, k, dim)[1].astype(float)
+    gather.setflags(write=False)
     h.setflags(write=False)
-    return src, h
+    return gather, h
 
 
 def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
     """e[z, x] = sum_j h[z, j] rho[j, j ^ x] = tr(rho X^x Z^z)."""
-    src, h = _sylvester_tables(len(rho))
-    return h @ rho[src[0][:, None], src]
+    gather, h = _sylvester_tables(len(rho))
+    return h @ rho.take(gather)
 
 
 def _grid_from_expectations(e: np.ndarray, net: QuantumNet) -> WignerGrid:
     """W from e[z, x] = tr(rho X^x Z^z): (1/N^2) sum over (x, z) of
     Re(i^c e) with the signs of the symplectic parity, one
-    Sylvester-Hadamard product on each side."""
-    _, _, hq, hp, phase = net._pauli_tables
-    return WignerGrid(net.ctx, hq @ (phase.T * e).real @ hp / net.dim**2)
+    Sylvester-Hadamard product on each side; the right one carries the
+    1/N^2."""
+    hq, _, hp_scaled, phase, _, _ = net._pauli_tables
+    return WignerGrid(net.ctx, hq @ (phase.T * e).real @ hp_scaled)
 
 
 def state_from_wigner(grid: WignerGrid, net: QuantumNet) -> np.ndarray:
     """rho = sum_a W_a A_a, the exact inverse of wigner_from_state.
 
     s[x, z] = sum_a (-1)^<a,b> W_a for b = (x, z), one Sylvester-Hadamard
-    product on each side; then rho[j ^ x, j] = (1/N) sum_z i^c s h[z, j].
+    product on each side; then t[x, j] = (1/N) sum_z i^c s h[z, j], with
+    the 1/N in the table, and one gather reads rho[j ^ x, j] = t[x, j].
     """
     if grid.ctx is not net.ctx:
         raise ContextMismatchError("grid and net use different field contexts")
     total = grid.total
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"grid sums to {total!r}, expected 1")
-    src, h, hq, hp, phase = net._pauli_tables
-    t = (phase * (hp @ grid.values.T @ hq)) @ h / net.dim
-    return t[src, src[0]]
+    hq, hp, _, phase, h_scaled, gather = net._pauli_tables
+    return ((phase * (hp @ grid.values.T @ hq)) @ h_scaled).take(gather)
 
 
 def line_sum(grid: WignerGrid, line: Line) -> float:

@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qphase.operators import pauli
 from qphase.states import (
+    DENSITY_TOL,
     InvalidStateError,
     parse_state_spec,
     random_density_matrix,
@@ -249,3 +250,86 @@ class TestValidation:
         rng = np.random.default_rng(0)
         for _ in range(5):
             assert np.linalg.norm(random_pure_state(rng, 4)) == pytest.approx(1.0)
+
+
+def _with_spectrum(eigvals, seed):
+    """U diag(eigvals) U^dag, Hermitian to the bit, for a Haar-random U."""
+    rng = np.random.default_rng(seed)
+    dim = len(eigvals)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rho = (u * eigvals) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def _accepted(rho):
+    try:
+        validate_density_matrix(rho)
+    except InvalidStateError as exc:
+        assert str(exc) == "density matrix has a negative eigenvalue"
+        return False
+    return True
+
+
+class TestPositivityVerdict:
+    """The Cholesky verdict against the eigenvalues: rho is refused exactly
+    when an eigenvalue lies below -DENSITY_TOL, away from the threshold."""
+
+    @given(
+        n=st.integers(1, 5),
+        lowest=st.one_of(st.floats(-1e-8, 1e-8), st.floats(-1.01e-9, -0.99e-9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_matches_the_lowest_eigenvalue(self, n, lowest, seed):
+        rest = np.random.default_rng(seed).uniform(0.1, 1.0, (1 << n) - 1)
+        rho = _with_spectrum(np.append(lowest, rest / rest.sum() * (1 - lowest)), seed)
+        reference = np.linalg.eigvalsh(rho).min()
+        assume(abs(reference + DENSITY_TOL) > 1e-12)
+        assert _accepted(rho) == (reference >= -DENSITY_TOL)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rank_one_states_are_accepted(self, n):
+        v = random_pure_state(np.random.default_rng(n), 1 << n)
+        assert _accepted(np.outer(v, v.conj()))
+        basis_state = np.zeros((1 << n, 1 << n), dtype=complex)
+        basis_state[-1, -1] = 1.0
+        assert _accepted(basis_state)
+
+    @pytest.mark.parametrize("entry", [1e300, -1e300, 1e300 + 1e300j, 1.7e308j])
+    def test_entries_near_the_float_limit_are_refused_without_warnings(self, entry):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[2, 1], rho[1, 2] = entry, np.conj(entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+                validate_density_matrix(rho, 4)
+
+    @given(
+        n=st.integers(1, 4),
+        exponent=st.integers(0, 308),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_on_entries_up_to_the_float_limit(self, n, exponent, seed):
+        # unit trace and Hermitian, with off-diagonal entries of magnitude ~10^exponent
+        rng = np.random.default_rng(seed)
+        dim, scale = 1 << n, 10.0**exponent
+        g = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+        g = (g + g.conj().T) / 2
+        diagonal = rng.uniform(0.5, 1.0, dim)
+        rho = g * scale
+        rho[np.diag_indices(dim)] = diagonal / diagonal.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            accepted = _accepted(rho)
+        lowest = np.linalg.eigvalsh(rho / scale).min() * scale
+        assume(abs(lowest + DENSITY_TOL) > 1e-12 + dim * np.finfo(float).eps * scale)
+        assert accepted == (lowest >= -DENSITY_TOL)
+
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_a_nan_entry_gets_the_finiteness_message_first(self, where):
+        # neither Hermitian nor of unit trace, and not positive
+        rho = np.array([[2.0, 0.0], [5.0, -3.0]], dtype=complex)
+        rho[where] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="NaN or infinite"):
+                validate_density_matrix(rho, 2)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import time
 import weakref
@@ -40,7 +41,7 @@ from qphase.tomography import (
     simulate_counts,
     trace_distance,
 )
-from qphase.wigner import line_sum, wigner_from_state
+from qphase.wigner import line_sum, state_from_wigner, wigner_from_state
 
 
 def rho_of(name):
@@ -609,6 +610,70 @@ class TestEstimateState:
             monkeypatch.setattr(module, "validate_density_matrix", counted)
         assert cli.main(["tomo", "2", "--state", "bell0", "--shots", "64"]) == 0
         assert calls == [4]
+
+
+def _digest(array, dtype):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+# sha256, at n = 5..7 where the stdout corpus does not reach, of a seeded
+# state's wigner_from_state grid (<f8), the state_from_wigner state of that
+# grid (<c16), the 4096-shot simulate_counts rows (<i8) and
+# estimate_state(project=False).rho_raw from those counts (<c16).
+PER_STATE_DIGESTS = {
+    (5, 'haar'): (
+        "2230cd92a467ccd983869513467ee00bd231ac42f9cf979b7efe29665b3fc0cc",
+        "a585de1fe75b26f4cbf715a094a9c8a57135a2ab792ade7c89155a3dc541b866",
+        "20b97466e592bc95d87c71b90b70158dfc2c62b11bcde365d632cdc568415a8f",
+        "f32782c621e7828e30d89cb8fe9d8070f798f194e204b098a4d32a97c0426b1a",
+    ),
+    (5, 'wishart'): (
+        "56cb6ca2baaa7103991ddc8840f93decb3f8708ee1fb63e0dca222d52ad6ef9b",
+        "8ed7a9381b75e5d8b7e0cedd36255a8057b2e11f340dc0ee85ef05debe4bf948",
+        "bb3dfc36f4060dc5e7ef14783294a31adf26582e679e7e17eb7e008319671e1c",
+        "37659da635150e8e26675cc2d5a02be47492e119ca2fc8ec62be9b2b9736d853",
+    ),
+    (6, 'haar'): (
+        "98c8dfa96274bd10e25afb30b3b9d4e64a78106a3cb9e41ef11963d7fb81f1dc",
+        "1c2a6b4d70af0ab1cdcccd4a545d39dc131a7e70b08ec0cadbf078db7a001560",
+        "78a6479390be266b4b3f538e1a9116878a5f079e7a775876e5be6fa4578fdcb4",
+        "540ddc32446a19a56ae01248d1ee5b724a38262d1a389b7c46969e2e9a6bee7d",
+    ),
+    (6, 'wishart'): (
+        "273c39fcd8f1536d6c49ee8c48b3c24f731d3e7bf249709f9cc994f643e92e14",
+        "4bb3c3bb0a2e49c64daca7987c4d0a1410a1ab6ac3f1309e22a10314273a86ee",
+        "a6245cd90b3b491277db4a7a97472a9c32a0019d8a63aca7e427cdc10488f2a4",
+        "7e9fcbf985b21a7b16e16aba89eb5c58248f111711e262fa1866d7d7635b7ac8",
+    ),
+    (7, 'haar'): (
+        "ed9beff9fc6d8a1e96f992dd5d3b1a454a9b53a62f4734b5abeea9db8d53688e",
+        "c13530ca5f7c8450135b852106fb0bc73873eacb6d5a48b66e7a9f86dbe50ffa",
+        "1fe491bdcde9df72f379e7c378dac9700235c83868912c7a736ec06bb8721a1b",
+        "0b81220f6cade4d81a03149d87f3ada3505c12d31bcd3b743ba48992e21b7eb9",
+    ),
+    (7, 'wishart'): (
+        "202e968d49de3786ab218c42d1ca7ab395fd8177dccd020ee6fbbd090d098bdf",
+        "41ee814155a641e33ad6f884db78e5e9818aeb2a60e1d359efc99958f85e78e2",
+        "137ac7a47240475089c392d2766b604d4b41a586e15cda643a6e2c0cf4d7031f",
+        "9dbd793b1c3283fedac7f02c3c8c07cc8b0f3677a71669c9021927611eb33ab5",
+    ),
+}
+
+
+class TestPerStatePinnedByBytes:
+    @pytest.mark.parametrize("n,kind", sorted(PER_STATE_DIGESTS))
+    def test_per_state_bytes(self, n, kind):
+        sys = build_system(n)
+        rho = state_of_kind(kind, sys.dim, seed=n)
+        grid = wigner_from_state(rho, sys.net)
+        counts = simulate_counts(rho, plan_for(sys, 4096, seed=n))
+        got = (
+            _digest(grid.values, "<f8"),
+            _digest(state_from_wigner(grid, sys.net), "<c16"),
+            _digest(np.stack([counts.counts[b.striation] for b in sys.bases]), "<i8"),
+            _digest(estimate_state(counts, sys.net, project=False).rho_raw, "<c16"),
+        )
+        assert got == PER_STATE_DIGESTS[n, kind]
 
 
 class TestExactReconstruction:
