@@ -6,12 +6,13 @@ that striation.  The N+1 bases so produced are pairwise conjugate: every
 cross-basis overlap magnitude equals 1/sqrt(N).
 
 All N+1 bases are built in one batched integer pass over the stabilizers'
-Pauli masks (``operators.stabilizer_rows``): commutation is the exact
-symplectic parity test, n independent stabilizers fix the integer eigenvalue
-exponents of one joint eigenvector, and the N points of a transverse ray
-carry it onto the whole basis.  Vector k is the one whose signs on the n
-pivot stabilizers are the bits of k, so its exponent row is row 0 with the
-signs flipped by those bits (``StriationBasis.flips``).  The vectors
+Pauli masks (``operators.stabilizer_rows``): the stabilizer of ray point
+t d is the product of the pivots, those of t = 1, w, ..., w^(n-1), over the
+bits of t, which gives its integer eigenvalue exponent on one joint
+eigenvector, and the N points of a transverse ray carry that vector onto
+the whole basis.  Vector k is the one whose signs on the pivots are the
+bits of k, so its exponent row is row 0 with the signs flipped by those
+bits (``StriationBasis.flips``).  The vectors
 themselves come from one complex pass over all striations
 (``operators.stabilizer_vectors``), run when any basis's ``vectors`` is
 first read; building a system, the quantum net and tomography never read
@@ -164,13 +165,15 @@ def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> li
 
 def _stabilizer_bases(labeling: QubitLabeling) -> _Build:
     """The integer pass of all striations, read-only, with masks[s] = (x, z)
-    of the ray's nonzero points.  Another ray (horizontal for the vertical
-    striation, else vertical) carries each seed onto its basis."""
+    of the ray's nonzero points t d, t's bits their coordinates.  Another ray
+    (horizontal for the vertical striation, else vertical) carries each
+    seed onto its basis."""
     rays = striation_points(labeling.ctx)[:, 0]
     x, z = labeling.point_masks(rays[:, 1:])
     tx, tz = labeling.point_masks(rays[[1] + [0] * (len(rays) - 1)])
+    coord = [e.bits for e in labeling.ctx.elements()[1:]]
     try:
-        rows = stabilizer_rows(x, z, labeling.dim, tx, tz)
+        rows = stabilizer_rows(x, z, labeling.dim, tx, tz, coord)
     except NonCommutingError as exc:
         raise LabelingError(exc.group, exc) from exc
     masks = np.stack([rows.x, rows.z], axis=1)
@@ -198,15 +201,24 @@ def _sign_flips(exponents: np.ndarray, striations) -> np.ndarray:
 
 
 def _sign_frame(bases) -> tuple[np.ndarray, ...]:
-    """(x, z, exponent row 0, flips) of bases that carry masks and exponents,
-    each (len(bases), N-1) and read-only; row s, column i names stabilizer i
-    of bases[s] and its sign pattern (``StriationBasis.flips``).  For the
-    bases of one ``full_mub_set`` call in striation order this is their
-    build's frame; any other list is stacked anew."""
-    build = bases[0]._build if len(bases) else None
+    """(x, z, exponent row 0, flips) of bases, each (len(bases), N-1) and
+    read-only; row s, column i names stabilizer i of bases[s] and its sign
+    pattern (``StriationBasis.flips``).  The bases of one ``full_mub_set``
+    call in striation order give their build's frame; any other list is
+    checked (ValueError for none, mixed dimensions, or a basis, named, with
+    no exponents or masks or rows that fail ``_sign_flips``) and stacked."""
+    if not bases:
+        raise ValueError("no bases to measure")
+    build = bases[0]._build
     if build is not None and len(bases) == len(build.masks):
         if all(b._build is build and b.striation == s for s, b in enumerate(bases)):
             return build.frame
+    for b in bases:
+        if b.exponents is None or b.masks is None:
+            raise ValueError(f"basis of striation {b.striation} carries no stabilizer exponents or masks")
+        b.flips  # the exact row check, naming the striation
+    if len({b.dim for b in bases}) != 1:
+        raise ValueError("bases have mixed dimensions")
     x, z = np.array([b.masks for b in bases]).transpose(1, 0, 2)
     frame = x, z, np.array([b.exponents[0] for b in bases]), np.array([b.flips for b in bases])
     for a in frame:

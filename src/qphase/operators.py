@@ -15,13 +15,14 @@ set.  Acting on a vector it is a signed index permutation,
 Two such strings commute exactly when popcount(x1 & z2 ^ z1 & x2) is even,
 and X^a Z^b X^c Z^d = (-1)^popcount(b & c) X^(a^c) Z^(b^d).
 ``stabilizer_eigenbasis`` builds the joint eigenbases of many commuting
-groups of N-1 strings at once from these rules alone, in two passes.  The
-integer pass (``stabilizer_rows``) runs every exact check: n independent
-generators fix the exponent row of one joint eigenvector v, and N
-translations U_t with distinct commutation patterns carry v onto the other
-vectors, each row flipped by 2 where U_t anticommutes; vector k is the one
-whose signs on the n pivot strings are the bits of k, so each row is row 0
-with the signs flipped by the bits of its number.  The complex pass
+groups of N-1 strings at once from these rules alone, in two passes.  A
+group is the translations by a ray {t d : t in GF(2^n)}: the string of t is
+the product of the pivots, those of t = 1, w, ..., w^(n-1), over the bits
+of t (Gibbons, Hoffman and Wootters 2004).  The integer pass
+(``stabilizer_rows``) runs every exact check, rebuilds the strings from
+the pivots in one loop with their exponents on one joint eigenvector v, and
+places the N translations U_t that carry v onto the basis, vector k being
+the one whose signs on the pivots are the bits of k.  The complex pass
 (``stabilizer_vectors``) reads v off its exact group-average projector and
 moves it; no dense eigendecomposition is run, and ``verify`` checks each
 basis against the dense matrices of its stabilizers through their
@@ -293,7 +294,8 @@ class StabilizerRows(NamedTuple):
     sign between vectors 0 and k exactly where popcount(k & flips[g, i]) is
     odd.  seed: (G, N-1), the exponent row of the seed vector v.  tx, tz:
     (G, N), the masks of the translation U_t with v_k ~ U_t v.  pivots:
-    (G, n), the first n strings that are independent of those before them.
+    (G, n), column j holds the string of coordinate 2^j.  flips and pivots
+    are one read-only row broadcast over the groups.
     """
 
     x: np.ndarray
@@ -306,98 +308,84 @@ class StabilizerRows(NamedTuple):
     pivots: np.ndarray
 
 
-def stabilizer_eigenbasis(x, z, dim: int, tx, tz) -> tuple[np.ndarray, np.ndarray]:
+def stabilizer_eigenbasis(x, z, dim: int, tx, tz, coord) -> tuple[np.ndarray, np.ndarray]:
     """Joint eigenbases of groups of commuting Pauli strings U_i = X^x[g, i] Z^z[g, i].
 
     Row g of the masks holds the N-1 nonzero elements of an n-generator
     group, N = dim = 2^n, and row g of (tx, tz) N strings that meet it in N
-    different commutation patterns (the points of another ray).  Returns
-    (vectors, exponents), (G, N, N) and (G, N, N-1), with U_i v_k =
-    i^exponents[g, k, i] v_k, rows ascending in the exponent tuples (the
-    tuples of eigenvalue angles k * pi/2), first nonzero entries real
-    positive: ``stabilizer_rows`` followed by ``stabilizer_vectors``.  The
-    first odd symplectic pair (i < j) of the first such group raises
-    NonCommutingError naming the group (deviation 2, the entrywise norm of
-    U_i U_j - U_j U_i).
+    different commutation patterns (the points of another ray); U_i is the
+    product of the pivots, the strings of coordinate 2^j, over the bits j of
+    coord[i], one row for all groups.  Returns (vectors, exponents),
+    (G, N, N) and (G, N, N-1), with U_i v_k = i^exponents[g, k, i] v_k, rows
+    ascending in the exponent tuples when the pivots lead in coordinate
+    order, first nonzero entries real positive: ``stabilizer_rows`` followed
+    by ``stabilizer_vectors``.  The first group with a string that
+    anticommutes with a pivot raises NonCommutingError at its first odd
+    symplectic pair (i < j), deviation 2, the norm of U_i U_j - U_j U_i.
     """
-    rows = stabilizer_rows(x, z, dim, tx, tz)
+    rows = stabilizer_rows(x, z, dim, tx, tz, coord)
     return stabilizer_vectors(rows), rows.exponents
 
 
-def stabilizer_rows(x, z, dim: int, tx, tz) -> StabilizerRows:
+def stabilizer_rows(x, z, dim: int, tx, tz, coord) -> StabilizerRows:
     """The exact half of ``stabilizer_eigenbasis``: every check, the order of
     the basis and its exponent rows, with no complex number.
 
-    The rows sorted ascending are the binary numbers of their signs on the
-    pivots c_1..c_n, the first n strings independent of those before them:
-    any other string's signs follow from those of earlier pivots, so two
-    rows first differ at a pivot, where one has exponent 0 or 1 and the
-    other that plus 2.  U_t v has v's row flipped by 2 where U_t
-    anticommutes, so n parities per translation place it in the basis, and
-    every row is row 0 with the signs flipped by the bits of its number.
+    The seed vector v is +1 on i^parity(a & b) P for every pivot P = X^a Z^b.
+    One loop over the pivots rebuilds each string as the product of those of
+    its coordinates, with X^a Z^b X^c Z^d = (-1)^parity(b & c) X^(a^c)
+    Z^(b^d) at each step, and collects its exponent on v; parity is linear,
+    so one parity of the XOR of the b & c gives all the signs.  Row k is row
+    0 flipped by 2 where popcount(k & flips) is odd, flips being the
+    coordinates with pivot j on bit n-1-j; U_t v has v's row flipped by 2
+    where U_t anticommutes, so n parities per translation place it.
     """
-    x, z, tx, tz = (np.asarray(a, dtype=np.intp) for a in (x, z, tx, tz))
+    x, z, tx, tz, coord = (np.asarray(a, dtype=np.intp) for a in (x, z, tx, tz, coord))
     if x.shape[-1] != dim - 1:
         raise ValueError(f"need {dim - 1} stabilizer masks for dimension {dim}, got {x.shape[-1]}")
     n, groups, combo = dim.bit_length() - 1, np.arange(len(x)), np.arange(dim)
-
-    # Elimination: generator r is the first string with the highest bit left.
-    # For each generator P = X^c Z^d, i^parity(c & d) P is +1 on the seed
-    # vector v; reducing string i = X^a Z^b to I takes the generators of its
-    # coordinates, with R = (-1)^parity(b & c) (R P) P at each, and so
-    # collects i^base[i].  Parity is linear: one parity of the XOR of the
-    # b & c gives all the signs.
-    keys = x << n | z
-    rows, swaps, coord = keys.copy(), np.zeros_like(x), np.zeros_like(x)
-    gens = np.empty((len(x), n), dtype=np.intp)
-    for r in range(n):
-        has = rows >> np.maximum(np.frexp(rows.max(axis=-1))[1] - 1, 0)[:, None] & 1
-        gens[:, r] = rows[groups, has.argmax(axis=-1)]  # 0 once nothing is left
-        swaps ^= has * (rows & gens[:, r, None] >> n)  # rows & c = b & c
-        rows ^= has * gens[:, r, None]
-        coord |= has << r
-    # The generators span the strings unless a string is left, and all
-    # commute when none is left and all meet the generators evenly.
-    odd = symplectic_parity(x[..., None], z[..., None], *np.divmod(gens[:, None], dim)).any(axis=(1, 2))
-    odd |= rows.any(axis=-1)
+    if coord.shape != (dim - 1,) or np.any(np.sort(coord) != combo[1:]):
+        raise ValueError(f"coordinates must be a permutation of 1..{dim - 1}")
+    pivots = np.argsort(coord)[(1 << np.arange(n)) - 1]
+    px, pz = x[:, pivots], z[:, pivots]
+    # A string that commutes with every pivot and is their product commutes with every string.
+    odd = symplectic_parity(x[..., None], z[..., None], px[:, None], pz[:, None]).any(axis=(1, 2))
     if odd.any():
         g = int(np.argmax(odd))
         pair = np.argwhere(np.triu(symplectic_parity(x[g, :, None], z[g, :, None], x[g], z[g]), 1))[0]
         raise NonCommutingError(*pair.tolist(), 2.0, g)
-    if np.any(gens == 0):
-        raise ValueError(f"stabilizer masks span fewer than {n} generators")
-    ordered = np.sort(keys, axis=-1)  # n generators and N-1 distinct nonzero strings: the whole group
-    if np.any(ordered[:, 0] == 0) or np.any(ordered[:, 1:] == ordered[:, :-1]):
-        raise ValueError("stabilizer masks are not closed under products")
-    own = _parity(gens & gens >> n)  # parity(c & d)
-    base = ((coord[..., None] >> np.arange(n) & 1) @ own[..., None])[..., 0] + 2 * _parity(swaps)
-    base %= 4
 
-    # c_j is the first string outside the span of c_1..c_(j-1).  label[g, v] is
-    # the set of pivots, bit n-1-j for c_j, whose product has coordinates v
-    # (-1 outside their span), so a string's label is its flips.
-    label = np.full((len(x), dim), -1)
-    label[:, 0] = 0
-    cols = np.empty((len(x), n), dtype=np.intp)
+    built_x, built_z, swaps, base = (np.zeros_like(x) for _ in range(4))
     for j in range(n):
-        cols[:, j] = np.argmax(label[groups[:, None], coord] < 0, axis=-1)
-        moved = label[groups[:, None], combo ^ coord[groups, cols[:, j], None]]
-        label = np.where(label < 0, moved | 1 << (n - 1 - j), label)
-    flips = label[groups[:, None], coord]
+        a, b, c = px[:, j, None], pz[:, j, None], coord >> j & 1
+        swaps ^= c * (built_z & a)
+        built_x ^= c * a
+        built_z ^= c * b
+        base -= c * _parity(a & b)
+    wrong = np.argwhere((built_x != x) | (built_z != z))
+    if len(wrong):
+        g, i = wrong[0].tolist()
+        raise ValueError(f"stabilizer masks are not closed under products: string {i} of group {g} "
+                         "is not the product of its pivots")
+    if np.any((x == 0) & (z == 0)):  # a nonzero coordinate with product I
+        raise ValueError(f"stabilizer masks span fewer than {n} generators")
+    base += 2 * _parity(swaps)
+    base %= 4
 
     # v is vector number seat, its pivot signs; U_t v is v flipped where U_t anticommutes.
     weights = 1 << np.arange(n - 1, -1, -1)
-    seat = (base[groups[:, None], cols] >> 1) @ weights
-    px, pz = x[groups[:, None], cols], z[groups[:, None], cols]
+    flips = (coord[:, None] >> np.arange(n) & 1) @ weights
+    seat = (base[:, pivots] >> 1) @ weights
     at = symplectic_parity(tx[..., None], tz[..., None], px[:, None], pz[:, None]) @ weights ^ seat[:, None]
     order = np.full((len(x), dim), -1)
     order[groups[:, None], at] = combo
     if np.any(order < 0):
         raise ValueError("the translations do not reach every joint eigenvector")
     tx, tz = tx[groups[:, None], order], tz[groups[:, None], order]
-    exponents = (2 * _parity(combo[:, None] & combo)).astype(np.int8)[combo[:, None], flips[:, None]]
-    exponents ^= (base ^ 2 * _parity(seat[:, None] & flips)).astype(np.int8)[:, None]
-    return StabilizerRows(x, z, exponents, flips, base, tx, tz, cols)
+    exponents = (2 * _parity(combo[:, None] & combo)).astype(np.int8)[combo[:, None], flips]
+    exponents = exponents ^ (base ^ 2 * _parity(seat[:, None] & flips)).astype(np.int8)[:, None]
+    flips, pivots = (np.broadcast_to(a, (len(x), len(a))) for a in (flips, pivots))
+    return StabilizerRows(x, z, exponents, flips, base, tx, tz, pivots)
 
 
 def stabilizer_vectors(rows: StabilizerRows) -> np.ndarray:

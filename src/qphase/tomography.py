@@ -15,7 +15,7 @@ cumulative edges per basis and every basis's counts in one array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,27 +36,24 @@ class MeasurementPlan:
 
     shots_per_basis = 0 is the exact-probability sentinel: the true outcome
     distribution flows through the same reconstruction path, giving the
-    infinite-ensemble limit.  seed is 0..MAX_SEED.  Every basis must pass
-    ``_check_integer_rows``.
+    infinite-ensemble limit.  seed is 0..MAX_SEED.  The bases' sign frame
+    (``mub._sign_frame``) is checked at construction and kept as ``frame``.
     """
 
     bases: tuple[StriationBasis, ...]
     shots_per_basis: int
     seed: int
+    frame: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.shots_per_basis < 0:
             raise ValueError("shots_per_basis must be >= 0 (0 = exact mode)")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be between 0 and 2^64 - 1, got {self.seed}")
-        _check_integer_rows(self.bases)
-        dims = {b.dim for b in self.bases}
-        if len(dims) != 1:
-            raise ValueError("bases have mixed dimensions")
-        dim = dims.pop()
+        object.__setattr__(self, "frame", _sign_frame(self.bases))
         ids = sorted(b.striation for b in self.bases)
-        if ids != list(range(dim + 1)):
-            raise ValueError(f"plan needs one basis per striation 0..{dim}, got ids {ids}")
+        if ids != list(range(self.dim + 1)):
+            raise ValueError(f"plan needs one basis per striation 0..{self.dim}, got ids {ids}")
 
     @property
     def dim(self) -> int:
@@ -162,29 +159,20 @@ def outcome_probabilities(rho: np.ndarray, bases: Sequence[StriationBasis]) -> n
     is e[s, 0] flipped by 2 at the columns with popcount(k & flips) odd.
     So with E = tr(rho X^x Z^z), f_s[0] = tr rho and f_s[flips_si] =
     Re(i^-e[s,0,i] E_si), p[s] = h @ f_s / N.  rho must be physical and
-    every basis pass ``_check_integer_rows``.
+    the bases pass the checks of ``mub._sign_frame``.
     """
-    _check_integer_rows(bases)
-    return _outcome_probabilities(_pauli_expectations(validate_density_matrix(rho, bases[0].dim)), bases)
+    frame = _sign_frame(bases)
+    return _outcome_probabilities(_pauli_expectations(validate_density_matrix(rho, bases[0].dim)), frame)
 
 
-def _outcome_probabilities(e: np.ndarray, bases: Sequence[StriationBasis]) -> np.ndarray:
-    """outcome_probabilities from the expectations e[z, x] of a valid rho, for checked bases."""
-    x, z, row0, flips = _sign_frame(bases)
+def _outcome_probabilities(e: np.ndarray, frame: tuple[np.ndarray, ...]) -> np.ndarray:
+    """outcome_probabilities from the expectations e[z, x] of a valid rho and a checked sign frame."""
+    x, z, row0, flips = frame
     at = e[z, x]
-    f = np.full((len(bases), len(e)), e[0, 0].real)  # f_s[0] = tr rho; the flips fill 1..N-1
-    f[np.arange(len(bases))[:, None], flips] = np.where(row0 & 1, at.imag, at.real) * (1 - (row0 & 2))
+    f = np.full((len(x), len(e)), e[0, 0].real)  # f_s[0] = tr rho; the flips fill 1..N-1
+    f[np.arange(len(x))[:, None], flips] = np.where(row0 & 1, at.imag, at.real) * (1 - (row0 & 2))
     p = np.clip(f @ _sylvester_tables(len(e))[1] / len(e), 0.0, 1.0)
     return p / p.sum(axis=-1, keepdims=True)
-
-
-def _check_integer_rows(bases: Sequence[StriationBasis]) -> None:
-    if not bases:
-        raise ValueError("no bases to measure")
-    for b in bases:
-        if b.exponents is None or b.masks is None:
-            raise ValueError(f"basis of striation {b.striation} carries no stabilizer exponents or masks")
-        b.flips  # the exact row check, naming the striation
 
 
 def _basis_stream(seed: int, striation: int) -> np.random.Generator:
@@ -247,8 +235,10 @@ def simulate_counts(rho: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     independent of the order the bases are processed in.  One generator
     per call is re-keyed to (seed, striation) before each basis, which gives
     the same stream as Philox(key=(seed, striation)) (see _basis_streams).
+    The plan's sign frame was checked when the plan was made.
     """
-    return _record_from_probabilities(outcome_probabilities(rho, plan.bases), plan)
+    e = _pauli_expectations(validate_density_matrix(rho, plan.dim))
+    return _record_from_probabilities(_outcome_probabilities(e, plan.frame), plan)
 
 
 def _record_from_probabilities(probs: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
@@ -365,18 +355,18 @@ def simulate_and_estimate(
     truth=rho), with the same results; rho is validated once, and one table
     of its Pauli expectations gives both its outcome probabilities and its
     true grid."""
-    rho, probs, true_grid = _truth(rho, net, plan.bases)
+    rho, probs, true_grid = _truth(rho, net, plan.frame)
     counts = _record_from_probabilities(probs, plan)
     report = estimate_state(counts, net)
     _score(report, rho, true_grid)
     return counts, report
 
 
-def _truth(rho: np.ndarray, net: QuantumNet, bases: Sequence[StriationBasis]):
-    """(rho validated, its outcome probabilities in checked bases, its grid)."""
+def _truth(rho: np.ndarray, net: QuantumNet, frame: tuple[np.ndarray, ...]):
+    """(rho validated, its outcome probabilities under a checked sign frame, its grid)."""
     rho = validate_density_matrix(rho, net.dim)
     e = _pauli_expectations(rho)
-    return rho, _outcome_probabilities(e, bases), _grid_from_expectations(e, net)
+    return rho, _outcome_probabilities(e, frame), _grid_from_expectations(e, net)
 
 
 def _score(report: ReconstructionReport, truth: np.ndarray, true_grid: WignerGrid) -> None:
@@ -416,8 +406,8 @@ def error_scaling_study(
     if not seeds:
         raise ValueError("need at least one seed")
     bases = tuple(mub_set)
-    MeasurementPlan(bases=bases, shots_per_basis=0, seed=0)  # rejects a malformed basis set
-    rho, probs, true_grid = _truth(rho, net, bases)
+    frame = MeasurementPlan(bases=bases, shots_per_basis=0, seed=0).frame  # rejects a malformed basis set
+    rho, probs, true_grid = _truth(rho, net, frame)
     rows = []
     for shots in shot_list:
         dw, td = [], []

@@ -83,7 +83,8 @@ def _counts(rows: np.ndarray, n: int) -> np.ndarray:
 def _unitary_stack(sys: PhaseSpaceSystem) -> np.ndarray:
     """U[q_index * N + p_index]: the dense matrix of every grid translation,
     read-only.  The operator and covariance checks of one system share it;
-    systems hash by identity, so a modified copy gets its own."""
+    systems hash by identity, so a modified copy gets its own.  It takes
+    16 N^4 bytes, so ``run_checks`` clears it after each system."""
     stack = np.array([translation_unitary(v, sys.labeling).unitary for v in grid_points(sys.ctx)])
     stack.setflags(write=False)
     return stack
@@ -603,7 +604,10 @@ def run_checks(n_max: int) -> list[CheckResult]:
     results = []
     for n in range(1, n_max + 1):
         sys = build_system(n)
-        for check in ALL_CHECKS:
-            res = check(sys)
-            results.append(CheckResult(f"n={n}: {res.name}", res.passed, res.detail))
+        try:
+            for check in ALL_CHECKS:
+                res = check(sys)
+                results.append(CheckResult(f"n={n}: {res.name}", res.passed, res.detail))
+        finally:
+            _unitary_stack.cache_clear()
     return results

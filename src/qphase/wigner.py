@@ -85,8 +85,11 @@ class QuantumNet:
     vector_index and striation_of are read-only Line-keyed views.  The
     Wigner map reads no basis vector, only _i_powers[x, z], the int8
     exponent c with i^c X^x Z^z in the stabilizer group of the ray through
-    the point with masks (x, z), and c = 0 at the origin.  Views, tables and
-    the phase-point stack are built on first use and shared read-only.
+    the point with masks (x, z), and c = 0 at the origin.  sign_frame is
+    (x, z, exponent row 0, flips) of the bases, each (N+1, N-1) and
+    read-only (``mub._sign_frame``), kept for the counts -> grid map of
+    tomography.  Views, tables and the phase-point stack are built on first
+    use and shared read-only.
     """
 
     ctx: FieldContext
@@ -95,7 +98,7 @@ class QuantumNet:
     bases: tuple[StriationBasis, ...]
     _line_vector: np.ndarray = field(repr=False, compare=False)
     _i_powers: np.ndarray = field(repr=False, compare=False)
-    _aux: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    sign_frame: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @cached_property
     def vector_index(self) -> Mapping[Line, int]:
@@ -127,31 +130,25 @@ class QuantumNet:
         Each A starts at -I and gains the projectors of the lines through
         its point in striation order; every A must have trace 1.
         """
-        cached = self._aux.get("stack")
-        if cached is None:
-            table = self.outcome_index_table()
-            cached = np.empty((len(table), self.dim, self.dim), dtype=complex)
-            cached[:] = -np.eye(self.dim, dtype=complex)
-            for s, basis in enumerate(self.bases):
-                for k in range(self.dim):
-                    cached[table[:, s] == k] += basis.projector(k)
-            traces = np.trace(cached, axis1=1, axis2=2)
-            bad = np.flatnonzero(np.abs(traces - 1.0) > CLOSURE_TOL)
-            if bad.size:
-                raise NetConstructionError(
-                    f"phase-point operator at {grid_points(self.ctx)[bad[0]]} "
-                    f"has trace {complex(traces[bad[0]])}"
-                )
-            cached.setflags(write=False)
-            self._aux["stack"] = cached
-        return cached
+        return self._phase_point_stack
 
     @cached_property
-    def sign_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(x, z, exponent row 0, flips) of the bases, each (N+1, N-1) and
-        read-only (``mub._sign_frame``: their build's own when they come from
-        one ``full_mub_set``), kept for the counts -> grid map of tomography."""
-        return _sign_frame(self.bases)
+    def _phase_point_stack(self) -> np.ndarray:
+        table = self.outcome_index_table()
+        stack = np.empty((len(table), self.dim, self.dim), dtype=complex)
+        stack[:] = -np.eye(self.dim, dtype=complex)
+        for s, basis in enumerate(self.bases):
+            for k in range(self.dim):
+                stack[table[:, s] == k] += basis.projector(k)
+        traces = np.trace(stack, axis1=1, axis2=2)
+        bad = np.flatnonzero(np.abs(traces - 1.0) > CLOSURE_TOL)
+        if bad.size:
+            raise NetConstructionError(
+                f"phase-point operator at {grid_points(self.ctx)[bad[0]]} "
+                f"has trace {complex(traces[bad[0]])}"
+            )
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def _pauli_tables(self) -> tuple[np.ndarray, ...]:
@@ -176,15 +173,16 @@ class QuantumNet:
     def outcome_index_table(self) -> np.ndarray:
         """outcome_index_table()[q_index * N + p_index, s] is the basis-vector
         index of the line through that point in striation s."""
-        cached = self._aux.get("outcome_table")
-        if cached is None:
-            points = striation_points(self.ctx)
-            table = np.empty((self.dim**2, len(self.bases)), dtype=self._line_vector.dtype)
-            # Each point lies on exactly one line of each striation.
-            table[points, np.arange(len(self.bases))[:, None, None]] = self._line_vector[..., None]
-            table.setflags(write=False)
-            self._aux["outcome_table"] = cached = table
-        return cached
+        return self._outcome_table
+
+    @cached_property
+    def _outcome_table(self) -> np.ndarray:
+        points = striation_points(self.ctx)
+        table = np.empty((self.dim**2, len(self.bases)), dtype=self._line_vector.dtype)
+        # Each point lies on exactly one line of each striation.
+        table[points, np.arange(len(self.bases))[:, None, None]] = self._line_vector[..., None]
+        table.setflags(write=False)
+        return table
 
 
 def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[StriationBasis]) -> QuantumNet:
@@ -194,7 +192,7 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     two qubits the conventional rows of ``_RAY_SIGNS_2Q`` (axis states on
     the axis rays, fixed vectors on the diagonal-type rays); otherwise the
     vector that is +1 on the n pivot stabilizers, those whose ``flips`` is
-    one bit (the first n independent ones in ray order, so this is the
+    one bit (the ray points 1, w, ..., w^(n-1), so this is the
     lexicographically first sign row), which for one qubit gives spin up,
     spin right and the sigma_y +1 state.  Every other line carries the ray's
     vector translated by the line's first point w: U_w flips bit m of the
@@ -217,7 +215,7 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
             basis.flips
         except ValueError as exc:
             raise NetConstructionError(f"{exc}, so a translated ray can match no basis vector") from exc
-    x, z, row0, flips = _sign_frame(mub_set)
+    frame = x, z, row0, flips = _sign_frame(mub_set)
     # pivots[s, m]: the stabilizer whose sign flips with bit m of the outcome alone.
     rows = np.arange(len(striations))[:, None]
     by_flips = np.empty((len(striations), ctx.order), dtype=np.intp)
@@ -246,6 +244,7 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
         bases=tuple(mub_set),
         _line_vector=line_vector,
         _i_powers=i_powers,
+        sign_frame=frame,
     )
 
 

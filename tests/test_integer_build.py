@@ -1,19 +1,26 @@
 """The build's integer pass: pivot-ordered exponent rows, vectors built only
 when read, and the memory a build takes without them."""
 
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qphase.mub
 from qphase import cli
 from qphase.fields import field_create
 from qphase.geometry import striation_points
-from qphase.operators import default_labeling, stabilizer_eigenbasis, symplectic_parity
+from qphase.operators import (
+    default_labeling,
+    same_basis_labeling,
+    stabilizer_eigenbasis,
+    symplectic_parity,
+    trace_dual_labeling,
+)
 from qphase.states import random_density_matrix
 from qphase.system import build_system
 from qphase.tomography import MeasurementPlan, estimate_state, simulate_counts
@@ -54,21 +61,39 @@ def reference_exponents(x, z, tx, tz, n):
     return np.array(out, dtype=np.int8)
 
 
+def labeling_of(kind, ctx):
+    """The default, trace-dual or same-basis labeling, or the default with
+    its tensor slots reversed."""
+    if kind == "trace-dual":
+        return trace_dual_labeling(ctx)
+    if kind == "same-basis":
+        return same_basis_labeling(ctx)
+    lab = default_labeling(ctx)
+    if kind == "slot-swapped":
+        return dataclasses.replace(lab, q_basis=lab.q_basis[::-1], p_basis=lab.p_basis[::-1])
+    return lab
+
+
 class TestPivotOrder:
     @settings(max_examples=30)
-    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-    def test_exponents_equal_sorted_translated_rows(self, n, seed):
-        # Any column order of the stabilizers and any transverse ray per group.
+    @given(
+        n=st.integers(1, 5),
+        kind=st.sampled_from(["default", "trace-dual", "slot-swapped", "same-basis"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exponents_equal_sorted_translated_rows(self, n, kind, seed):
+        # Every ray in the field's order, under each labeling whose stabilizers
+        # commute (same-basis only for n <= 2), with any transverse ray per group.
+        assume(kind != "same-basis" or n <= 2)
         rng = np.random.default_rng(seed)
-        lab = default_labeling(field_create(n))
+        lab = labeling_of(kind, field_create(n))
         rays = striation_points(lab.ctx)[:, 0]
         groups, dim = len(rays), lab.dim
         x, z = lab.point_masks(rays[:, 1:])
-        order = rng.permuted(np.tile(np.arange(dim - 1), (groups, 1)), axis=1)
-        x, z = np.take_along_axis(x, order, 1), np.take_along_axis(z, order, 1)
         transverse = (np.arange(groups) + 1 + rng.integers(0, groups - 1, groups)) % groups
         tx, tz = lab.point_masks(rays[transverse])
-        vectors, exponents = stabilizer_eigenbasis(x, z, dim, tx, tz)
+        coord = [e.bits for e in lab.ctx.elements()[1:]]
+        vectors, exponents = stabilizer_eigenbasis(x, z, dim, tx, tz, coord)
         assert np.array_equal(exponents, reference_exponents(x, z, tx, tz, n))
         u = np.stack([pauli_strings(x[g], z[g], n) for g in range(groups)])
         lam = np.array([1, 1j, -1, -1j])[exponents]

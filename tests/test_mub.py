@@ -9,6 +9,7 @@ from qphase.geometry import enumerate_striations
 from qphase.mub import (
     LabelingError,
     StriationBasis,
+    _stabilizer_bases,
     check_conjugacy,
     full_mub_set,
 )
@@ -336,6 +337,17 @@ BUILD_DIGESTS = {
 }
 
 
+# sha256 of the n = 8 integer pass under the default labeling: exponents
+# (<i1), then flips, seed, tx and tz (<i8).
+INTEGER_PASS_DIGESTS_8 = (
+    "574c409285b08586bb7a6afcc1aebeb58ac95e4cd3b771af5ec07e5166ba00a4",
+    "48861b829780a0dc9d68d5c242e13fbbe28096b455b25cb4963cdc44eaaeef2b",
+    "9bbd1447a21cc4526e4bb88b583a5aba4fb422beece87b39937e18313cee6178",
+    "54dc05c4ab3a5bdaa642b739a68a06df8e6298734fa763ad1aad6f6a1a928c92",
+    "accd6a852c6830716b08c6fb429a601c2015329fa640c95dac271031bb6deb05",
+)
+
+
 class TestBuildPinnedByBytes:
     @pytest.mark.parametrize("n", sorted(BUILD_DIGESTS))
     def test_bases_and_net_bytes(self, n):
@@ -347,3 +359,9 @@ class TestBuildPinnedByBytes:
             _digest(system.net.outcome_index_table(), "<i8"),
         )
         assert got == BUILD_DIGESTS[n]
+
+    def test_integer_pass_bytes_at_n8(self):
+        rows = _stabilizer_bases(default_labeling(field_create(8))).rows
+        ints = (rows.flips, rows.seed, rows.tx, rows.tz)
+        got = (_digest(rows.exponents, "<i1"), *(_digest(a, "<i8") for a in ints))
+        assert got == INTEGER_PASS_DIGESTS_8

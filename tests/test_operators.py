@@ -399,17 +399,24 @@ SLOT0 = ([0, 0, 0b10, 0b10], [0, 0b10, 0, 0b10])
 SLOT1 = ([0, 0b01, 0, 0b01], [0, 0, 0b10, 0b10])
 
 
+# Coordinates of two-qubit groups (A, B, AB): the pivots come first.
+COORD2 = [1, 2, 3]
+NOT_CLOSED = r"^stabilizer masks are not closed under products: string 2 of group 0 is not the product of its pivots$"
+
+
 def one_group(x, z, t):
     """stabilizer_eigenbasis on a batch of one group."""
-    vectors, exponents = stabilizer_eigenbasis([x], [z], 4, [t[0]], [t[1]])
+    vectors, exponents = stabilizer_eigenbasis([x], [z], 4, [t[0]], [t[1]], COORD2)
     return vectors[0], exponents[0]
 
 
 def ray_masks(n):
-    """Stabilizer masks of every striation and those of a transverse ray."""
+    """Stabilizer masks of every striation, those of a transverse ray, and
+    the coordinates of the ray points."""
     lab = trace_dual_labeling(field_create(n))
     rays = striation_points(lab.ctx)[:, 0]
-    return (*lab.point_masks(rays[:, 1:]), *lab.point_masks(rays[[1] + [0] * lab.dim]))
+    coord = [e.bits for e in lab.ctx.elements()[1:]]
+    return (*lab.point_masks(rays[:, 1:]), *lab.point_masks(rays[[1] + [0] * lab.dim]), coord)
 
 
 class TestStabilizerEigenbasis:
@@ -436,22 +443,22 @@ class TestStabilizerEigenbasis:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_a_batch_gives_each_group_its_own_rows(self, n):
-        x, z, tx, tz = ray_masks(n)
-        vectors, exponents = stabilizer_eigenbasis(x, z, 1 << n, tx, tz)
+        x, z, tx, tz, coord = ray_masks(n)
+        vectors, exponents = stabilizer_eigenbasis(x, z, 1 << n, tx, tz, coord)
         for g in range(len(x)):
-            alone = stabilizer_eigenbasis(x[g : g + 1], z[g : g + 1], 1 << n, tx[g : g + 1], tz[g : g + 1])
+            alone = stabilizer_eigenbasis(x[g : g + 1], z[g : g + 1], 1 << n, tx[g : g + 1], tz[g : g + 1], coord)
             assert alone[0].tobytes() == vectors[g].tobytes(), g
             assert alone[1].tobytes() == exponents[g].tobytes(), g
 
     def test_other_transverse_rays_give_the_same_basis(self):
-        x, z, tx, tz = ray_masks(3)
-        vectors, exponents = stabilizer_eigenbasis(x, z, 8, tx, tz)
+        x, z, tx, tz, coord = ray_masks(3)
+        vectors, exponents = stabilizer_eigenbasis(x, z, 8, tx, tz, coord)
         lab = trace_dual_labeling(field_create(3))
         for t in (1, 5):
             # every ray but the striation's own is transverse to it
             others = np.where(np.arange(len(x)) == t, 0, t)
             ox, oz = lab.point_masks(striation_points(lab.ctx)[others, 0])
-            again = stabilizer_eigenbasis(x, z, 8, ox, oz)
+            again = stabilizer_eigenbasis(x, z, 8, ox, oz, coord)
             assert again[0].tobytes() == vectors.tobytes()
             assert again[1].tobytes() == exponents.tobytes()
 
@@ -462,23 +469,36 @@ class TestStabilizerEigenbasis:
         # Bell stabilizers first, which commute; IX, IZ, IY last, which do not either
         xs, zs = [[0b00, 0b11, 0b11], x, [0b01, 0, 0b01]], [[0b11, 0b00, 0b11], z, [0, 0b01, 0b01]]
         with pytest.raises(NonCommutingError) as err:
-            stabilizer_eigenbasis(xs, zs, 4, [SLOT0[0]] * 3, [SLOT0[1]] * 3)
+            stabilizer_eigenbasis(xs, zs, 4, [SLOT0[0]] * 3, [SLOT0[1]] * 3, COORD2)
         assert err.value.pair == expected.pair == (1, 2)
         assert err.value.group == 1
         assert str(err.value) == str(expected)
 
     def test_wrong_number_of_strings_rejected(self):
         with pytest.raises(ValueError, match=r"^need 3 stabilizer masks for dimension 4, got 1$"):
-            stabilizer_eigenbasis([[0b11]], [[0b00]], 4, [SLOT0[0]], [SLOT0[1]])
+            stabilizer_eigenbasis([[0b11]], [[0b00]], 4, [SLOT0[0]], [SLOT0[1]], [1])
+
+    @pytest.mark.parametrize("coord", [[1, 2], [1, 2, 2], [0, 1, 2], [1, 2, 4]])
+    def test_coordinates_must_permute_the_nonzero_vectors(self, coord):
+        with pytest.raises(ValueError, match=r"^coordinates must be a permutation of 1\.\.3$"):
+            stabilizer_eigenbasis([[0, 0, 0]], [[0b10, 0b01, 0b11]], 4, [SLOT0[0]], [SLOT0[1]], coord)
 
     def test_dependent_strings_rejected(self):
-        with pytest.raises(ValueError, match=r"^stabilizer masks span fewer than 2 generators$"):
-            stabilizer_eigenbasis([[0, 0, 0]], [[0b01, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]])
+        # IZ three times: the pivots' product is I, not IZ
+        with pytest.raises(ValueError, match=NOT_CLOSED):
+            stabilizer_eigenbasis([[0, 0, 0]], [[0b01, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
 
     def test_repeated_strings_are_not_a_group(self):
         # ZI, IZ and IZ again: two generators, but ZZ is missing
-        with pytest.raises(ValueError, match=r"^stabilizer masks are not closed under products$"):
-            stabilizer_eigenbasis([[0, 0, 0]], [[0b10, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]])
+        with pytest.raises(ValueError, match=NOT_CLOSED):
+            stabilizer_eigenbasis([[0, 0, 0]], [[0b10, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+
+    @pytest.mark.parametrize("p", [(0, 0b01), (0b10, 0), (0b11, 0b11)])
+    def test_dependent_pivots_rejected(self, p):
+        # (P, P, I): every string is its pivots' product, but only one generator
+        x, z = [p[0], p[0], 0], [p[1], p[1], 0]
+        with pytest.raises(ValueError, match=r"^stabilizer masks span fewer than 2 generators$"):
+            stabilizer_eigenbasis([x], [z], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
 
 
 @functools.lru_cache(maxsize=None)

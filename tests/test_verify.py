@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import gc
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +39,19 @@ def test_all_checks_pass_for_n_up_to_4():
 def test_names_carry_degree_prefix():
     results = run_checks(1)
     assert all(r.name.startswith("n=1: ") for r in results)
+
+
+def test_run_checks_keeps_no_system_alive():
+    # the checks share a dense stack of 16 N^4 bytes; none outlives the run
+    build_system.cache_clear()
+    try:
+        run_checks(3)
+        ref = weakref.ref(build_system(3))
+        build_system.cache_clear()
+        gc.collect()
+        assert ref() is None
+    finally:
+        build_system.cache_clear()
 
 
 def test_rejects_zero():
@@ -111,7 +126,7 @@ def misassigned_line(sys_):
         def striation_of(self):
             return {**net.striation_of, line: 0}
 
-    kept = {f.name: getattr(net, f.name) for f in dataclasses.fields(net) if f.name != "_aux"}
+    kept = {f.name: getattr(net, f.name) for f in dataclasses.fields(net)}
     return dataclasses.replace(sys_, net=Misassigned(**kept))
 
 

@@ -643,7 +643,7 @@ class TestPauliMap:
     def test_reads_no_basis_vector(self):
         net = build_system(3).net
         bases = tuple(dataclasses.replace(b, vectors=np.full(b.vectors.shape, np.nan + 0j)) for b in net.bases)
-        blind = dataclasses.replace(net, bases=bases, _aux={})
+        blind = dataclasses.replace(net, bases=bases)
         rho = random_density_matrix(np.random.default_rng(3), net.dim)
         grid = wigner_from_state(rho, net)
         assert np.array_equal(wigner_from_state(rho, blind).values, grid.values)
