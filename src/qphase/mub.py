@@ -13,10 +13,12 @@ eigenvector, and the N points of a transverse ray carry that vector onto
 the whole basis.  Vector k is the one whose signs on the pivots are the
 bits of k, so its exponent row is row 0 with the signs flipped by those
 bits (``StriationBasis.flips``).  The vectors
-themselves come from one complex pass over all striations
-(``operators.stabilizer_vectors``), run when any basis's ``vectors`` is
-first read; building a system, the quantum net and tomography never read
-them.  No dense stabilizer matrix is formed.
+themselves are looked up from the exponent rows, entry c ^ x of vector k
+being i^-e (-1)^popcount(c & z) / sqrt(support size) for each stabilizer
+X^x Z^z with exponent e, c the first point of the support
+(``operators.stabilizer_vectors``), for all striations when any basis's
+``vectors`` is first read; building a system, the quantum net and
+tomography never read them.  No dense stabilizer matrix is formed.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class StriationBasis:
 class _Build:
     """The integer pass of one ``full_mub_set`` call, read-only and shared by
     its bases: rows[s] and masks[s] = (x, z) belong to striation s.  The
-    complex pass fills ``vectors`` for all striations on the first read."""
+    first read of ``vectors`` looks them up for all striations."""
 
     rows: StabilizerRows
     masks: np.ndarray

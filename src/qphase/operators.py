@@ -15,18 +15,19 @@ set.  Acting on a vector it is a signed index permutation,
 Two such strings commute exactly when popcount(x1 & z2 ^ z1 & x2) is even,
 and X^a Z^b X^c Z^d = (-1)^popcount(b & c) X^(a^c) Z^(b^d).
 ``stabilizer_eigenbasis`` builds the joint eigenbases of many commuting
-groups of N-1 strings at once from these rules alone, in two passes.  A
-group is the translations by a ray {t d : t in GF(2^n)}: the string of t is
-the product of the pivots, those of t = 1, w, ..., w^(n-1), over the bits
-of t (Gibbons, Hoffman and Wootters 2004).  The integer pass
-(``stabilizer_rows``) runs every exact check, rebuilds the strings from
-the pivots in one loop with their exponents on one joint eigenvector v, and
-places the N translations U_t that carry v onto the basis, vector k being
-the one whose signs on the pivots are the bits of k.  The complex pass
-(``stabilizer_vectors``) reads v off its exact group-average projector and
-moves it; no dense eigendecomposition is run, and ``verify`` checks each
-basis against the dense matrices of its stabilizers through their
-eigenvalue table.
+groups of N-1 strings at once from these rules alone.  A group is the
+translations by a ray {t d : t in GF(2^n)}: the string of t is the product
+of the pivots, those of t = 1, w, ..., w^(n-1), over the bits of t
+(Gibbons, Hoffman and Wootters 2004).  ``stabilizer_rows`` runs every exact
+check, rebuilds the strings from the pivots in one loop with their
+exponents on one joint eigenvector v, and places the N translations U_t
+that carry v onto the basis, vector k being the one whose signs on the
+pivots are the bits of k.  ``stabilizer_vectors`` looks each vector up from
+its exponent row: a stabilizer state has entries i^e / sqrt(size) on its
+support, e read off the signs of the strings (Dehaene and De Moor 2003).
+No dense eigendecomposition is run, and ``verify`` checks each basis
+against the dense matrices of its stabilizers through their eigenvalue
+table.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .fields import ContextMismatchError, FieldContext, FieldElement
 from .geometry import Point
 
 UNITARITY_TOL = 1e-12
-EIGEN_RESIDUAL_TOL = 1e-12
 # i^k for k in Z4
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -293,9 +293,8 @@ class StabilizerRows(NamedTuple):
     U_i v_k = i^exponents[g, k, i] v_k.  flips: (G, N-1), string i changes
     sign between vectors 0 and k exactly where popcount(k & flips[g, i]) is
     odd.  seed: (G, N-1), the exponent row of the seed vector v.  tx, tz:
-    (G, N), the masks of the translation U_t with v_k ~ U_t v.  pivots:
-    (G, n), column j holds the string of coordinate 2^j.  flips and pivots
-    are one read-only row broadcast over the groups.
+    (G, N), the masks of the translation U_t with v_k ~ U_t v.  flips is
+    one read-only row broadcast over the groups.
     """
 
     x: np.ndarray
@@ -305,7 +304,6 @@ class StabilizerRows(NamedTuple):
     seed: np.ndarray
     tx: np.ndarray
     tz: np.ndarray
-    pivots: np.ndarray
 
 
 def stabilizer_eigenbasis(x, z, dim: int, tx, tz, coord) -> tuple[np.ndarray, np.ndarray]:
@@ -328,8 +326,8 @@ def stabilizer_eigenbasis(x, z, dim: int, tx, tz, coord) -> tuple[np.ndarray, np
 
 
 def stabilizer_rows(x, z, dim: int, tx, tz, coord) -> StabilizerRows:
-    """The exact half of ``stabilizer_eigenbasis``: every check, the order of
-    the basis and its exponent rows, with no complex number.
+    """The first step of ``stabilizer_eigenbasis``: every check, the order
+    of the basis and its exponent rows, with no complex number.
 
     The seed vector v is +1 on i^parity(a & b) P for every pivot P = X^a Z^b.
     One loop over the pivots rebuilds each string as the product of those of
@@ -384,55 +382,37 @@ def stabilizer_rows(x, z, dim: int, tx, tz, coord) -> StabilizerRows:
     tx, tz = tx[groups[:, None], order], tz[groups[:, None], order]
     exponents = (2 * _parity(combo[:, None] & combo)).astype(np.int8)[combo[:, None], flips]
     exponents = exponents ^ (base ^ 2 * _parity(seat[:, None] & flips)).astype(np.int8)[:, None]
-    flips, pivots = (np.broadcast_to(a, (len(x), len(a))) for a in (flips, pivots))
-    return StabilizerRows(x, z, exponents, flips, base, tx, tz, pivots)
+    flips = np.broadcast_to(flips, (len(x), len(flips)))
+    return StabilizerRows(x, z, exponents, flips, base, tx, tz)
 
 
 def stabilizer_vectors(rows: StabilizerRows) -> np.ndarray:
-    """The complex half of ``stabilizer_eigenbasis``: the (G, N, N) vectors
-    of checked rows, in blocks of about 2^16 complex entries."""
+    """The (G, N, N) vectors of checked rows, looked up from their exponent rows.
+
+    (X^x Z^z v)[c ^ x] = (-1)^popcount(c & z) v[c], so the joint eigenvector
+    v_k with U_i v_k = i^exponents[g, k, i] v_k has v_k[c_k ^ x_i] =
+    i^-exponents[g, k, i] (-1)^popcount(c_k & z_i) / sqrt(size), c_k being
+    the first point of its support c_k ^ {x_i}, which has one point per
+    distinct x mask.  The seed's support holds the first point where every
+    Z-type string (x = 0) has its sign, and U_t moves it by t's x mask.
+    Exact guard: strings that share an x mask give their shared entry one
+    Z4 code, and Z-type strings the identity's 0; else AssertionError.
+    """
     dim = rows.exponents.shape[1]
-    vectors = np.empty((len(rows.x), dim, dim), dtype=complex)
-    for b in _blocks(len(vectors), dim * dim):
-        _vector_block(rows._make(a[b] for a in rows), vectors[b])
+    combo = np.arange(dim)
+    # the identity, then every string
+    x, z, seed = (np.pad(a, ((0, 0), (1, 0))) for a in (rows.x, rows.z, rows.seed))
+    # i^code / sqrt(size), code 4 off the support; + 0.0 clears -0.0
+    units = np.append(_I_POWERS, 0) / np.sqrt(dim // np.count_nonzero(x == 0, axis=-1))[:, None] + 0.0
+    vectors = np.empty((len(x), dim, dim), dtype=complex)
+    for g in range(len(x)):
+        point = ((2 * _parity(combo[:, None] & z[g]) == seed[g]) | (x[g] != 0)).all(-1).argmax() ^ rows.tx[g]
+        first = (point[:, None] ^ x[g]).min(-1)
+        at = (first[:, None] ^ x[g]) + combo[:, None] * dim
+        codes = (2 * _parity(first[:, None] & z[g]) - np.pad(rows.exponents[g], ((0, 0), (1, 0)))) % 4
+        table = np.full(dim * dim, 4, dtype=np.int8)
+        table[at] = codes
+        if np.any(table[at] != codes):
+            raise AssertionError(f"exponent rows of group {g} give one vector entry two phases")
+        vectors[g] = units[g, table.reshape(dim, dim)]
     return vectors
-
-
-def _blocks(count: int, entries: int) -> list[slice]:
-    step = max(1, (1 << 16) // entries)  # about 2^16 entries per block
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
-
-
-def _vector_block(rows: StabilizerRows, vectors: np.ndarray) -> None:
-    """stabilizer_vectors for one block of groups, into vectors."""
-    x, z, base = rows.x, rows.z, rows.seed
-    dim = vectors.shape[-1]
-    n, groups, combo = dim.bit_length() - 1, np.arange(len(x)), np.arange(dim)
-
-    # Column c of v's projector (1/N) sum_i i^-base_i U_i (U_0 = I), c the
-    # first index where every Z-type string has its eigenvalue, is an exact
-    # scatter: U_i[c ^ x_i, c] = (-1)^popcount(c & z_i).  Vector k is U_t v,
-    # rephased by the exact unit of its first nonzero entry; + 0.0 clears -0.0.
-    col = ((2 * _parity(combo & z[..., None]) == base[..., None]) | (x != 0)[..., None]).all(1).argmax(-1)
-    column = (combo == col[:, None]).astype(complex)
-    units = _I_POWERS[-base] * (1 - 2 * _parity(col[:, None] & z))
-    np.add.at(column, (groups[:, None], col[:, None] ^ x), units)
-    v = column / dim / np.sqrt(column[groups, col].real / dim)[:, None]
-    src, flip = pauli_permutation(rows.tx, rows.tz, dim)
-    np.multiply(v.reshape(-1)[src + groups[:, None, None] * dim], flip, out=vectors)
-    lead = np.take_along_axis(vectors, (vectors != 0).argmax(axis=-1)[..., None], axis=-1)
-    vectors *= np.sign(lead.real) - 1j * np.sign(lead.imag)
-    vectors += 0.0
-
-    # Float guard: every vector has its eigenvalue on every pivot string.
-    gx, gz = np.take_along_axis(x, rows.pivots, -1), np.take_along_axis(z, rows.pivots, -1)
-    src, flip = pauli_permutation(gx, gz, dim)
-    lam = _I_POWERS[np.take_along_axis(rows.exponents, rows.pivots[:, None], axis=-1)]
-    entry, worst = (groups[:, None] * dim + combo)[..., None] * dim, 0.0
-    for j in range(n):
-        res = vectors.reshape(-1)[entry + src[:, None, j]]
-        res *= flip[:, None, j]
-        res -= lam[:, :, j, None] * vectors
-        worst = max(worst, float(np.einsum("...i,...i->...", res.view(float), res.view(float)).max()))
-    if np.sqrt(worst) > EIGEN_RESIDUAL_TOL:
-        raise AssertionError(f"stabilizer basis vector fails its eigenvalue by {np.sqrt(worst):.3e}")

@@ -46,10 +46,7 @@ class MeasurementPlan:
     frame: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.shots_per_basis < 0:
-            raise ValueError("shots_per_basis must be >= 0 (0 = exact mode)")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must be between 0 and 2^64 - 1, got {self.seed}")
+        _check_schedule(self.shots_per_basis, self.seed)
         object.__setattr__(self, "frame", _sign_frame(self.bases))
         ids = sorted(b.striation for b in self.bases)
         if ids != list(range(self.dim + 1)):
@@ -62,6 +59,14 @@ class MeasurementPlan:
     @property
     def exact(self) -> bool:
         return self.shots_per_basis == 0
+
+
+def _check_schedule(shots: int, seed: int) -> None:
+    """MeasurementPlan's rules for shots_per_basis and seed, else ValueError."""
+    if shots < 0:
+        raise ValueError("shots_per_basis must be >= 0 (0 = exact mode)")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be between 0 and 2^64 - 1, got {seed}")
 
 
 class InvalidCountsError(ValueError):
@@ -238,15 +243,17 @@ def simulate_counts(rho: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
     The plan's sign frame was checked when the plan was made.
     """
     e = _pauli_expectations(validate_density_matrix(rho, plan.dim))
-    return _record_from_probabilities(_outcome_probabilities(e, plan.frame), plan)
+    probs = _outcome_probabilities(e, plan.frame)
+    return _record_from_probabilities(probs, plan, plan.shots_per_basis, plan.seed)
 
 
-def _record_from_probabilities(probs: np.ndarray, plan: MeasurementPlan) -> CountsRecord:
-    """simulate_counts from clipped, renormalised probabilities probs[s, k]."""
-    shots, striations = plan.shots_per_basis, [b.striation for b in plan.bases]
-    rows = probs if plan.exact else _sample_rows(probs, shots, _basis_streams(plan.seed, striations))
+def _record_from_probabilities(probs: np.ndarray, plan: MeasurementPlan, shots: int, seed: int) -> CountsRecord:
+    """simulate_counts from clipped, renormalised probabilities probs[s, k]
+    of the plan's bases, with shots and seed in place of the plan's."""
+    striations = [b.striation for b in plan.bases]
+    rows = probs if shots == 0 else _sample_rows(probs, shots, _basis_streams(seed, striations))
     counts = dict(zip(striations, rows))
-    return CountsRecord(n=plan.dim.bit_length() - 1, shots=shots, seed=plan.seed, counts=counts)
+    return CountsRecord(n=plan.dim.bit_length() - 1, shots=shots, seed=seed, counts=counts)
 
 
 def estimate_wigner(counts: CountsRecord, net: QuantumNet) -> WignerGrid:
@@ -356,7 +363,7 @@ def simulate_and_estimate(
     of its Pauli expectations gives both its outcome probabilities and its
     true grid."""
     rho, probs, true_grid = _truth(rho, net, plan.frame)
-    counts = _record_from_probabilities(probs, plan)
+    counts = _record_from_probabilities(probs, plan, plan.shots_per_basis, plan.seed)
     report = estimate_state(counts, net)
     _score(report, rho, true_grid)
     return counts, report
@@ -405,15 +412,14 @@ def error_scaling_study(
         raise ValueError("shot_list must be ascending")
     if not seeds:
         raise ValueError("need at least one seed")
-    bases = tuple(mub_set)
-    frame = MeasurementPlan(bases=bases, shots_per_basis=0, seed=0).frame  # rejects a malformed basis set
-    rho, probs, true_grid = _truth(rho, net, frame)
+    plan = MeasurementPlan(bases=tuple(mub_set), shots_per_basis=0, seed=0)  # rejects a malformed basis set
+    rho, probs, true_grid = _truth(rho, net, plan.frame)
     rows = []
     for shots in shot_list:
         dw, td = [], []
         for seed in seeds:
-            plan = MeasurementPlan(bases=bases, shots_per_basis=shots, seed=seed)
-            report = estimate_state(_record_from_probabilities(probs, plan), net, project=True)
+            _check_schedule(shots, seed)
+            report = estimate_state(_record_from_probabilities(probs, plan, shots, seed), net, project=True)
             _score(report, rho, true_grid)
             dw.append(report.max_wigner_error)
             td.append(report.trace_distance)

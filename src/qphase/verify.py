@@ -32,9 +32,9 @@ At n = 4 every temporary stays at about N^4 complex entries (1 MiB).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +79,22 @@ def _counts(rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount((rows + offset).ravel(), minlength=len(rows) * n).reshape(len(rows), n)
 
 
-@functools.lru_cache(maxsize=1)
+_UNITARY_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _unitary_stack(sys: PhaseSpaceSystem) -> np.ndarray:
     """U[q_index * N + p_index]: the dense matrix of every grid translation,
     read-only.  The operator and covariance checks of one system share it;
-    systems hash by identity, so a modified copy gets its own.  It takes
-    16 N^4 bytes, so ``run_checks`` clears it after each system."""
-    stack = np.array([translation_unitary(v, sys.labeling).unitary for v in grid_points(sys.ctx)])
-    stack.setflags(write=False)
+    systems hash by identity, so a modified copy gets its own, and the
+    stack is keyed weakly, so it never keeps its system alive.  It takes
+    16 N^4 bytes, so only the last system's is kept, and ``run_checks``
+    drops it after each system."""
+    stack = _UNITARY_STACKS.get(sys)
+    if stack is None:
+        _UNITARY_STACKS.clear()
+        stack = np.array([translation_unitary(v, sys.labeling).unitary for v in grid_points(sys.ctx)])
+        stack.setflags(write=False)
+        _UNITARY_STACKS[sys] = stack
     return stack
 
 
@@ -609,5 +617,5 @@ def run_checks(n_max: int) -> list[CheckResult]:
                 res = check(sys)
                 results.append(CheckResult(f"n={n}: {res.name}", res.passed, res.detail))
         finally:
-            _unitary_stack.cache_clear()
+            _UNITARY_STACKS.pop(sys, None)
     return results

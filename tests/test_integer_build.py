@@ -102,8 +102,8 @@ class TestPivotOrder:
 
 
 @pytest.fixture
-def complex_passes(monkeypatch):
-    """Count the calls of the build's complex pass, starting from a cold cache."""
+def vector_lookups(monkeypatch):
+    """Count the build's vector lookups, starting from a cold cache."""
     calls = []
     real = qphase.mub.stabilizer_vectors
 
@@ -123,37 +123,37 @@ def basis_state(n):
 
 class TestVectorsOnlyWhenRead:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_no_per_state_path_builds_vectors(self, n, complex_passes, capsys):
+    def test_no_per_state_path_builds_vectors(self, n, vector_lookups, capsys):
         sys = build_system(n)
         rho = random_density_matrix(np.random.default_rng(n), sys.dim)
         grid = wigner_from_state(rho, sys.net)
         state_from_wigner(grid, sys.net)
         counts = simulate_counts(rho, MeasurementPlan(bases=sys.bases, shots_per_basis=64, seed=1))
         estimate_state(counts, sys.net, truth=rho)
-        assert complex_passes == []
+        assert vector_lookups == []
         assert "vectors" not in vars(sys.bases[0]._build)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])  # the CLI's degrees
-    def test_no_cli_state_command_builds_vectors(self, n, complex_passes, capsys):
+    def test_no_cli_state_command_builds_vectors(self, n, vector_lookups, capsys):
         assert cli.main(["wigner", str(n), "--state", basis_state(n), "--lines"]) == 0
         build_system.cache_clear()
         assert cli.main(["tomo", str(n), "--state", basis_state(n), "--shots", "64"]) == 0
-        assert complex_passes == []
+        assert vector_lookups == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_mub_builds_them_once(self, n, complex_passes, capsys):
+    def test_mub_builds_them_once(self, n, vector_lookups, capsys):
         assert cli.main(["mub", str(n)]) == 0
-        assert complex_passes == [1 << n]
+        assert vector_lookups == [1 << n]
 
-    def test_verify_builds_them_once_per_system(self, complex_passes, capsys):
+    def test_verify_builds_them_once_per_system(self, vector_lookups, capsys):
         assert cli.main(["verify", "3"]) == 0
-        assert complex_passes == [2, 4, 8]
+        assert vector_lookups == [2, 4, 8]
 
-    def test_every_basis_shares_one_read_only_stack(self, complex_passes):
+    def test_every_basis_shares_one_read_only_stack(self, vector_lookups):
         sys = build_system(3)
         stack = sys.bases[0]._build.vectors
         assert all(np.shares_memory(b.vectors, stack) and not b.vectors.flags.writeable for b in sys.bases)
-        assert complex_passes == [8]
+        assert vector_lookups == [8]
 
 
 class TestBuildMemory:

@@ -20,6 +20,9 @@ from qphase.operators import (
     projective_phases,
     same_basis_labeling,
     stabilizer_eigenbasis,
+    stabilizer_rows,
+    stabilizer_vectors,
+    symplectic_parity,
     trace_dual_basis,
     trace_dual_labeling,
     translation_unitary,
@@ -499,6 +502,62 @@ class TestStabilizerEigenbasis:
         x, z = [p[0], p[0], 0], [p[1], p[1], 0]
         with pytest.raises(ValueError, match=r"^stabilizer masks span fewer than 2 generators$"):
             stabilizer_eigenbasis([x], [z], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+
+
+def maximal_two_qubit_groups():
+    """Every maximal commuting group of two-qubit strings as masks (A, B,
+    AB), with four strings that meet it in four different commutation
+    patterns: 15 groups, of X-rank 0, 1 and 2."""
+    strings = [(x, z) for x in range(4) for z in range(4)]
+    groups = {}
+    for (ax, az), (bx, bz) in itertools.combinations(strings[1:], 2):
+        key = frozenset([(ax, az), (bx, bz), (ax ^ bx, az ^ bz)])
+        if not symplectic_parity(ax, az, bx, bz) and key not in groups:
+            patterns = {}
+            for tx, tz in strings:
+                patterns.setdefault((symplectic_parity(tx, tz, ax, az), symplectic_parity(tx, tz, bx, bz)), (tx, tz))
+            t = tuple(zip(*patterns.values()))
+            groups[key] = ([ax, bx, ax ^ bx], [az, bz, az ^ bz], t)
+    return list(groups.values())
+
+
+def x_rank(x):
+    """Rank of the x masks of a group of two-qubit strings."""
+    return len({0, *x}).bit_length() - 1
+
+
+TWO_QUBIT_GROUPS = maximal_two_qubit_groups()
+
+
+class TestVectorLookup:
+    def test_the_groups_cover_every_x_rank(self):
+        assert len(TWO_QUBIT_GROUPS) == 15
+        assert sorted({x_rank(x) for x, _, _ in TWO_QUBIT_GROUPS}) == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "x,z,t", TWO_QUBIT_GROUPS, ids=[f"group{g}-xrank{x_rank(x)}" for g, (x, _, _) in enumerate(TWO_QUBIT_GROUPS)]
+    )
+    def test_every_two_qubit_group_matches_the_dense_projectors(self, x, z, t):
+        vectors, exponents = one_group(x, z, t)
+        ops = [pauli_string(a, b, 2) for a, b in zip(x, z)]
+        match, dev = projector_matching(vectors, joint_eigenprojectors(ops))
+        assert dev <= 1e-12 and sorted(match.tolist()) == [0, 1, 2, 3]
+        for i, u in enumerate(ops):
+            lam = np.array([1, 1j, -1, -1j])[exponents[:, i]]
+            assert np.max(np.abs(vectors @ u.T - lam[:, None] * vectors)) <= 1e-15
+        lead = vectors[np.arange(4), (vectors != 0).argmax(axis=-1)]
+        assert np.all(lead.imag == 0) and np.all(lead.real > 0)
+        assert np.count_nonzero(vectors, axis=-1).tolist() == [1 << x_rank(x)] * 4
+
+    def test_a_corrupted_exponent_trips_the_exact_guard(self):
+        x, z = [0b00, 0b11, 0b11], [0b11, 0b00, 0b11]  # ZZ, XX, -YY: the Bell group
+        rows = stabilizer_rows([x], [z], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+        assert stabilizer_vectors(rows)[0].tobytes() == one_group(x, z, SLOT0)[0].tobytes()
+        for k, i, step in itertools.product(range(4), range(3), (1, 2, 3)):
+            exponents = rows.exponents.copy()
+            exponents[0, k, i] = (exponents[0, k, i] + step) % 4
+            with pytest.raises(AssertionError, match=r"^exponent rows of group 0 give one vector entry two phases$"):
+                stabilizer_vectors(rows._replace(exponents=exponents))
 
 
 @functools.lru_cache(maxsize=None)

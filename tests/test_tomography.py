@@ -822,6 +822,30 @@ class TestScaling:
         error_scaling_study(rho_of("singlet"), sys.net, list(sys.bases), [64, 256], seeds=[0, 1, 2])
         assert len(calls) == 1
 
+    def test_study_checks_the_sign_frame_once(self, monkeypatch):
+        sys = build_system(3)
+        copied = [dataclasses.replace(b) for b in sys.bases]  # no shared build: each frame is stacked anew
+        rho, shot_list, seeds = state_of_kind("wishart", sys.dim, 2), [16, 64, 256], [0, 1, 2]
+        expected = error_scaling_study(rho, sys.net, list(sys.bases), shot_list, seeds)
+        calls = []
+
+        def counting(bases):
+            calls.append(1)
+            return _sign_frame(bases)
+
+        monkeypatch.setattr(qphase.tomography, "_sign_frame", counting)
+        assert error_scaling_study(rho, sys.net, copied, shot_list, seeds) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shots,seed", [(-1, 0), (16, -1), (16, 1 << 64)])
+    def test_study_rejects_what_a_plan_rejects(self, shots, seed):
+        sys = build_system(1)
+        with pytest.raises(ValueError) as plan_error:
+            plan_for(sys, shots, seed)
+        with pytest.raises(ValueError) as study_error:
+            error_scaling_study(rho_of("up"), sys.net, list(sys.bases), [shots], [seed])
+        assert str(study_error.value) == str(plan_error.value)
+
     def test_study_rejects_unphysical_state(self):
         sys = build_system(1)
         with pytest.raises(InvalidStateError):

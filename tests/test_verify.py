@@ -24,6 +24,7 @@ from qphase.verify import (
     check_stabilizer_group,
     check_translation_geometry,
     check_translation_homomorphism,
+    check_unitarity,
     run_checks,
 )
 from qphase.wigner import QuantumNet
@@ -47,6 +48,21 @@ def test_run_checks_keeps_no_system_alive():
     try:
         run_checks(3)
         ref = weakref.ref(build_system(3))
+        build_system.cache_clear()
+        gc.collect()
+        assert ref() is None
+    finally:
+        build_system.cache_clear()
+
+
+def test_a_check_called_alone_keeps_no_system_alive():
+    # the dense stack a check builds is keyed weakly by its system
+    build_system.cache_clear()
+    try:
+        sys_ = build_system(3)
+        assert check_unitarity(sys_).passed
+        ref = weakref.ref(sys_)
+        del sys_
         build_system.cache_clear()
         gc.collect()
         assert ref() is None
