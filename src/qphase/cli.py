@@ -214,8 +214,8 @@ def cmd_mub(args) -> int:
 
 def cmd_wigner(args) -> int:
     _check_degree(args.n)
-    sys_ = build_system(args.n)
     rho, warnings = parse_state_spec(args.state, args.n)
+    sys_ = build_system(args.n)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     grid = wigner_from_state(rho, sys_.net)
@@ -295,8 +295,8 @@ def cmd_tomo(args) -> int:
             f"--scaling uses seeds --seed to --seed + --trials - 1, which must be at most "
             f"{MAX_SEED} (2^64 - 1), got {args.seed + args.trials - 1}"
         )
-    sys_ = build_system(args.n)
     rho, warnings = parse_state_spec(args.state, args.n)
+    sys_ = build_system(args.n)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     precision = args.precision

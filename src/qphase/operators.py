@@ -257,20 +257,6 @@ def translation_unitary(v: Point, labeling: QubitLabeling) -> TranslationOperato
     return TranslationOperator(v, labeling)
 
 
-def projective_phases(prods: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, bad) with prods ~ lam * targets over the trailing matrix axes.
-
-    lam = tr(target^dag prod) / N; bad where |lam| is not 1 or prod is not
-    lam * target, both within 1e-9.  Works on stacks of N x N matrices of
-    any leading shape.
-    """
-    dim = prods.shape[-1]
-    lam = np.einsum("...ij,...ij->...", targets.conj(), prods) / dim
-    off = lam[..., None, None] * targets
-    off -= prods
-    return lam, (np.abs(np.abs(lam) - 1) > 1e-9) | (np.abs(off).max(axis=(-2, -1)) > 1e-9)
-
-
 def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
     """Phase lambda with U_v U_w = lambda * U_(v+w), read from the masks.
 
@@ -395,8 +381,11 @@ def stabilizer_vectors(rows: StabilizerRows) -> np.ndarray:
     the first point of its support c_k ^ {x_i}, which has one point per
     distinct x mask.  The seed's support holds the first point where every
     Z-type string (x = 0) has its sign, and U_t moves it by t's x mask.
-    Exact guard: strings that share an x mask give their shared entry one
-    Z4 code, and Z-type strings the identity's 0; else AssertionError.
+    Exact guard, else AssertionError: strings that share an x mask give
+    their shared entry one Z4 code, and each vector's code table is an
+    eigenvector of the n pivots, the strings whose flips have one bit: for
+    pivot X^a Z^b with exponent e, code[c ^ a] = code[c] + 2 parity(c & b) - e
+    on the support, and c ^ a is off the support (code 4) where c is.
     """
     dim = rows.exponents.shape[1]
     combo = np.arange(dim)
@@ -404,15 +393,27 @@ def stabilizer_vectors(rows: StabilizerRows) -> np.ndarray:
     x, z, seed = (np.pad(a, ((0, 0), (1, 0))) for a in (rows.x, rows.z, rows.seed))
     # i^code / sqrt(size), code 4 off the support; + 0.0 clears -0.0
     units = np.append(_I_POWERS, 0) / np.sqrt(dim // np.count_nonzero(x == 0, axis=-1))[:, None] + 0.0
-    vectors = np.empty((len(x), dim, dim), dtype=complex)
+    tables = np.full((len(x), dim, dim), 4, dtype=np.int8)
     for g in range(len(x)):
         point = ((2 * _parity(combo[:, None] & z[g]) == seed[g]) | (x[g] != 0)).all(-1).argmax() ^ rows.tx[g]
         first = (point[:, None] ^ x[g]).min(-1)
         at = (first[:, None] ^ x[g]) + combo[:, None] * dim
         codes = (2 * _parity(first[:, None] & z[g]) - np.pad(rows.exponents[g], ((0, 0), (1, 0)))) % 4
-        table = np.full(dim * dim, 4, dtype=np.int8)
+        table = tables[g].reshape(-1)
         table[at] = codes
         if np.any(table[at] != codes):
             raise AssertionError(f"exponent rows of group {g} give one vector entry two phases")
-        vectors[g] = units[g, table.reshape(dim, dim)]
-    return vectors
+    # pivot X^a Z^b moves entry c to c ^ a, a row of [group, entry, vector]; a few groups at a time
+    pivots = np.flatnonzero((rows.flips[0] & rows.flips[0] - 1) == 0)
+    step = max(1, (1 << 22) // dim**2)
+    for lo in range(0, len(x), step):
+        block = slice(lo, lo + step)
+        code = np.ascontiguousarray(tables[block].transpose(0, 2, 1))
+        grp, off, bad = np.arange(len(code))[:, None], code == 4, np.zeros(len(code), dtype=bool)
+        for j in pivots:
+            a, b, e = rows.x[block, j, None], rows.z[block, j, None], rows.exponents[block, None, :, j]
+            want = np.where(off, 4, (code + 2 * _parity(combo & b)[..., None] - e) & 3)
+            bad |= np.any(code[grp, combo ^ a] != want, axis=(1, 2))
+        if bad.any():
+            raise AssertionError(f"exponent rows of group {lo + bad.argmax()} give one vector entry two phases")
+    return units[np.arange(len(x))[:, None, None], tables]

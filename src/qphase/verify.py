@@ -17,10 +17,11 @@ users, not on its internal tables:
   translation is a permutation of the point indices.  As the rows are the
   build's own array, the affine check also compares them with the lines
   that ``line_from_equation`` solves by ``FieldElement`` arithmetic.
-- Operator checks stack the dense ``unitary`` matrices of the translations
-  and test unitarity, the homomorphism and projective closure with batched
-  matrix products.  The dense matrices stay the ground truth: no expected
-  value comes from the Pauli masks.
+- Operator checks read each translation as the signed permutation of its
+  masks, U_v[j, src[v, j]] = sign[v, j].  ``check_unitarity`` ties every
+  dense ``unitary`` to it entry for entry, and one seeded point's to an
+  ``np.kron`` of slot factors read by ``FieldElement`` arithmetic; the
+  other operator checks compose and gather permutations.
 - The stabilizer-group, eigen-residual and basis-uniqueness checks read
   one eigenvalue table lam[i, k] = <v_k|U_i|v_k> per basis, taken from the
   dense matrices of its stabilizers; no eigendecomposition runs.
@@ -34,15 +35,14 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import field_axiom_failure
-from .geometry import find_wraparound_witness, grid_points, line_from_equation
+from .geometry import Point, find_wraparound_witness, grid_points, line_from_equation
 from .mub import check_conjugacy
-from .operators import projective_phases, translation_unitary
+from .operators import pauli, pauli_permutation, trace_dual_basis, translation_unitary
 from .states import random_density_matrix, random_pure_state, registry_vector
 from .system import PhaseSpaceSystem, build_system
 from .tomography import (
@@ -79,32 +79,20 @@ def _counts(rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount((rows + offset).ravel(), minlength=len(rows) * n).reshape(len(rows), n)
 
 
-_UNITARY_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _translations(sys: PhaseSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(src, sign), (N^2, N) each, with U_v[j, src[v, j]] = sign[v, j] for
+    the translation by grid point v = q_index * N + p_index: every
+    translation as the signed permutation of its masks."""
+    return pauli_permutation(*sys.labeling.point_masks(np.arange(sys.dim**2)), sys.dim)
 
 
-def _unitary_stack(sys: PhaseSpaceSystem) -> np.ndarray:
-    """U[q_index * N + p_index]: the dense matrix of every grid translation,
-    read-only.  The operator and covariance checks of one system share it;
-    systems hash by identity, so a modified copy gets its own, and the
-    stack is keyed weakly, so it never keeps its system alive.  It takes
-    16 N^4 bytes, so only the last system's is kept, and ``run_checks``
-    drops it after each system."""
-    stack = _UNITARY_STACKS.get(sys)
-    if stack is None:
-        _UNITARY_STACKS.clear()
-        stack = np.array([translation_unitary(v, sys.labeling).unitary for v in grid_points(sys.ctx)])
-        stack.setflags(write=False)
-        _UNITARY_STACKS[sys] = stack
-    return stack
-
-
-def _all_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """p[i, j] = a[i] @ b[j] for stacks of N x N matrices, as one matrix
-    product whose (i, j) block is a[i] @ b[j]."""
-    k, dim, _ = a.shape
-    m = len(b)
-    blocks = a.reshape(k * dim, dim) @ b.transpose(1, 0, 2).reshape(dim, m * dim)
-    return blocks.reshape(k, dim, m, dim).transpose(0, 2, 1, 3)
+def _trace(src: np.ndarray, sign: np.ndarray, v, w, t) -> np.ndarray:
+    """tr(U_t^dag U_v U_w) for index arrays v, w and t, exact: row j of U_v U_w
+    is sign[v, j] times row src[v, j] of U_w, and adds its sign times U_t's
+    where its entry is in U_t's column.  It is N lambda when U_v U_w = lambda U_t."""
+    rows = src[v]
+    meets = src[w[..., None], rows] == src[t]
+    return (sign[v] * sign[w[..., None], rows] * sign[t] * meets).sum(axis=-1)
 
 
 # -- field ------------------------------------------------------------------
@@ -237,21 +225,34 @@ def check_ring_witness(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_unitarity(sys: PhaseSpaceSystem) -> CheckResult:
-    stack = _unitary_stack(sys)
-    gram = stack @ np.conj(np.transpose(stack, (0, 2, 1)))
-    dev = float(np.max(np.abs(gram - np.eye(sys.dim))))
+    """Each dense ``unitary`` is, entry for entry, the signed permutation of
+    its masks, so exactly unitary; at one seeded point it is the np.kron of
+    X^x Z^z slot factors, bit i of x being tr(q f_i) over the trace-dual
+    basis {f_i} of q_basis (likewise z), and bit i driving slot n-1-i."""
+    n_elems, lab = sys.dim, sys.labeling
+    dev = 0.0
+    for point, src, sign in zip(grid_points(sys.ctx), *_translations(sys)):
+        expected = np.zeros((n_elems, n_elems), dtype=complex)
+        expected[np.arange(n_elems), src] = sign
+        dev = max(dev, float(np.max(np.abs(translation_unitary(point, lab).unitary - expected))))
+    q, p = (sys.ctx.elements()[i] for i in np.random.default_rng(20).integers(1, n_elems, size=2))
+    kron = np.ones((1, 1))
+    for fq, fp in zip(trace_dual_basis(lab.q_basis)[::-1], trace_dual_basis(lab.p_basis)[::-1]):
+        kron = np.kron(kron, pauli("IX"[(q * fq).trace()]) @ pauli("IZ"[(p * fp).trace()]))
+    dev = max(dev, float(np.max(np.abs(translation_unitary(Point(q, p), lab).unitary - kron))))
     return _result("translation unitarity", dev, 1e-12)
 
 
 def check_translation_homomorphism(sys: PhaseSpaceSystem) -> CheckResult:
     """H_q H_q' = H_(q+q') exactly, and likewise for V."""
     n_elems = sys.dim
-    stack = _unitary_stack(sys)
+    src, sign = _translations(sys)
     add = _table(sys, operator.add)
+    a, b = np.indices((n_elems, n_elems))
     # H_a = U_(a,0) and V_b = U_(0,b); bad[a, b] compares over all pairs.
     bad = {}
-    for name, ops in (("H", stack[::n_elems]), ("V", stack[:n_elems])):
-        bad[name] = np.any(_all_products(ops, ops) != ops[add], axis=(2, 3))
+    for name, step in (("H", n_elems), ("V", 1)):
+        bad[name] = _trace(src, sign, a * step, b * step, add[a, b] * step) != n_elems
     either = bad["H"] | bad["V"]
     if np.any(either):
         a, b = np.argwhere(either)[0]
@@ -262,9 +263,8 @@ def check_translation_homomorphism(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_projective_closure(sys: PhaseSpaceSystem) -> CheckResult:
-    """U_v U_w = lambda U_(v+w) with lambda a fourth root of unity."""
-    ctx = sys.ctx
-    n_elems = ctx.order
+    """U_v U_w = lambda U_(v+w) with lambda = +-1, so a pass has no deviation."""
+    ctx, n_elems = sys.ctx, sys.dim
     n_pts = n_elems**2
     if ctx.n <= 2:
         v, w = np.divmod(np.arange(n_pts**2), n_pts)
@@ -272,18 +272,14 @@ def check_projective_closure(sys: PhaseSpaceSystem) -> CheckResult:
         rng = np.random.default_rng(99)
         v, w = np.array([(rng.integers(n_pts), rng.integers(n_pts)) for _ in range(300)]).T
     name = f"projective closure ({len(v)} pairs)"
-    stack = _unitary_stack(sys)
     add = _table(sys, operator.add)
     (vq, vp), (wq, wp) = np.divmod(v, n_elems), np.divmod(w, n_elems)
-    total = add[vq, wq] * n_elems + add[vp, wp]
-    lam, bad = projective_phases(stack[v] @ stack[w], stack[total])
+    bad = np.abs(_trace(*_translations(sys), v, w, add[vq, wq] * n_elems + add[vp, wp])) != n_elems
     if np.any(bad):
         k = int(np.argmax(bad))
         vk, wk = (grid_points(ctx)[i[k]] for i in (v, w))
         return CheckResult(name, False, f"U_v U_w not proportional to U_(v+w) at {vk}+{wk}")
-    fourth_roots = np.array([1, 1j, -1, -1j])
-    dev = float(np.max(np.min(np.abs(fourth_roots - lam[:, None]), axis=1)))
-    return _result(name, dev)
+    return _result(name, 0.0)
 
 
 def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
@@ -390,11 +386,17 @@ def check_a_structure(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_a_covariance(sys: PhaseSpaceSystem) -> CheckResult:
-    """A at each point v is U_v A_0 U_v^dag."""
-    u = _unitary_stack(sys)
-    stack = sys.net.phase_point_stack()
-    moved = u @ stack[0] @ np.conj(np.transpose(u, (0, 2, 1)))
-    return _result("phase-point covariance", float(np.max(np.abs(stack - moved))))
+    """A at each point v is U_v A_0 U_v^dag = A_0[src_i, src_j] sign_i sign_j,
+    gathered N points at a time."""
+    n_elems = sys.dim
+    # one block per q index: the N points (q, p)
+    src, sign = (a.reshape(n_elems, n_elems, n_elems) for a in _translations(sys))
+    stack = sys.net.phase_point_stack().reshape(n_elems, n_elems, n_elems, n_elems)
+    dev = 0.0
+    for block, rows, signs in zip(stack, src, sign):
+        moved = stack[0, 0][rows[:, :, None], rows[:, None, :]] * (signs[:, :, None] * signs[:, None, :])
+        dev = max(dev, float(np.max(np.abs(block - moved))))
+    return _result("phase-point covariance", dev)
 
 
 def check_wigner_roundtrip(sys: PhaseSpaceSystem) -> CheckResult:
@@ -612,10 +614,7 @@ def run_checks(n_max: int) -> list[CheckResult]:
     results = []
     for n in range(1, n_max + 1):
         sys = build_system(n)
-        try:
-            for check in ALL_CHECKS:
-                res = check(sys)
-                results.append(CheckResult(f"n={n}: {res.name}", res.passed, res.detail))
-        finally:
-            _UNITARY_STACKS.pop(sys, None)
+        for check in ALL_CHECKS:
+            res = check(sys)
+            results.append(CheckResult(f"n={n}: {res.name}", res.passed, res.detail))
     return results

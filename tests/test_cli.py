@@ -312,6 +312,16 @@ class TestTomo:
         assert time.perf_counter() - start < 0.5
         assert f"between 1 and {MAX_TRIALS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["wigner", "4"], ["tomo", "4", "--shots", "1"]])
+    def test_a_bad_state_exits_2_before_building(self, command, monkeypatch, capsys):
+        # the state is parsed before the build, so a typo costs no system
+        def unreachable(n):
+            raise AssertionError("built a system")
+
+        monkeypatch.setattr("qphase.cli.build_system", unreachable)
+        assert main([*command, "--state", "nonsense"]) == 2
+        assert "error: unknown state name 'nonsense'" in capsys.readouterr().err
+
     def test_trials_within_the_cap_still_run(self):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["tomo", "1", "--state", "up", "--scaling", "64", "--trials", "3"]) == 0

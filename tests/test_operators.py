@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qphase.fields import field_create
 from qphase.geometry import Point, striation_points
+from qphase.mub import _stabilizer_bases
 from qphase.operators import (
     NonCommutingError,
     QubitLabeling,
@@ -17,7 +18,6 @@ from qphase.operators import (
     pauli_permutation,
     polynomial_basis,
     projective_check,
-    projective_phases,
     same_basis_labeling,
     stabilizer_eigenbasis,
     stabilizer_rows,
@@ -160,19 +160,6 @@ class TestProjectivePhases:
             lam = projective_check(u, w)
             assert np.min(np.abs(roots - lam)) < 1e-12
 
-    def test_batched_phases_match_projective_check(self):
-        ctx = field_create(2)
-        lab = default_labeling(ctx)
-        ops = [translation_unitary(v, lab) for v in all_points(ctx)]
-        stack = np.array([op.unitary for op in ops])
-        prods = stack[:, None] @ stack[None, :]
-        targets = np.array(
-            [[translation_unitary(u.vector + w.vector, lab).unitary for w in ops] for u in ops]
-        )
-        lam, bad = projective_phases(prods, targets)
-        assert not bad.any()
-        assert np.array_equal(lam, [[projective_check(u, w) for w in ops] for u in ops])
-
     def test_labelings_with_different_masks_are_refused(self):
         ctx = field_create(2)
         lab = default_labeling(ctx)
@@ -206,28 +193,15 @@ class TestProjectivePhases:
         ops = [translation_unitary(v, lab) for v in all_points(ctx)]
         seen = set()
         for u, w in itertools.product(ops, ops):
-            target = translation_unitary(u.vector + w.vector, lab).unitary
-            _, bad = projective_phases(u.unitary @ w.unitary, target)
-            seen.add(bool(bad))
+            target, prod = translation_unitary(u.vector + w.vector, lab).unitary, u.unitary @ w.unitary
+            bad = not np.array_equal(prod, np.vdot(target, prod) / ctx.order * target)
+            seen.add(bad)
             if bad:
                 with pytest.raises(AssertionError, match="not proportional"):
                     projective_check(u, w)
             else:
                 projective_check(u, w)
         assert seen == {False, True}
-
-    def test_flags_a_product_off_the_target_ray(self):
-        ctx = field_create(1)
-        lab = default_labeling(ctx)
-        h = translation_unitary(Point(ctx.one, ctx.zero), lab).unitary
-        v = translation_unitary(Point(ctx.zero, ctx.one), lab).unitary
-        skew = np.array([[1, 0.5], [0, 1]])
-        # H V is orthogonal to H (phase 0); skew has phase 1 against I but is
-        # not I; H H = I with phase 1
-        prods = np.array([h @ v, skew, h @ h])
-        lam, bad = projective_phases(prods, np.array([h, np.eye(2), np.eye(2)]))
-        assert bad.tolist() == [True, True, False]
-        assert lam[1] == lam[2] == 1
 
 
 class TestLabelings:
@@ -557,6 +531,21 @@ class TestVectorLookup:
             exponents = rows.exponents.copy()
             exponents[0, k, i] = (exponents[0, k, i] + step) % 4
             with pytest.raises(AssertionError, match=r"^exponent rows of group 0 give one vector entry two phases$"):
+                stabilizer_vectors(rows._replace(exponents=exponents))
+
+    def test_an_entry_written_by_one_string_is_checked_against_the_pivots(self):
+        # every basis s >= 1 at n = 3 has X-rank 3, so each string writes its
+        # own entry and no two writes can disagree
+        rows = _stabilizer_bases(default_labeling(field_create(3))).rows
+        guard = r"^exponent rows of group 2 give one vector entry two phases$"
+        exponents = rows.exponents.copy()
+        exponents[2, 1, 0] = (exponents[2, 1, 0] + 2) % 4
+        with pytest.raises(AssertionError, match=guard):
+            stabilizer_vectors(rows._replace(exponents=exponents))
+        for g, k, i, step in itertools.product(range(len(exponents)), range(8), range(7), (1, 2, 3)):
+            exponents = rows.exponents.copy()
+            exponents[g, k, i] = (exponents[g, k, i] + step) % 4
+            with pytest.raises(AssertionError, match=f"^exponent rows of group {g} "):
                 stabilizer_vectors(rows._replace(exponents=exponents))
 
 

@@ -3,13 +3,14 @@ import dataclasses
 import gc
 import subprocess
 import sys
+import types
 import weakref
 
 import numpy as np
 import pytest
 
 from qphase.fields import FieldContext
-from qphase.geometry import Line, Striation, line_from_equation
+from qphase.geometry import Line, Striation, grid_points, line_from_equation
 from qphase.operators import translation_unitary
 from qphase.system import build_system
 from qphase.verify import (
@@ -43,7 +44,7 @@ def test_names_carry_degree_prefix():
 
 
 def test_run_checks_keeps_no_system_alive():
-    # the checks share a dense stack of 16 N^4 bytes; none outlives the run
+    # run_checks holds no reference to a system once it returns
     build_system.cache_clear()
     try:
         run_checks(3)
@@ -56,7 +57,7 @@ def test_run_checks_keeps_no_system_alive():
 
 
 def test_a_check_called_alone_keeps_no_system_alive():
-    # the dense stack a check builds is keyed weakly by its system
+    # a check keeps no cache that holds its system
     build_system.cache_clear()
     try:
         sys_ = build_system(3)
@@ -264,6 +265,42 @@ def test_corrupted_masks_name_the_offending_pair():
 def test_corrupted_masks_name_the_first_stabilizer_pair(n):
     detail = check_stabilizer_group(corrupted_masks(build_system(n))).detail
     assert detail == "striation 1: U_v U_w not proportional to U_(v+w) at (1,0)+(w,0)"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_flipped_sign_in_one_dense_translation_fails_unitarity(n, monkeypatch):
+    # the flipped matrix is still exactly unitary; it is no longer the
+    # signed permutation of its masks
+    sys_ = build_system(n)
+    assert check_unitarity(sys_).passed
+    last = grid_points(sys_.ctx)[-1]
+
+    def flipped(v, labeling):
+        op = translation_unitary(v, labeling)
+        if v != last:
+            return op
+        u = op.unitary.copy()
+        u[0] *= -1
+        assert np.array_equal(u @ u.conj().T, np.eye(sys_.dim))
+        return types.SimpleNamespace(unitary=u)
+
+    monkeypatch.setattr("qphase.verify.translation_unitary", flipped)
+    bad = check_unitarity(sys_)
+    assert not bad.passed and bad.detail == "max deviation 2.000e+00 (tol 1e-12)"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_masks_linear_but_off_the_field_fail_only_the_kron_anchor(n):
+    """x masks read from w q instead of q stay linear, so every product
+    composes; only the kron point, whose bits come from field arithmetic,
+    sees that the translations are not the labeling's."""
+    sys_ = build_system(n)
+    labeling, elems = copy.copy(sys_.labeling), sys_.ctx.elements()
+    masks = labeling._x_masks
+    object.__setattr__(labeling, "_x_masks", tuple(masks[(sys_.ctx.omega * q).index] for q in elems))
+    bad = dataclasses.replace(sys_, labeling=labeling)
+    assert check_translation_homomorphism(bad).passed and check_projective_closure(bad).passed
+    assert not check_unitarity(bad).passed
 
 
 def test_projective_closure_reports_a_sampled_failure():
