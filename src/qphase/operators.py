@@ -25,9 +25,9 @@ that carry v onto the basis, vector k being the one whose signs on the
 pivots are the bits of k.  ``stabilizer_vectors`` looks each vector up from
 its exponent row: a stabilizer state has entries i^e / sqrt(size) on its
 support, e read off the signs of the strings (Dehaene and De Moor 2003).
-No dense eigendecomposition is run, and ``verify`` checks each basis
-against the dense matrices of its stabilizers through their eigenvalue
-table.
+No dense eigendecomposition is run, and ``verify`` reads each basis's
+stabilizers from their masks: their group law as composed signed
+permutations, and the vectors against matrices scattered from them.
 """
 
 from __future__ import annotations
@@ -381,11 +381,12 @@ def stabilizer_vectors(rows: StabilizerRows) -> np.ndarray:
     the first point of its support c_k ^ {x_i}, which has one point per
     distinct x mask.  The seed's support holds the first point where every
     Z-type string (x = 0) has its sign, and U_t moves it by t's x mask.
-    Exact guard, else AssertionError: strings that share an x mask give
-    their shared entry one Z4 code, and each vector's code table is an
-    eigenvector of the n pivots, the strings whose flips have one bit: for
+    Exact guard, else AssertionError naming the group: strings sharing an x
+    mask give their entry one Z4 code, each vector's code table is an
+    eigenvector of the n pivots, the strings whose flips have one bit (for
     pivot X^a Z^b with exponent e, code[c ^ a] = code[c] + 2 parity(c & b) - e
-    on the support, and c ^ a is off the support (code 4) where c is.
+    on the support, and c ^ a is off the support, code 4, where c is), and
+    row k is row 0 XOR 2 parity(k & flips).
     """
     dim = rows.exponents.shape[1]
     combo = np.arange(dim)
@@ -416,4 +417,9 @@ def stabilizer_vectors(rows: StabilizerRows) -> np.ndarray:
             bad |= np.any(code[grp, combo ^ a] != want, axis=(1, 2))
         if bad.any():
             raise AssertionError(f"exponent rows of group {lo + bad.argmax()} give one vector entry two phases")
+    # at n = 1 a row is one string's exponent, and only this tells its two eigenvectors apart
+    flipped = (2 * _parity(combo[:, None] & combo)).astype(np.int8)[:, rows.flips]  # [k, group, string]
+    bad = np.any(rows.exponents.swapaxes(0, 1) != rows.exponents[:, 0] ^ flipped, axis=(0, 2))
+    if bad.any():
+        raise AssertionError(f"exponent rows of group {bad.argmax()} are not row 0 with signs flipped by outcome bits")
     return units[np.arange(len(x))[:, None, None], tables]

@@ -22,9 +22,9 @@ users, not on its internal tables:
   dense ``unitary`` to it entry for entry, and one seeded point's to an
   ``np.kron`` of slot factors read by ``FieldElement`` arithmetic; the
   other operator checks compose and gather permutations.
-- The stabilizer-group, eigen-residual and basis-uniqueness checks read
-  one eigenvalue table lam[i, k] = <v_k|U_i|v_k> per basis, taken from the
-  dense matrices of its stabilizers; no eigendecomposition runs.
+- Stabilizers are read from their masks: the group check composes their
+  permutations, and the eigen-residual and uniqueness checks scatter one
+  basis's matrices for its table lam[i, k] = <v_k|U_i|v_k>; no eigensolver.
 - Phase-point and line-sum checks compare stacked projectors and grids in
   single broadcasts.
 
@@ -42,7 +42,7 @@ import numpy as np
 from .fields import field_axiom_failure
 from .geometry import Point, find_wraparound_witness, grid_points, line_from_equation
 from .mub import check_conjugacy
-from .operators import pauli, pauli_permutation, trace_dual_basis, translation_unitary
+from .operators import _parity, pauli, pauli_permutation, symplectic_parity, trace_dual_basis, translation_unitary
 from .states import random_density_matrix, random_pure_state, registry_vector
 from .system import PhaseSpaceSystem, build_system
 from .tomography import (
@@ -283,12 +283,9 @@ def check_projective_closure(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
-    """Each striation: N-1 stabilizers whose products stay on the ray up to phase.
-
-    With every U_v diagonal in the basis, U_v U_w = c U_(v+w) holds exactly
-    when lam_v,k lam_w,k conj(lam_(v+w),k) is one unimodular c for every
-    vector k; the origin's row, U_0 = I, is all ones.
-    """
+    """Each striation: N-1 commuting stabilizers whose products stay on the
+    ray, U_v U_w = (-1)^popcount(z_v & x_w) U_(v+w) exactly, read as the
+    signed permutations of their masks; the origin is U_0 = I."""
     n_elems = sys.dim
     add = _table(sys, operator.add)
     for s, basis in zip(sys.striations, sys.bases):
@@ -298,22 +295,15 @@ def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
         total = add[q[:, None], q[None, :]] * n_elems + add[p[:, None], p[None, :]]
         if not np.all(np.isin(total, s.point_indices[0])):
             return CheckResult("stabilizer group", False, "product leaves ray")
-        # row[point]: the table row of the stabilizer at that point; the
-        # origin (index 0) gets the appended all-ones row.
+        # row[point]: the stabilizer at that point, the origin's the appended U_0 = I
         row = np.full(n_elems**2, -1, dtype=np.intp)
         row[index] = np.arange(len(ops))
         row[0] = len(ops)
         at = row[total]
-        _, lam, residual = _eigen_table(basis)
-        diagonal = np.append(residual <= TOL, True)
-        ratio = lam[:, None] * lam[None, :] * np.vstack([lam, np.ones(n_elems)])[at].conj()
-        c = ratio.mean(axis=-1)
-        bad = (
-            (at < 0)  # a ray point missing from the stabilizers
-            | ~(diagonal[:-1, None] & diagonal[None, :-1] & diagonal[at])
-            | (np.abs(np.abs(c) - 1) > TOL)
-            | (np.abs(ratio - c[..., None]).max(axis=-1) > TOL)
-        )
+        x, z = np.array([*(op.masks for op in ops), (0, 0)], dtype=np.intp).T
+        i, j = np.arange(len(ops))[:, None], np.arange(len(ops))
+        bad = (at < 0) | (symplectic_parity(x[i], z[i], x[j], z[j]) != 0)  # at < 0: a ray point with no stabilizer
+        bad |= _trace(*pauli_permutation(x, z, n_elems), i, j, at) != n_elems * (1 - 2 * _parity(z[i] & x[j]))
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             return CheckResult(
@@ -341,9 +331,12 @@ def check_mub(sys: PhaseSpaceSystem) -> CheckResult:
 
 def _eigen_table(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, lam, residual) of one basis, from one batched product U_i v_k:
-    u[i] is the dense matrix of stabilizer i, lam[i, k] = <v_k|U_i|v_k> and
-    residual[i] = max_k |U_i v_k - lam[i, k] v_k|."""
-    u = np.array([op.unitary for op in basis.stabilizers])
+    u[i] is stabilizer i, scattered from the signed permutation of its masks,
+    lam[i, k] = <v_k|U_i|v_k> and residual[i] = max_k |U_i v_k - lam[i, k] v_k|."""
+    dim = basis.vectors.shape[1]
+    src, sign = pauli_permutation(*np.array([op.masks for op in basis.stabilizers]).T, dim)
+    u = np.zeros((len(src), dim, dim), dtype=complex)
+    u[np.arange(len(src))[:, None], np.arange(dim), src] = sign
     uv = u @ basis.vectors.T  # uv[i, :, k] = U_i v_k
     lam = np.einsum("kj,ijk->ik", basis.vectors.conj(), uv)
     residual = np.linalg.norm(uv - lam[:, None, :] * basis.vectors.T, axis=1).max(axis=1)
@@ -439,10 +432,12 @@ def check_grid_covariance(sys: PhaseSpaceSystem) -> CheckResult:
         vectors = points
     else:
         vectors = [points[rng.integers(n_elems) * n_elems + rng.integers(n_elems)] for _ in range(20)]
+    src, sign = _translations(sys)
     dev = 0.0
     for v in vectors:
-        u = translation_unitary(v, sys.labeling).unitary
-        moved = wigner_from_state(u @ rho @ u.conj().T, sys.net)
+        # U_v rho U_v^dag, gathered: rho[src_i, src_j] sign_i sign_j
+        rows, signs = src[v.index], sign[v.index]
+        moved = wigner_from_state(rho[rows[:, None], rows] * (signs[:, None] * signs), sys.net)
         dev = max(dev, float(np.max(np.abs(translate_grid(grid, v).values - moved.values))))
     return _result("grid covariance", dev)
 
@@ -481,20 +476,21 @@ def check_golden_tables(sys: PhaseSpaceSystem) -> CheckResult:
     return _result("golden grids", dev, tol)
 
 
-# States per einsum block of check_negativity_floor, bounding its temporaries.
+# Pure states that check_negativity_floor samples, and states per einsum block (bounding temporaries).
+_NEGATIVITY_SAMPLES = 100_000
 _NEGATIVITY_BLOCK = 10_000
 
 
-def check_negativity_floor(sys: PhaseSpaceSystem, samples: int = 100_000) -> CheckResult:
+def check_negativity_floor(sys: PhaseSpaceSystem) -> CheckResult:
     """One-qubit minimum W over pure states is (1 - sqrt(3))/4, attained by tilted-111."""
     if sys.n != 1:
         return CheckResult("negativity floor", True, "skipped: one-qubit property")
     rng = np.random.default_rng(14)
-    real = rng.standard_normal((samples, 2))
-    imag = rng.standard_normal((samples, 2))
+    real = rng.standard_normal((_NEGATIVITY_SAMPLES, 2))
+    imag = rng.standard_normal((_NEGATIVITY_SAMPLES, 2))
     stack = sys.net.phase_point_stack()
     observed = math.inf
-    for start in range(0, samples, _NEGATIVITY_BLOCK):
+    for start in range(0, _NEGATIVITY_SAMPLES, _NEGATIVITY_BLOCK):
         rows = slice(start, start + _NEGATIVITY_BLOCK)
         vecs = real[rows] + 1j * imag[rows]
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -503,7 +499,7 @@ def check_negativity_floor(sys: PhaseSpaceSystem, samples: int = 100_000) -> Che
     attained = float(_registry_grid(sys, "tilted-111").min())
     ok = observed >= _FLOOR - 1e-6 and abs(attained - _FLOOR) <= 1e-6
     return CheckResult(
-        "negativity floor", ok, f"min over {samples} states {observed:.6f}, floor {_FLOOR:.6f}"
+        "negativity floor", ok, f"min over {_NEGATIVITY_SAMPLES} states {observed:.6f}, floor {_FLOOR:.6f}"
     )
 
 

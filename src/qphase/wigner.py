@@ -207,15 +207,12 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     if len(mub_set) != len(striations):
         raise NetConstructionError(f"expected {len(striations)} bases, got {len(mub_set)}")
     for s, basis in enumerate(mub_set):
-        if basis.exponents is None or basis.masks is None:
-            raise NetConstructionError(f"basis of striation {s} carries no stabilizer eigenvalues")
         if any(op.labeling is not labeling and op.labeling != labeling for op in basis.stabilizers):
             raise NetConstructionError(f"basis of striation {s} was built under a different labeling")
-        try:
-            basis.flips
-        except ValueError as exc:
-            raise NetConstructionError(f"{exc}, so a translated ray can match no basis vector") from exc
-    frame = x, z, row0, flips = _sign_frame(mub_set)
+    try:
+        frame = x, z, row0, flips = _sign_frame(mub_set)
+    except ValueError as exc:
+        raise NetConstructionError(f"{exc}, so a translated ray can match no basis vector") from exc
     # pivots[s, m]: the stabilizer whose sign flips with bit m of the outcome alone.
     rows = np.arange(len(striations))[:, None]
     by_flips = np.empty((len(striations), ctx.order), dtype=np.intp)

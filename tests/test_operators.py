@@ -548,6 +548,17 @@ class TestVectorLookup:
             with pytest.raises(AssertionError, match=f"^exponent rows of group {g} "):
                 stabilizer_vectors(rows._replace(exponents=exponents))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_single_corruption_of_the_build_raises(self, n):
+        # at n = 1 a row is one exponent, and a step of 2 gives the other
+        # eigenvector: only the relation between the rows catches it
+        rows = _stabilizer_bases(default_labeling(field_create(n))).rows
+        for (g, k, i), step in itertools.product(np.ndindex(rows.exponents.shape), (1, 2, 3)):
+            exponents = rows.exponents.copy()
+            exponents[g, k, i] = (exponents[g, k, i] + step) % 4
+            with pytest.raises(AssertionError, match=f"^exponent rows of group {g} "):
+                stabilizer_vectors(rows._replace(exponents=exponents))
+
 
 @functools.lru_cache(maxsize=None)
 def _trace_dual(n):

@@ -11,7 +11,7 @@ import pytest
 
 from qphase.fields import FieldContext
 from qphase.geometry import Line, Striation, grid_points, line_from_equation
-from qphase.operators import translation_unitary
+from qphase.operators import same_basis_labeling, translation_unitary
 from qphase.system import build_system
 from qphase.verify import (
     ALL_CHECKS,
@@ -20,6 +20,7 @@ from qphase.verify import (
     check_basis_uniqueness,
     check_eigenvector_residuals,
     check_field_axioms,
+    check_grid_covariance,
     check_line_sums,
     check_projective_closure,
     check_stabilizer_group,
@@ -177,18 +178,19 @@ def test_no_check_raises_on_a_corrupted_system(check, corrupt, n):
     assert isinstance(check(corrupt(build_system(n))), CheckResult)
 
 
-# At angle 1e-6 the eigenvalue ratios still agree to ~1e-12, so only the
-# residual guard makes the group check fail.
+# The group check reads only the stabilizers' masks, so a basis that is no
+# longer one of joint eigenvectors passes it; the two checks that read the
+# vectors against the stabilizers fail it, even at angle 1e-6.
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize(
-    "check", [check_eigenvector_residuals, check_basis_uniqueness, check_stabilizer_group]
-)
+@pytest.mark.parametrize("check", [check_eigenvector_residuals, check_basis_uniqueness])
 @pytest.mark.parametrize("angle", [np.pi / 4, 1e-6])
 def test_mixed_basis_fails_eigenvalue_table_checks(angle, n, check):
     good = check(build_system(n))
-    bad = check(mixed_basis(build_system(n), angle))
+    mixed = mixed_basis(build_system(n), angle)
+    bad = check(mixed)
     assert good.passed and not bad.passed
     assert bad.name == good.name
+    assert check_stabilizer_group(mixed).passed
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -301,6 +303,40 @@ def test_masks_linear_but_off_the_field_fail_only_the_kron_anchor(n):
     bad = dataclasses.replace(sys_, labeling=labeling)
     assert check_translation_homomorphism(bad).passed and check_projective_closure(bad).passed
     assert not check_unitarity(bad).passed
+
+
+def test_stabilizers_under_the_same_basis_labeling_fail_the_group_check():
+    # at n = 3 the rays of striations 0..2 still commute under the same-basis
+    # labeling; striation 3 is the first whose stabilizers anticommute
+    sys_ = build_system(3)
+    labeling = same_basis_labeling(sys_.ctx)
+    bases = tuple(
+        dataclasses.replace(b, stabilizers=tuple(translation_unitary(op.vector, labeling) for op in b.stabilizers))
+        for b in sys_.bases
+    )
+    bad = check_stabilizer_group(dataclasses.replace(sys_, bases=bases))
+    assert not bad.passed
+    assert bad.detail.startswith("striation 3: U_v U_w not proportional to U_(v+w) at ")
+
+
+def test_basis_checks_cache_no_dense_stabilizer():
+    build_system.cache_clear()
+    try:
+        sys_ = build_system(3)
+        for check in (check_stabilizer_group, check_eigenvector_residuals, check_basis_uniqueness):
+            assert check(sys_).passed
+        assert not [op for b in sys_.bases for op in b.stabilizers if "unitary" in vars(op)]
+    finally:
+        build_system.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_an_unmoved_grid_fails_grid_covariance(n, monkeypatch):
+    good = check_grid_covariance(build_system(n))
+    monkeypatch.setattr("qphase.verify.translate_grid", lambda grid, v: grid)
+    bad = check_grid_covariance(build_system(n))
+    assert good.passed and not bad.passed
+    assert bad.name == good.name
 
 
 def test_projective_closure_reports_a_sampled_failure():

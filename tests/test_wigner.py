@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qphase.fields import field_create
 from qphase.geometry import Point, line_from_equation
 from qphase.geometry import striation_points
-from qphase.mub import full_mub_set
+from qphase.mub import StriationBasis, full_mub_set
 from qphase.operators import pauli, pauli_permutation, translation_unitary
 from qphase.states import density_from_vector, random_pure_state
 from qphase.states import (
@@ -517,6 +517,15 @@ class TestNetGuards:
         monkeypatch.setattr(wigner, "_RAY_SIGNS_2Q", signs)
         with pytest.raises(NetConstructionError, match="striation 0 match no basis vector"):
             default_net(system.ctx, system.labeling, list(system.bases))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bare_bases_are_refused_naming_the_striation(self, n):
+        # a basis assembled by hand carries no exponents or masks
+        system = build_system(n)
+        bases = list(system.bases)
+        bases[1] = StriationBasis(1, bases[1].vectors, bases[1].stabilizers)
+        with pytest.raises(NetConstructionError, match="^basis of striation 1 carries no stabilizer exponents"):
+            default_net(system.ctx, system.labeling, bases)
 
     def test_line_maps_are_read_only(self):
         net = build_system(1).net
