@@ -12,23 +12,24 @@ users, not on its internal tables:
   ``FieldElement`` ``+`` and ``*`` (``fields.field_axiom_failure``, the
   routine behind the construction self-test).
 - Geometry checks stack the striations' ``point_indices`` rows, the (N+1,
-  N, N) array of point indices q_index * N + p_index, and read an addition
-  table from ``FieldElement`` ``+``; incidences are ``bincount``s and a
-  translation is a permutation of the point indices.  As the rows are the
-  build's own array, the affine check also compares them with the lines
-  that ``line_from_equation`` solves by ``FieldElement`` arithmetic.
+  N, N) array of point indices q_index * N + p_index, and read off
+  line_of[s, point], the line of striation s through each point: every two
+  striations' lines must pair the points one to one, and a translation is
+  a permutation of the point indices.  The affine check also compares the
+  rows with the lines solved from tables of ``FieldElement`` ``+`` and ``*``.
 - Operator checks read each translation as the signed permutation of its
   masks, U_v[j, src[v, j]] = sign[v, j].  ``check_unitarity`` ties every
   dense ``unitary`` to it entry for entry, and one seeded point's to an
   ``np.kron`` of slot factors read by ``FieldElement`` arithmetic; the
   other operator checks compose and gather permutations.
 - Stabilizers are read from their masks: the group check composes their
-  permutations, and the eigen-residual and uniqueness checks scatter one
-  basis's matrices for its table lam[i, k] = <v_k|U_i|v_k>; no eigensolver.
+  permutations, and each basis's table lam[i, k] = <v_k|U_i|v_k> and
+  eigen-residuals gather U_i v_k = sign_i * v_k[src_i]; only the uniqueness
+  check scatters the matrices, for its group average.  No eigensolver.
 - Phase-point and line-sum checks compare stacked projectors and grids in
   single broadcasts.
 
-At n = 4 every temporary stays at about N^4 complex entries (1 MiB).
+At n = 6 the geometry, operator and basis checks run under 150 MiB peak RSS.
 """
 
 from __future__ import annotations
@@ -71,12 +72,6 @@ def _table(sys: PhaseSpaceSystem, op) -> np.ndarray:
     """t[i, j] = op(e_i, e_j).index, from the FieldElement operators."""
     elems = sys.ctx.elements()
     return np.array([[op(a, b).index for b in elems] for a in elems], dtype=np.intp)
-
-
-def _counts(rows: np.ndarray, n: int) -> np.ndarray:
-    """c[r, k]: how often k occurs in row r of an index array, 0 <= k < n."""
-    offset = np.arange(len(rows))[:, None] * n
-    return np.bincount((rows + offset).ravel(), minlength=len(rows) * n).reshape(len(rows), n)
 
 
 def _translations(sys: PhaseSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -123,62 +118,64 @@ def check_label_bijection(sys: PhaseSpaceSystem) -> CheckResult:
 # -- geometry ----------------------------------------------------------------
 
 
-def check_affine_axioms(sys: PhaseSpaceSystem) -> CheckResult:
-    """Every point on N+1 lines, every two points on exactly one common line
-    (so two lines share at most one point), every striation a partition, and
-    line l of striation s the solutions of q = e_l, p = e_l or
-    e_(s-1) q + p = e_l for s = 0, 1, >= 2 (e_0 = 0, e_1 = 1)."""
-    n_elems = sys.dim
-    n_pts = n_elems**2
+def _striation_lines(sys: PhaseSpaceSystem):
+    """(points, line_of, bad): the stacked ``point_indices`` rows, line_of[s, point]
+    = the line of striation s through the point, and None or the first striation
+    that does not partition the grid with how it fails ("overlaps", "misses points")."""
+    n_pts = sys.dim**2
     points = np.stack([s.point_indices for s in sys.striations])
-    lines = points.reshape(-1, n_elems)
-    if np.any(np.bincount(lines.ravel(), minlength=n_pts) != n_elems + 1):
-        return CheckResult("affine axioms", False, "some point is not on exactly N+1 lines")
-
-    # Each unordered pair of positions on each line, as lo * N^2 + hi; a
-    # line that repeats a point puts a count on the diagonal.
-    i, j = np.triu_indices(n_elems, 1)
-    a, b = lines[:, i], lines[:, j]
-    pairs = np.bincount((np.minimum(a, b) * n_pts + np.maximum(a, b)).ravel(), minlength=n_pts**2)
-    once = np.triu(np.ones((n_pts, n_pts), dtype=bool), 1)
-    bad = np.argwhere(pairs.reshape(n_pts, n_pts) != once)
-    if len(bad):
-        p1, p2 = (grid_points(sys.ctx)[k] for k in bad[0])
-        detail = f"a line lists {p1} twice" if p1 == p2 else f"points {p1}, {p2} share != 1 line"
-        return CheckResult("affine axioms", False, detail)
-
-    for s, covered in zip(sys.striations, _counts(points.reshape(len(points), -1), n_pts)):
+    line_of = np.empty((len(points), n_pts), dtype=np.intp)
+    for s, rows, line in zip(sys.striations, points, line_of):
+        covered = np.bincount(rows.ravel(), minlength=n_pts)
         if np.any(covered != 1):
-            gap = "overlaps" if covered.max() > 1 else "misses points"
-            return CheckResult("affine axioms", False, f"striation {s.direction} {gap}")
+            return points, None, (s, "overlaps" if covered.max() > 1 else "misses points")
+        line[rows] = np.arange(sys.dim)[:, None]
+    return points, line_of, None
 
-    elems = sys.ctx.elements()
-    for k in range(len(lines)):
-        d, l = sys.striations[k // n_elems].direction, k % n_elems
-        a, b = ((1, 0), (0, 1))[d] if d < 2 else (d - 1, 1)
+
+def check_affine_axioms(sys: PhaseSpaceSystem) -> CheckResult:
+    """N+1 striations, each a partition of the grid, every two points on exactly
+    one common line, and line l of striation s the solutions of q = e_l for s = 0
+    and of e_(s-1) q + p = e_l for s >= 1 (e_0 = 0).  The partitions put N(N+1) C(N, 2)
+    = C(N^2, 2) pairs of points on a line, so all pairs share one iff for every two
+    striations s < t, (line_of[s], line_of[t]) takes each of its N^2 values once."""
+    n_elems, n_pts = sys.dim, sys.dim**2
+    if len(sys.striations) != n_elems + 1:
+        return CheckResult("affine axioms", False, "some point is not on exactly N+1 lines")
+    points, line_of, bad = _striation_lines(sys)
+    if bad is not None:
+        return CheckResult("affine axioms", False, f"striation {bad[0].direction} {bad[1]}")
+
+    for s in range(n_elems):
+        # key[t, point]: its lines in striations s and s+1+t, as one value below N^2
+        key = line_of[s] * n_elems + line_of[s + 1 :]
+        shared = np.bincount((key + np.arange(len(key))[:, None] * n_pts).ravel(), minlength=key.size)
+        if np.any(shared != 1):
+            t, cell = divmod(int(np.argmax(shared)), n_pts)
+            p1, p2 = (grid_points(sys.ctx)[k] for k in np.flatnonzero(key[t] == cell)[:2])
+            return CheckResult("affine axioms", False, f"points {p1}, {p2} share != 1 line")
+
+    # Lines solved by FieldElement arithmetic: point m of line l of s >= 1 is (e_m, e_(s-1) e_m + e_l).
+    add, mul = _table(sys, operator.add), _table(sys, operator.mul)
+    idx = np.arange(n_elems)
+    solved = np.concatenate(([idx[:, None] * n_elems + idx], idx * n_elems + add[mul[:, None], idx[:, None]]))
+    directions = [s.direction for s in sys.striations]
+    wrong = np.argwhere(np.any(points != solved[directions], axis=2))
+    if len(wrong):
+        (k, l), elems = wrong[0], sys.ctx.elements()
+        d = directions[k]
+        a, b = (1, 0) if d == 0 else (d - 1, 1)
         line = line_from_equation(elems[a], elems[b], elems[l])
-        if [pt.index for pt in line.points] != lines[k].tolist():
-            return CheckResult("affine axioms", False, f"striation {d} line {l} is not {line}")
-    return CheckResult(
-        "affine axioms", True, f"{len(lines)} lines, {n_pts} points, exhaustive"
-    )
+        return CheckResult("affine axioms", False, f"striation {d} line {l} is not {line}")
+    return CheckResult("affine axioms", True, f"{len(points) * n_elems} lines, {n_pts} points, exhaustive")
 
 
 def check_translation_geometry(sys: PhaseSpaceSystem) -> CheckResult:
     """Translations map lines to lines of the same striation."""
-    ctx = sys.ctx
-    n_elems = ctx.order
-    n_pts = n_elems**2
-    points = np.stack([s.point_indices for s in sys.striations])
-    # line_of[s, point] = the line of striation s through the point.
-    line_of = np.empty((len(points), n_pts), dtype=np.intp)
-    covered = _counts(points.reshape(len(points), -1), n_pts)
-    for k, (s, rows) in enumerate(zip(sys.striations, points)):
-        if np.any(covered[k] != 1):
-            return CheckResult(
-                "translation geometry", False, f"striation {s.direction} is not a partition"
-            )
-        line_of[k, rows] = np.arange(n_elems)[:, None]
+    ctx, n_elems, n_pts = sys.ctx, sys.dim, sys.dim**2
+    points, line_of, bad = _striation_lines(sys)
+    if bad is not None:
+        return CheckResult("translation geometry", False, f"striation {bad[0].direction} is not a partition")
 
     if ctx.n <= 3:
         vectors = [(q, p) for q in range(n_elems) for p in range(n_elems)]
@@ -188,21 +185,18 @@ def check_translation_geometry(sys: PhaseSpaceSystem) -> CheckResult:
     vq, vp = np.array(vectors, dtype=np.intp).T
     add = _table(sys, operator.add)
     # perm[v, point] = the index of point + v.
-    perm = add[:, vq].T[:, :, None] * n_elems + add[:, vp].T[:, None, :]
-    perm = perm.reshape(len(vectors), n_pts)
-    bijective = np.all(_counts(perm, n_pts) == 1, axis=1)
-    # The image of a line lies on one line of its striation; as the image
-    # has N distinct points, it is that line.
-    image = line_of[np.arange(len(points))[:, None, None], perm[:, points]]
-    broken = np.any(image != image[..., :1], axis=(2, 3)) | ~bijective[:, None]
+    perm = (add[:, vq].T[:, :, None] * n_elems + add[:, vp].T[:, None, :]).reshape(len(vectors), n_pts)
+    broken = np.empty((len(vectors), len(points)), dtype=bool)
+    for k, rows in enumerate(points):
+        # The image of a line lies on one line of its striation; as the image
+        # has N distinct points, it is that line.
+        image = line_of[k][perm[:, rows]]
+        broken[:, k] = np.any(image != image[..., :1], axis=(1, 2))
+    broken |= np.any(np.sort(perm, axis=1) != np.arange(n_pts), axis=1)[:, None]  # not a bijection
     if np.any(broken):
         v, k = np.argwhere(broken)[0]
-        return CheckResult(
-            "translation geometry",
-            False,
-            f"translate by {grid_points(ctx)[vq[v] * n_elems + vp[v]]} broke striation "
-            f"{sys.striations[k].direction}",
-        )
+        moved = f"translate by {grid_points(ctx)[vq[v] * n_elems + vp[v]]}"
+        return CheckResult("translation geometry", False, f"{moved} broke striation {sys.striations[k].direction}")
     return CheckResult("translation geometry", True, f"{len(vectors)} vectors checked")
 
 
@@ -249,16 +243,12 @@ def check_translation_homomorphism(sys: PhaseSpaceSystem) -> CheckResult:
     src, sign = _translations(sys)
     add = _table(sys, operator.add)
     a, b = np.indices((n_elems, n_elems))
-    # H_a = U_(a,0) and V_b = U_(0,b); bad[a, b] compares over all pairs.
-    bad = {}
-    for name, step in (("H", n_elems), ("V", 1)):
-        bad[name] = _trace(src, sign, a * step, b * step, add[a, b] * step) != n_elems
-    either = bad["H"] | bad["V"]
-    if np.any(either):
-        a, b = np.argwhere(either)[0]
+    # H_a = U_(a,0) and V_b = U_(0,b); bad[a, b, h] compares over all pairs, h = 0 for H.
+    bad = np.stack([_trace(src, sign, a * h, b * h, add[a, b] * h) != n_elems for h in (n_elems, 1)], axis=-1)
+    if np.any(bad):
+        a, b, h = np.argwhere(bad)[0]
         elems = sys.ctx.elements()
-        name = "H" if bad["H"][a, b] else "V"
-        return CheckResult("translation homomorphism", False, f"{name} at {elems[a]},{elems[b]}")
+        return CheckResult("translation homomorphism", False, f"{'HV'[h]} at {elems[a]},{elems[b]}")
     return CheckResult("translation homomorphism", True, "entrywise exact")
 
 
@@ -329,33 +319,42 @@ def check_mub(sys: PhaseSpaceSystem) -> CheckResult:
     )
 
 
-def _eigen_table(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, lam, residual) of one basis, from one batched product U_i v_k:
-    u[i] is stabilizer i, scattered from the signed permutation of its masks,
-    lam[i, k] = <v_k|U_i|v_k> and residual[i] = max_k |U_i v_k - lam[i, k] v_k|."""
-    dim = basis.vectors.shape[1]
-    src, sign = pauli_permutation(*np.array([op.masks for op in basis.stabilizers]).T, dim)
-    u = np.zeros((len(src), dim, dim), dtype=complex)
-    u[np.arange(len(src))[:, None], np.arange(dim), src] = sign
-    uv = u @ basis.vectors.T  # uv[i, :, k] = U_i v_k
-    lam = np.einsum("kj,ijk->ik", basis.vectors.conj(), uv)
-    residual = np.linalg.norm(uv - lam[:, None, :] * basis.vectors.T, axis=1).max(axis=1)
-    return u, lam, residual
+def _eigen_tables(bases):
+    """(src, sign, lam, residual) per basis: U_i[j, src[i, j]] = sign[i, j], lam[i, k]
+    = <v_k|U_i|v_k> and residual[i] = max_k |U_i v_k - lam[i, k] v_k|, U_i v_k gathered
+    as sign_i * v_k[src_i] into two buffers shared by the bases (fresh ones cost more in
+    page faults than the arithmetic)."""
+    uv = diff = np.empty(0, dtype=complex)
+    for basis in bases:
+        vt = basis.vectors.T
+        src, sign = pauli_permutation(*np.array([op.masks for op in basis.stabilizers]).T, len(vt))
+        if uv.shape != src.shape + vt.shape[1:]:
+            uv, diff = (np.empty(src.shape + vt.shape[1:], dtype=complex) for _ in range(2))
+        np.take(vt, src, axis=0, out=uv, mode="clip")  # uv[i, :, k] = U_i v_k; "raise" buffers out
+        uv *= sign[..., None]
+        lam = np.einsum("kj,ijk->ik", basis.vectors.conj(), uv)
+        np.subtract(uv, np.multiply(lam[:, None, :], vt, out=diff), out=diff)
+        # |diff|^2 as np.linalg.norm forms it, in uv's buffer
+        square = np.multiply(np.conjugate(diff, out=uv), diff, out=uv).real
+        yield src, sign, lam, np.sqrt(square.sum(axis=1)).max(axis=1)
 
 
 def check_eigenvector_residuals(sys: PhaseSpaceSystem) -> CheckResult:
-    dev = max(float(_eigen_table(basis)[2].max()) for basis in sys.bases)
+    dev = max(float(table[-1].max()) for table in _eigen_tables(sys.bases))
     return _result("stabilizer eigen-residuals", dev)
 
 
 def check_basis_uniqueness(sys: PhaseSpaceSystem) -> CheckResult:
     """Each vector alone spans its joint eigenspace: the group average
     (1/N)(I + sum_i conj(lam_ik) U_i), the projector onto the eigenspace
-    with v_k's eigenvalues, equals |v_k><v_k|."""
+    with v_k's eigenvalues, equals |v_k><v_k|; the U_i are scattered from
+    their masks for this sum only."""
+    dim = sys.dim
     dev = 0.0
-    for basis in sys.bases:
-        u, lam, _ = _eigen_table(basis)
-        average = (np.eye(sys.dim) + np.tensordot(lam.conj(), u, axes=(0, 0))) / sys.dim
+    for basis, (src, sign, lam, _) in zip(sys.bases, _eigen_tables(sys.bases)):
+        u = np.zeros((len(src), dim, dim), dtype=complex)
+        u[np.arange(len(src))[:, None], np.arange(dim), src] = sign
+        average = (np.eye(dim) + np.tensordot(lam.conj(), u, axes=(0, 0))) / dim
         v = basis.vectors
         dev = max(dev, float(np.max(np.abs(average - v[:, :, None] * v.conj()[:, None, :]))))
     return _result("basis uniqueness", dev)

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import subprocess
 import sys
+import tracemalloc
 import types
 import weakref
 
@@ -219,6 +220,43 @@ def test_swapped_lines_fail_the_equation_check(n):
     assert bad.detail.startswith("striation 2 line 1 is not 1*q + ")
 
 
+def test_a_line_that_repeats_a_point_overlaps_its_striation():
+    sys_ = build_system(2)
+    rows = sys_.striations[2].point_indices.copy()
+    rows[1, 1] = rows[1, 0]
+    bad = with_rows(sys_, 2, rows)
+    assert check_affine_axioms(bad).detail == "striation 2 overlaps"
+    assert check_translation_geometry(bad).detail == "striation 2 is not a partition"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_swapped_points_name_a_pair_on_two_common_lines(n):
+    sys_ = swapped_points(build_system(n))
+    detail = check_affine_axioms(sys_).detail
+    assert detail.startswith("points ") and detail.endswith(" share != 1 line")
+    index = {str(pt): pt.index for pt in grid_points(sys_.ctx)}
+    p1, p2 = (index[name] for name in detail[len("points ") : -len(" share != 1 line")].split(", "))
+    line_of = np.empty((sys_.dim + 1, sys_.dim**2), dtype=int)
+    for line, s in zip(line_of, sys_.striations):
+        line[s.point_indices] = np.arange(sys_.dim)[:, None]
+    assert p1 != p2 and np.sum(line_of[:, p1] == line_of[:, p2]) == 2
+
+
+@pytest.mark.parametrize("check", [check_affine_axioms, check_translation_geometry])
+def test_geometry_checks_trace_under_4_mib_at_n5(check):
+    # one line_of table and one striation's temporaries at a time stay near
+    # 2 MiB; a count over all N^4 point pairs takes 20 MiB
+    sys_ = build_system(5)
+    assert check(sys_).passed
+    tracemalloc.start()
+    try:
+        result = check(sys_)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed and peak < 4 * 2**20, peak
+
+
 def test_every_check_passes_at_n5():
     # The CLI stops at n = 4; nothing else runs the whole suite at n = 5.
     results = run_checks(5)
@@ -230,7 +268,9 @@ def test_every_check_passes_at_n5():
     "check", [check_affine_axioms, check_translation_geometry, check_stabilizer_group]
 )
 def test_geometry_and_group_checks_read_no_striation_line(monkeypatch, check):
-    """The only Lines these checks make are line_from_equation's references."""
+    """A passing system makes no Line here: the affine check solves its
+    lines from index tables and calls line_from_equation only to word a
+    failure, so the refusal below never fires."""
     init = Line.__init__
 
     def refuse(self, *args, **kwargs):
