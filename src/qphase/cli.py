@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import FieldError, field_create
 from .mub import LabelingError, check_conjugacy
-from .serialize import dumps_canonical, matrix_to_json, round_float, vector_to_json
+from .serialize import complex_pair, dumps_canonical, matrix_to_json, round_float
 from .states import InvalidStateError, parse_state_spec
 from .system import build_system
 from .tomography import (
@@ -46,6 +46,15 @@ def _fmt(x: float, precision: int) -> str:
 def _fmt_complex(z: complex, precision: int) -> str:
     re, im = round_float(z.real, precision), round_float(z.imag, precision)
     return f"{re:+.{precision}f}{im:+.{precision}f}i"
+
+
+def _entry_table(vectors: np.ndarray, fmt) -> list[list]:
+    """fmt(z) for every entry z of a basis's vectors, row by row, with fmt
+    called once per distinct value (a basis has at most five), values told
+    apart by their bytes so that 0.0 and -0.0 never merge."""
+    values, index = np.unique(np.ascontiguousarray(vectors, dtype=complex).view("V16"), return_inverse=True)
+    cells = [fmt(complex(z)) for z in values.view(complex)]
+    return [[cells[j] for j in row] for row in index.reshape(vectors.shape).tolist()]
 
 
 def _poly_str(modulus: int) -> str:
@@ -154,9 +163,7 @@ def cmd_mub(args) -> int:
         payload: dict = {
             "n": args.n,
             "dim": sys_.dim,
-            "bases": [
-                [vector_to_json(v, precision) for v in b.vectors] for b in bases
-            ],
+            "bases": [_entry_table(b.vectors, lambda z: complex_pair(z, precision)) for b in bases],
         }
         if report is not None:
             payload["verify"] = {
@@ -183,17 +190,14 @@ def cmd_mub(args) -> int:
         else:
             print("basis,vector,component,re,im")
             for b in bases:
-                for k, v in enumerate(b.vectors):
-                    for c, z in enumerate(v):
-                        print(
-                            f"{b.striation},{k},{c},{_fmt(z.real, precision)},{_fmt(z.imag, precision)}"
-                        )
+                table = _entry_table(b.vectors, lambda z: f"{_fmt(z.real, precision)},{_fmt(z.imag, precision)}")
+                for k, row in enumerate(table):
+                    print("\n".join(f"{b.striation},{k},{c},{cell}" for c, cell in enumerate(row)))
     else:
         for b in bases:
             print(f"basis {b.striation} ({_striation_name(sys_.ctx, b.striation)}):")
-            for k, v in enumerate(b.vectors):
-                row = "  ".join(_fmt_complex(complex(z), precision) for z in v)
-                print(f"  v{k}: {row}")
+            for k, row in enumerate(_entry_table(b.vectors, lambda z: _fmt_complex(z, precision))):
+                print(f"  v{k}: {'  '.join(row)}")
             print()
         if report is not None:
             print("pairwise overlap extrema:")

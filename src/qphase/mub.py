@@ -12,13 +12,13 @@ bits of t, which gives its integer eigenvalue exponent on one joint
 eigenvector, and the N points of a transverse ray carry that vector onto
 the whole basis.  Vector k is the one whose signs on the pivots are the
 bits of k, so its exponent row is row 0 with the signs flipped by those
-bits (``StriationBasis.flips``).  The vectors
-themselves are looked up from the exponent rows, entry c ^ x of vector k
-being i^-e (-1)^popcount(c & z) / sqrt(support size) for each stabilizer
-X^x Z^z with exponent e, c the first point of the support
-(``operators.stabilizer_vectors``), for all striations when any basis's
-``vectors`` is first read; building a system, the quantum net and
-tomography never read them.  No dense stabilizer matrix is formed.
+bits (``StriationBasis.flips``).  A basis's vectors are read off its row
+of that sign frame (x, z, exponent row 0, flips) when its ``vectors`` is
+first read: entry c ^ x of vector k is i^-e (-1)^popcount(c & z) /
+sqrt(support size) for each stabilizer X^x Z^z with exponent e, c the
+first point of the support (``operators.stabilizer_vectors``).  Building a
+system, the quantum net and tomography never read them, and no dense
+stabilizer matrix is formed.
 """
 
 from __future__ import annotations
@@ -59,17 +59,22 @@ class LabelingError(RuntimeError):
 
 class _Vectors:
     """The ``vectors`` field of StriationBasis: the array given at
-    construction, or for a basis that ``full_mub_set`` built, its row of the
-    build's vector stack, computed for every striation on the first read."""
+    construction, or for a basis that ``full_mub_set`` built, read off its
+    row of the build's sign frame on the first read and kept, read-only, in
+    the basis's ``vars``."""
 
     def __get__(self, basis, owner=None):
         if basis is None:
             raise AttributeError("vectors")  # a required field: no default
-        build = basis._build
-        return basis.__dict__["vectors"] if build is None else build.vectors[basis.striation]
+        vectors = basis.__dict__.get("vectors")
+        if vectors is None:
+            frame = (a[basis.striation] for a in basis._build.frame)
+            vectors = basis.__dict__["vectors"] = stabilizer_vectors(*frame)
+            vectors.setflags(write=False)
+        return vectors
 
     def __set__(self, basis, value):
-        basis.__dict__["vectors"] = value
+        basis.__dict__["_build" if isinstance(value, _Build) else "vectors"] = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +85,9 @@ class StriationBasis:
     eigenvector of all the striation's stabilizer unitaries, with
     stabilizers[i] v_k = i^exponents[k, i] v_k, and masks[:, i] = (x, z)
     of stabilizers[i]; measurement and the quantum net read only these (and
-    ``flips``).  A basis from ``full_mub_set`` builds its vectors on first
-    read (see ``_Vectors``).  A basis assembled by hand may leave exponents
+    ``flips``).  A basis from ``full_mub_set`` reads its vectors off its
+    sign frame on their first read (see ``_Vectors``), each basis on its
+    own.  A basis assembled by hand may leave exponents
     and masks as None: ``check_conjugacy`` audits it, ``MeasurementPlan``
     and ``default_net`` refuse it.
     """
@@ -99,8 +105,7 @@ class StriationBasis:
     @property
     def _build(self) -> _Build | None:
         """The shared build of a basis from ``full_mub_set``, else None."""
-        value = self.__dict__["vectors"]
-        return value if isinstance(value, _Build) else None
+        return self.__dict__.get("_build")
 
     @cached_property
     def flips(self) -> np.ndarray:
@@ -119,17 +124,10 @@ class StriationBasis:
 @dataclass(frozen=True, eq=False)
 class _Build:
     """The integer pass of one ``full_mub_set`` call, read-only and shared by
-    its bases: rows[s] and masks[s] = (x, z) belong to striation s.  The
-    first read of ``vectors`` looks them up for all striations."""
+    its bases: rows[s] and masks[s] = (x, z) belong to striation s."""
 
     rows: StabilizerRows
     masks: np.ndarray
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        vectors = stabilizer_vectors(self.rows)
-        vectors.setflags(write=False)
-        return vectors
 
     @cached_property
     def frame(self) -> tuple[np.ndarray, ...]:

@@ -14,20 +14,22 @@ set.  Acting on a vector it is a signed index permutation,
 
 Two such strings commute exactly when popcount(x1 & z2 ^ z1 & x2) is even,
 and X^a Z^b X^c Z^d = (-1)^popcount(b & c) X^(a^c) Z^(b^d).
-``stabilizer_eigenbasis`` builds the joint eigenbases of many commuting
-groups of N-1 strings at once from these rules alone.  A group is the
-translations by a ray {t d : t in GF(2^n)}: the string of t is the product
-of the pivots, those of t = 1, w, ..., w^(n-1), over the bits of t
-(Gibbons, Hoffman and Wootters 2004).  ``stabilizer_rows`` runs every exact
-check, rebuilds the strings from the pivots in one loop with their
-exponents on one joint eigenvector v, and places the N translations U_t
-that carry v onto the basis, vector k being the one whose signs on the
-pivots are the bits of k.  ``stabilizer_vectors`` looks each vector up from
-its exponent row: a stabilizer state has entries i^e / sqrt(size) on its
-support, e read off the signs of the strings (Dehaene and De Moor 2003).
-No dense eigendecomposition is run, and ``verify`` reads each basis's
-stabilizers from their masks: their group law as composed signed
-permutations, and the vectors against matrices scattered from them.
+``stabilizer_rows`` solves many commuting groups of N-1 strings at once
+from these rules alone, in integers.  A group is the translations by a ray
+{t d : t in GF(2^n)}: the string of t is the product of the pivots, those
+of t = 1, w, ..., w^(n-1), over the bits of t (Gibbons, Hoffman and
+Wootters 2004).  ``stabilizer_rows`` runs every exact check, rebuilds the
+strings from the pivots in one loop with their exponents on one joint
+eigenvector v, and places the N translations U_t that carry v onto the
+basis, vector k being the one whose signs on the pivots are the bits of k:
+its exponent row is row 0 with signs flipped by the bits of k.  That sign
+frame (x, z, row 0, flips) fixes the basis, and ``stabilizer_vectors``
+reads one group's vectors off it: a stabilizer state has entries
+i^e / sqrt(size) on an affine support, e read off the signs of the strings
+(Dehaene and De Moor 2003).  No dense eigendecomposition is run, and
+``verify`` reads each basis's stabilizers from their masks: their group
+law as composed signed permutations, and the vectors' eigenvalues against
+the integer exponents.
 """
 
 from __future__ import annotations
@@ -273,7 +275,7 @@ def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
 
 
 class StabilizerRows(NamedTuple):
-    """The integer pass of ``stabilizer_eigenbasis`` over G groups.
+    """What ``stabilizer_rows`` finds for G groups.
 
     x, z: (G, N-1) masks of the strings.  exponents: (G, N, N-1) int8, with
     U_i v_k = i^exponents[g, k, i] v_k.  flips: (G, N-1), string i changes
@@ -292,28 +294,18 @@ class StabilizerRows(NamedTuple):
     tz: np.ndarray
 
 
-def stabilizer_eigenbasis(x, z, dim: int, tx, tz, coord) -> tuple[np.ndarray, np.ndarray]:
-    """Joint eigenbases of groups of commuting Pauli strings U_i = X^x[g, i] Z^z[g, i].
-
-    Row g of the masks holds the N-1 nonzero elements of an n-generator
-    group, N = dim = 2^n, and row g of (tx, tz) N strings that meet it in N
-    different commutation patterns (the points of another ray); U_i is the
-    product of the pivots, the strings of coordinate 2^j, over the bits j of
-    coord[i], one row for all groups.  Returns (vectors, exponents),
-    (G, N, N) and (G, N, N-1), with U_i v_k = i^exponents[g, k, i] v_k, rows
-    ascending in the exponent tuples when the pivots lead in coordinate
-    order, first nonzero entries real positive: ``stabilizer_rows`` followed
-    by ``stabilizer_vectors``.  The first group with a string that
-    anticommutes with a pivot raises NonCommutingError at its first odd
-    symplectic pair (i < j), deviation 2, the norm of U_i U_j - U_j U_i.
-    """
-    rows = stabilizer_rows(x, z, dim, tx, tz, coord)
-    return stabilizer_vectors(rows), rows.exponents
-
-
 def stabilizer_rows(x, z, dim: int, tx, tz, coord) -> StabilizerRows:
-    """The first step of ``stabilizer_eigenbasis``: every check, the order
-    of the basis and its exponent rows, with no complex number.
+    """Joint eigenbases of groups of commuting Pauli strings U_i = X^x[g, i]
+    Z^z[g, i] in integers: every check, and each basis's order and exponent
+    rows.  Row g of the masks holds the N-1 nonzero elements of an
+    n-generator group, N = dim = 2^n, and row g of (tx, tz) N strings that
+    meet it in N different commutation patterns (the points of another
+    ray); U_i is the product of the pivots, the strings of coordinate 2^j,
+    over the bits j of coord[i], one row for all groups.  Rows ascend in the
+    exponent tuples when the pivots lead in coordinate order.  The first
+    group with a string that anticommutes with a pivot raises
+    NonCommutingError at its first odd symplectic pair (i < j), deviation 2,
+    the norm of U_i U_j - U_j U_i.
 
     The seed vector v is +1 on i^parity(a & b) P for every pivot P = X^a Z^b.
     One loop over the pivots rebuilds each string as the product of those of
@@ -372,54 +364,28 @@ def stabilizer_rows(x, z, dim: int, tx, tz, coord) -> StabilizerRows:
     return StabilizerRows(x, z, exponents, flips, base, tx, tz)
 
 
-def stabilizer_vectors(rows: StabilizerRows) -> np.ndarray:
-    """The (G, N, N) vectors of checked rows, looked up from their exponent rows.
+def stabilizer_vectors(x, z, row0, flips) -> np.ndarray:
+    """The (N, N) joint eigenvectors of one checked group of N-1 strings
+    U_i = X^x[i] Z^z[i], read off its sign frame: U_i v_k = i^e[k, i] v_k
+    with e[k] = row0 XOR 2 parity(k & flips), as ``stabilizer_rows`` gives them.
 
-    (X^x Z^z v)[c ^ x] = (-1)^popcount(c & z) v[c], so the joint eigenvector
-    v_k with U_i v_k = i^exponents[g, k, i] v_k has v_k[c_k ^ x_i] =
-    i^-exponents[g, k, i] (-1)^popcount(c_k & z_i) / sqrt(size), c_k being
-    the first point of its support c_k ^ {x_i}, which has one point per
-    distinct x mask.  The seed's support holds the first point where every
-    Z-type string (x = 0) has its sign, and U_t moves it by t's x mask.
-    Exact guard, else AssertionError naming the group: strings sharing an x
-    mask give their entry one Z4 code, each vector's code table is an
-    eigenvector of the n pivots, the strings whose flips have one bit (for
-    pivot X^a Z^b with exponent e, code[c ^ a] = code[c] + 2 parity(c & b) - e
-    on the support, and c ^ a is off the support, code 4, where c is), and
-    row k is row 0 XOR 2 parity(k & flips).
+    (X^x Z^z v)[c ^ x] = (-1)^popcount(c & z) v[c], so v_k has code 0 at the
+    first point c_k of its support c_k ^ {x_i} and code (2 parity(c_k & z_i)
+    - e[k, i]) mod 4 at c_k ^ x_i, entry i^code / sqrt(support size), code 4
+    off the support.  c_k is the least c with 2 parity(c & z_i) = e[k, i]
+    for every Z-type string (x_i = 0), the identity included: a product of
+    +-1 sign rows that reaches their count (Dehaene and De Moor 2003).
     """
-    dim = rows.exponents.shape[1]
+    dim = len(x) + 1
     combo = np.arange(dim)
     # the identity, then every string
-    x, z, seed = (np.pad(a, ((0, 0), (1, 0))) for a in (rows.x, rows.z, rows.seed))
-    # i^code / sqrt(size), code 4 off the support; + 0.0 clears -0.0
-    units = np.append(_I_POWERS, 0) / np.sqrt(dim // np.count_nonzero(x == 0, axis=-1))[:, None] + 0.0
-    tables = np.full((len(x), dim, dim), 4, dtype=np.int8)
-    for g in range(len(x)):
-        point = ((2 * _parity(combo[:, None] & z[g]) == seed[g]) | (x[g] != 0)).all(-1).argmax() ^ rows.tx[g]
-        first = (point[:, None] ^ x[g]).min(-1)
-        at = (first[:, None] ^ x[g]) + combo[:, None] * dim
-        codes = (2 * _parity(first[:, None] & z[g]) - np.pad(rows.exponents[g], ((0, 0), (1, 0)))) % 4
-        table = tables[g].reshape(-1)
-        table[at] = codes
-        if np.any(table[at] != codes):
-            raise AssertionError(f"exponent rows of group {g} give one vector entry two phases")
-    # pivot X^a Z^b moves entry c to c ^ a, a row of [group, entry, vector]; a few groups at a time
-    pivots = np.flatnonzero((rows.flips[0] & rows.flips[0] - 1) == 0)
-    step = max(1, (1 << 22) // dim**2)
-    for lo in range(0, len(x), step):
-        block = slice(lo, lo + step)
-        code = np.ascontiguousarray(tables[block].transpose(0, 2, 1))
-        grp, off, bad = np.arange(len(code))[:, None], code == 4, np.zeros(len(code), dtype=bool)
-        for j in pivots:
-            a, b, e = rows.x[block, j, None], rows.z[block, j, None], rows.exponents[block, None, :, j]
-            want = np.where(off, 4, (code + 2 * _parity(combo & b)[..., None] - e) & 3)
-            bad |= np.any(code[grp, combo ^ a] != want, axis=(1, 2))
-        if bad.any():
-            raise AssertionError(f"exponent rows of group {lo + bad.argmax()} give one vector entry two phases")
-    # at n = 1 a row is one string's exponent, and only this tells its two eigenvectors apart
-    flipped = (2 * _parity(combo[:, None] & combo)).astype(np.int8)[:, rows.flips]  # [k, group, string]
-    bad = np.any(rows.exponents.swapaxes(0, 1) != rows.exponents[:, 0] ^ flipped, axis=(0, 2))
-    if bad.any():
-        raise AssertionError(f"exponent rows of group {bad.argmax()} are not row 0 with signs flipped by outcome bits")
-    return units[np.arange(len(x))[:, None, None], tables]
+    x, z, row0, flips = (np.pad(a, (1, 0)) for a in (x, z, row0, flips))
+    rows = row0 ^ 2 * _parity(combo[:, None] & flips)
+    ztype = x == 0
+    count = np.count_nonzero(ztype)
+    signs = 1.0 - 2 * _parity(combo[:, None] & z[ztype])
+    first = (np.subtract(1.0, rows[:, ztype]) @ signs.T == count).argmax(-1)
+    table = np.full((dim, dim), 4, dtype=np.int8)
+    table[combo[:, None], first[:, None] ^ x] = (2 * _parity(first[:, None] & z) - rows) % 4
+    # + 0.0 clears -0.0
+    return np.take(np.append(_I_POWERS, 0) / np.sqrt(dim // count) + 0.0, table)

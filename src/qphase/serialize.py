@@ -29,9 +29,5 @@ def matrix_to_json(m: np.ndarray, precision: int | None = None) -> list[list[lis
     return [[complex_pair(complex(v), precision) for v in row] for row in np.asarray(m)]
 
 
-def vector_to_json(v: np.ndarray, precision: int | None = None) -> list[list[float]]:
-    return [complex_pair(complex(x), precision) for x in np.asarray(v)]
-
-
 def dumps_canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

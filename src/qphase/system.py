@@ -17,8 +17,8 @@ class PhaseSpaceSystem:
     """Field, geometry, labeling, conjugate bases and quantum net for one n.
 
     The bases are the net's, and each holds read-only views of the batched
-    integer pass's exponent and mask arrays (``mub.full_mub_set``); their
-    vectors are built, for all striations at once, when one is first read.
+    integer pass's exponent and mask arrays (``mub.full_mub_set``); a
+    basis's vectors are read off its own sign frame when first read.
     """
 
     n: int

@@ -24,8 +24,9 @@ users, not on its internal tables:
   other operator checks compose and gather permutations.
 - Stabilizers are read from their masks: the group check composes their
   permutations, and each basis's table lam[i, k] = <v_k|U_i|v_k> and
-  eigen-residuals gather U_i v_k = sign_i * v_k[src_i]; only the uniqueness
-  check scatters the matrices, for its group average.  No eigensolver.
+  eigen-residuals gather U_i v_k = sign_i * v_k[src_i]; lam must be i to
+  the basis's integer exponent.  Only the uniqueness check scatters the
+  matrices, for its group average.  No eigensolver.
 - Phase-point and line-sum checks compare stacked projectors and grids in
   single broadcasts.
 
@@ -340,7 +341,25 @@ def _eigen_tables(bases):
 
 
 def check_eigenvector_residuals(sys: PhaseSpaceSystem) -> CheckResult:
-    dev = max(float(table[-1].max()) for table in _eigen_tables(sys.bases))
+    """Every vector is an eigenvector of its stabilizers, and for a basis
+    with integer exponents, the ones the net and tomography read, each
+    lam[i, k] = <v_k|U_i|v_k> is a unit number with quarter-turn code
+    exponents[k, i]; a basis without them is checked on residuals only."""
+    dev = 0.0
+    for basis, (_, _, lam, residual) in zip(sys.bases, _eigen_tables(sys.bases)):
+        dev = max(dev, float(residual.max()))
+        if basis.exponents is None:
+            continue
+        code = np.rint(np.angle(lam) / (np.pi / 2)).astype(int) % 4
+        bad = (np.abs(np.abs(lam) - 1) > TOL) | (code != basis.exponents.T)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            return CheckResult(
+                "stabilizer eigen-residuals",
+                False,
+                f"striation {basis.striation}: vector {k} has eigenvalue {lam[i, k]:.3f} "
+                f"on stabilizer {i}, not i^{basis.exponents[k, i]}",
+            )
     return _result("stabilizer eigen-residuals", dev)
 
 

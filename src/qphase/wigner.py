@@ -38,7 +38,7 @@ import numpy as np
 from .fields import ContextMismatchError, FieldContext
 from .geometry import Line, Point, Striation, enumerate_striations, grid_points, striation_points
 from .mub import StriationBasis, _sign_frame
-from .operators import QubitLabeling, _parity, pauli_permutation, symplectic_parity
+from .operators import _I_POWERS, QubitLabeling, _parity, pauli_permutation, symplectic_parity
 from .serialize import round_float
 from .states import validate_density_matrix
 
@@ -163,7 +163,7 @@ class QuantumNet:
         k = np.arange(self.dim)
         x, z = self.labeling.point_masks(k * (self.dim + 1))  # of q and p at the points (k, k)
         hp = h[:, z]
-        phase = np.array([1, 1j, -1, -1j])[self._i_powers]
+        phase = _I_POWERS[self._i_powers]
         gather = (k ^ k[:, None]) * self.dim + k
         tables = (h[x], hp, hp / self.dim**2, phase, h.astype(complex) / self.dim, gather)
         for table in tables:

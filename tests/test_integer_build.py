@@ -1,7 +1,9 @@
-"""The build's integer pass: pivot-ordered exponent rows, vectors built only
-when read, and the memory a build takes without them."""
+"""The build's integer pass: pivot-ordered exponent rows, each basis's vectors
+built only when read, and the memory a build takes without them."""
 
+import collections
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -17,7 +19,6 @@ from qphase.geometry import striation_points
 from qphase.operators import (
     default_labeling,
     same_basis_labeling,
-    stabilizer_eigenbasis,
     symplectic_parity,
     trace_dual_labeling,
 )
@@ -27,6 +28,7 @@ from qphase.tomography import MeasurementPlan, estimate_state, simulate_counts
 from qphase.wigner import state_from_wigner, wigner_from_state
 
 from dense_reference import joint_eigenprojectors
+from eigenbases import stabilizer_eigenbases
 
 
 _PAULI_FACTORS = {(0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]), (0, 1): np.diag([1, -1])}
@@ -93,7 +95,7 @@ class TestPivotOrder:
         transverse = (np.arange(groups) + 1 + rng.integers(0, groups - 1, groups)) % groups
         tx, tz = lab.point_masks(rays[transverse])
         coord = [e.bits for e in lab.ctx.elements()[1:]]
-        vectors, exponents = stabilizer_eigenbasis(x, z, dim, tx, tz, coord)
+        vectors, exponents = stabilizer_eigenbases(x, z, dim, tx, tz, coord)
         assert np.array_equal(exponents, reference_exponents(x, z, tx, tz, n))
         u = np.stack([pauli_strings(x[g], z[g], n) for g in range(groups)])
         lam = np.array([1, 1j, -1, -1j])[exponents]
@@ -102,19 +104,29 @@ class TestPivotOrder:
 
 
 @pytest.fixture
-def vector_lookups(monkeypatch):
-    """Count the build's vector lookups, starting from a cold cache."""
+def vector_reads(monkeypatch):
+    """The (x, z) masks of every basis whose vectors are computed, starting
+    from a cold cache."""
     calls = []
     real = qphase.mub.stabilizer_vectors
 
-    def counted(rows):
-        calls.append(rows.exponents.shape[1])
-        return real(rows)
+    def counted(x, z, row0, flips):
+        calls.append(masks_key(x, z))
+        return real(x, z, row0, flips)
 
     monkeypatch.setattr(qphase.mub, "stabilizer_vectors", counted)
     build_system.cache_clear()
     yield calls
     build_system.cache_clear()
+
+
+def masks_key(x, z):
+    return tuple(x.tolist()), tuple(z.tolist())
+
+
+def computed(bases):
+    """The striations of the bases holding computed vectors."""
+    return [b.striation for b in bases if "vectors" in vars(b)]
 
 
 def basis_state(n):
@@ -123,37 +135,48 @@ def basis_state(n):
 
 class TestVectorsOnlyWhenRead:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_no_per_state_path_builds_vectors(self, n, vector_lookups, capsys):
+    def test_no_per_state_path_builds_vectors(self, n, vector_reads, capsys):
         sys = build_system(n)
         rho = random_density_matrix(np.random.default_rng(n), sys.dim)
         grid = wigner_from_state(rho, sys.net)
         state_from_wigner(grid, sys.net)
         counts = simulate_counts(rho, MeasurementPlan(bases=sys.bases, shots_per_basis=64, seed=1))
         estimate_state(counts, sys.net, truth=rho)
-        assert vector_lookups == []
-        assert "vectors" not in vars(sys.bases[0]._build)
+        assert vector_reads == []
+        assert computed(sys.bases) == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])  # the CLI's degrees
-    def test_no_cli_state_command_builds_vectors(self, n, vector_lookups, capsys):
+    def test_no_cli_state_command_builds_vectors(self, n, vector_reads, capsys):
         assert cli.main(["wigner", str(n), "--state", basis_state(n), "--lines"]) == 0
         build_system.cache_clear()
         assert cli.main(["tomo", str(n), "--state", basis_state(n), "--shots", "64"]) == 0
-        assert vector_lookups == []
+        assert vector_reads == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reading_one_basis_computes_that_basis_only(self, n, vector_reads):
+        sys = build_system(n)
+        for s in reversed(range(sys.dim + 1)):
+            sys.bases[s].vectors
+            assert vector_reads == [masks_key(*b.masks) for b in sys.bases[s:][::-1]]
+            assert computed(sys.bases) == list(range(s, sys.dim + 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_mub_builds_them_once(self, n, vector_lookups, capsys):
+    def test_mub_builds_them_once(self, n, vector_reads, capsys):
         assert cli.main(["mub", str(n)]) == 0
-        assert vector_lookups == [1 << n]
+        assert vector_reads == [masks_key(*b.masks) for b in build_system(n).bases]
 
-    def test_verify_builds_them_once_per_system(self, vector_lookups, capsys):
+    def test_verify_builds_them_once_per_system(self, vector_reads, capsys):
         assert cli.main(["verify", "3"]) == 0
-        assert vector_lookups == [2, 4, 8]
+        every = [masks_key(*b.masks) for n in (1, 2, 3) for b in build_system(n).bases]
+        assert len(set(every)) == len(every) == 3 + 5 + 9
+        assert collections.Counter(vector_reads) == collections.Counter(every)
 
-    def test_every_basis_shares_one_read_only_stack(self, vector_lookups):
+    def test_each_basis_computes_its_own_read_only_vectors_once(self, vector_reads):
         sys = build_system(3)
-        stack = sys.bases[0]._build.vectors
-        assert all(np.shares_memory(b.vectors, stack) and not b.vectors.flags.writeable for b in sys.bases)
-        assert vector_lookups == [8]
+        vectors = [b.vectors for b in sys.bases]
+        assert all(b.vectors is v and v.shape == (8, 8) and not v.flags.writeable for b, v in zip(sys.bases, vectors))
+        assert not any(np.shares_memory(v, w) for v, w in itertools.combinations(vectors, 2))
+        assert len(vector_reads) == 9
 
 
 class TestBuildMemory:
@@ -166,7 +189,7 @@ class TestBuildMemory:
         finally:
             tracemalloc.stop()
         try:
-            assert "vectors" not in vars(sys.bases[0]._build)
+            assert computed(sys.bases) == []
             assert peak < 16 * (sys.dim + 1) * sys.dim**2, peak  # 33.8 MB
         finally:
             build_system.cache_clear()

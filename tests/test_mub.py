@@ -232,13 +232,13 @@ class TestBuildWithoutDenseAlgebra:
             build_system.cache_clear()
 
 
-class TestOneVectorStack:
+class TestOneIntegerStack:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bases_are_read_only_views_of_the_net_stack(self, n):
         system = build_system(n)
         dim = system.dim
         assert system.bases is system.net.bases
-        for name, shape in (("vectors", (dim, dim)), ("exponents", (dim, dim - 1)), ("masks", (2, dim - 1))):
+        for name, shape in (("exponents", (dim, dim - 1)), ("masks", (2, dim - 1))):
             stack = getattr(system.bases[0], name).base
             assert stack.shape == (dim + 1, *shape)
             assert not stack.flags.writeable
@@ -247,6 +247,14 @@ class TestOneVectorStack:
                 assert array.base is stack
                 assert np.array_equal(array, stack[s])
                 assert not array.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_basis_holds_its_own_read_only_vectors(self, n):
+        system = build_system(n)
+        vectors = [basis.vectors for basis in system.bases]
+        for basis, v in zip(system.bases, vectors):
+            assert basis.vectors is v  # computed once
+            assert v.shape == (system.dim, system.dim) and v.base is None and not v.flags.writeable
 
 
 class TestSignFlips:
@@ -348,6 +356,10 @@ INTEGER_PASS_DIGESTS_8 = (
 )
 
 
+# sha256 of the n = 8 basis vectors (<c16), basis by basis in striation order.
+VECTOR_DIGEST_8 = "fed5d2d0e5013bb4d746c4d6e29d06ccdf0cd85f72746395edbe0a60fb76bced"
+
+
 class TestBuildPinnedByBytes:
     @pytest.mark.parametrize("n", sorted(BUILD_DIGESTS))
     def test_bases_and_net_bytes(self, n):
@@ -365,3 +377,10 @@ class TestBuildPinnedByBytes:
         ints = (rows.flips, rows.seed, rows.tx, rows.tz)
         got = (_digest(rows.exponents, "<i1"), *(_digest(a, "<i8") for a in ints))
         assert got == INTEGER_PASS_DIGESTS_8
+
+    def test_vector_bytes_at_n8(self):
+        # one basis at a time, each dropped with its vectors once hashed
+        bases, digest = full_mub_set(field_create(8))[::-1], hashlib.sha256()
+        while bases:
+            digest.update(np.ascontiguousarray(bases.pop().vectors, dtype="<c16").tobytes())
+        assert digest.hexdigest() == VECTOR_DIGEST_8

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from qphase.fields import field_create
 from qphase.geometry import Point, striation_points
-from qphase.mub import _stabilizer_bases
 from qphase.operators import (
     NonCommutingError,
     QubitLabeling,
@@ -19,16 +19,16 @@ from qphase.operators import (
     polynomial_basis,
     projective_check,
     same_basis_labeling,
-    stabilizer_eigenbasis,
-    stabilizer_rows,
-    stabilizer_vectors,
     symplectic_parity,
     trace_dual_basis,
     trace_dual_labeling,
     translation_unitary,
 )
+from qphase.system import build_system
+from qphase.verify import check_eigenvector_residuals
 
 from dense_reference import first_noncommuting_pair, joint_eigenprojectors, projector_matching
+from eigenbases import stabilizer_eigenbases
 
 I2, X, Y, Z = (pauli(k) for k in "IXYZ")
 
@@ -382,8 +382,8 @@ NOT_CLOSED = r"^stabilizer masks are not closed under products: string 2 of grou
 
 
 def one_group(x, z, t):
-    """stabilizer_eigenbasis on a batch of one group."""
-    vectors, exponents = stabilizer_eigenbasis([x], [z], 4, [t[0]], [t[1]], COORD2)
+    """stabilizer_eigenbases on a batch of one group."""
+    vectors, exponents = stabilizer_eigenbases([x], [z], 4, [t[0]], [t[1]], COORD2)
     return vectors[0], exponents[0]
 
 
@@ -421,21 +421,21 @@ class TestStabilizerEigenbasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_a_batch_gives_each_group_its_own_rows(self, n):
         x, z, tx, tz, coord = ray_masks(n)
-        vectors, exponents = stabilizer_eigenbasis(x, z, 1 << n, tx, tz, coord)
+        vectors, exponents = stabilizer_eigenbases(x, z, 1 << n, tx, tz, coord)
         for g in range(len(x)):
-            alone = stabilizer_eigenbasis(x[g : g + 1], z[g : g + 1], 1 << n, tx[g : g + 1], tz[g : g + 1], coord)
+            alone = stabilizer_eigenbases(x[g : g + 1], z[g : g + 1], 1 << n, tx[g : g + 1], tz[g : g + 1], coord)
             assert alone[0].tobytes() == vectors[g].tobytes(), g
             assert alone[1].tobytes() == exponents[g].tobytes(), g
 
     def test_other_transverse_rays_give_the_same_basis(self):
         x, z, tx, tz, coord = ray_masks(3)
-        vectors, exponents = stabilizer_eigenbasis(x, z, 8, tx, tz, coord)
+        vectors, exponents = stabilizer_eigenbases(x, z, 8, tx, tz, coord)
         lab = trace_dual_labeling(field_create(3))
         for t in (1, 5):
             # every ray but the striation's own is transverse to it
             others = np.where(np.arange(len(x)) == t, 0, t)
             ox, oz = lab.point_masks(striation_points(lab.ctx)[others, 0])
-            again = stabilizer_eigenbasis(x, z, 8, ox, oz, coord)
+            again = stabilizer_eigenbases(x, z, 8, ox, oz, coord)
             assert again[0].tobytes() == vectors.tobytes()
             assert again[1].tobytes() == exponents.tobytes()
 
@@ -446,36 +446,36 @@ class TestStabilizerEigenbasis:
         # Bell stabilizers first, which commute; IX, IZ, IY last, which do not either
         xs, zs = [[0b00, 0b11, 0b11], x, [0b01, 0, 0b01]], [[0b11, 0b00, 0b11], z, [0, 0b01, 0b01]]
         with pytest.raises(NonCommutingError) as err:
-            stabilizer_eigenbasis(xs, zs, 4, [SLOT0[0]] * 3, [SLOT0[1]] * 3, COORD2)
+            stabilizer_eigenbases(xs, zs, 4, [SLOT0[0]] * 3, [SLOT0[1]] * 3, COORD2)
         assert err.value.pair == expected.pair == (1, 2)
         assert err.value.group == 1
         assert str(err.value) == str(expected)
 
     def test_wrong_number_of_strings_rejected(self):
         with pytest.raises(ValueError, match=r"^need 3 stabilizer masks for dimension 4, got 1$"):
-            stabilizer_eigenbasis([[0b11]], [[0b00]], 4, [SLOT0[0]], [SLOT0[1]], [1])
+            stabilizer_eigenbases([[0b11]], [[0b00]], 4, [SLOT0[0]], [SLOT0[1]], [1])
 
     @pytest.mark.parametrize("coord", [[1, 2], [1, 2, 2], [0, 1, 2], [1, 2, 4]])
     def test_coordinates_must_permute_the_nonzero_vectors(self, coord):
         with pytest.raises(ValueError, match=r"^coordinates must be a permutation of 1\.\.3$"):
-            stabilizer_eigenbasis([[0, 0, 0]], [[0b10, 0b01, 0b11]], 4, [SLOT0[0]], [SLOT0[1]], coord)
+            stabilizer_eigenbases([[0, 0, 0]], [[0b10, 0b01, 0b11]], 4, [SLOT0[0]], [SLOT0[1]], coord)
 
     def test_dependent_strings_rejected(self):
         # IZ three times: the pivots' product is I, not IZ
         with pytest.raises(ValueError, match=NOT_CLOSED):
-            stabilizer_eigenbasis([[0, 0, 0]], [[0b01, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+            stabilizer_eigenbases([[0, 0, 0]], [[0b01, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
 
     def test_repeated_strings_are_not_a_group(self):
         # ZI, IZ and IZ again: two generators, but ZZ is missing
         with pytest.raises(ValueError, match=NOT_CLOSED):
-            stabilizer_eigenbasis([[0, 0, 0]], [[0b10, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+            stabilizer_eigenbases([[0, 0, 0]], [[0b10, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
 
     @pytest.mark.parametrize("p", [(0, 0b01), (0b10, 0), (0b11, 0b11)])
     def test_dependent_pivots_rejected(self, p):
         # (P, P, I): every string is its pivots' product, but only one generator
         x, z = [p[0], p[0], 0], [p[1], p[1], 0]
         with pytest.raises(ValueError, match=r"^stabilizer masks span fewer than 2 generators$"):
-            stabilizer_eigenbasis([x], [z], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+            stabilizer_eigenbases([x], [z], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
 
 
 def maximal_two_qubit_groups():
@@ -523,41 +523,21 @@ class TestVectorLookup:
         assert np.all(lead.imag == 0) and np.all(lead.real > 0)
         assert np.count_nonzero(vectors, axis=-1).tolist() == [1 << x_rank(x)] * 4
 
-    def test_a_corrupted_exponent_trips_the_exact_guard(self):
-        x, z = [0b00, 0b11, 0b11], [0b11, 0b00, 0b11]  # ZZ, XX, -YY: the Bell group
-        rows = stabilizer_rows([x], [z], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
-        assert stabilizer_vectors(rows)[0].tobytes() == one_group(x, z, SLOT0)[0].tobytes()
-        for k, i, step in itertools.product(range(4), range(3), (1, 2, 3)):
-            exponents = rows.exponents.copy()
-            exponents[0, k, i] = (exponents[0, k, i] + step) % 4
-            with pytest.raises(AssertionError, match=r"^exponent rows of group 0 give one vector entry two phases$"):
-                stabilizer_vectors(rows._replace(exponents=exponents))
-
-    def test_an_entry_written_by_one_string_is_checked_against_the_pivots(self):
-        # every basis s >= 1 at n = 3 has X-rank 3, so each string writes its
-        # own entry and no two writes can disagree
-        rows = _stabilizer_bases(default_labeling(field_create(3))).rows
-        guard = r"^exponent rows of group 2 give one vector entry two phases$"
-        exponents = rows.exponents.copy()
-        exponents[2, 1, 0] = (exponents[2, 1, 0] + 2) % 4
-        with pytest.raises(AssertionError, match=guard):
-            stabilizer_vectors(rows._replace(exponents=exponents))
-        for g, k, i, step in itertools.product(range(len(exponents)), range(8), range(7), (1, 2, 3)):
-            exponents = rows.exponents.copy()
-            exponents[g, k, i] = (exponents[g, k, i] + step) % 4
-            with pytest.raises(AssertionError, match=f"^exponent rows of group {g} "):
-                stabilizer_vectors(rows._replace(exponents=exponents))
-
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_every_single_corruption_of_the_build_raises(self, n):
-        # at n = 1 a row is one exponent, and a step of 2 gives the other
-        # eigenvector: only the relation between the rows catches it
-        rows = _stabilizer_bases(default_labeling(field_create(n))).rows
-        for (g, k, i), step in itertools.product(np.ndindex(rows.exponents.shape), (1, 2, 3)):
-            exponents = rows.exponents.copy()
-            exponents[g, k, i] = (exponents[g, k, i] + step) % 4
-            with pytest.raises(AssertionError, match=f"^exponent rows of group {g} "):
-                stabilizer_vectors(rows._replace(exponents=exponents))
+    def test_every_single_corruption_of_a_basis_fails_the_eigenvalue_check(self, n):
+        # at n = 1 a row is one exponent, and a step of 2 names the other
+        # eigenvector: the eigenvalues read off the vectors still tell
+        system = build_system(n)
+        assert check_eigenvector_residuals(system).passed
+        for s, basis in enumerate(system.bases):
+            for (k, i), step in itertools.product(np.ndindex(basis.exponents.shape), (1, 2, 3)):
+                exponents = basis.exponents.copy()
+                exponents[k, i] = (exponents[k, i] + step) % 4
+                bases = system.bases[:s] + (dataclasses.replace(basis, exponents=exponents),) + system.bases[s + 1 :]
+                result = check_eigenvector_residuals(dataclasses.replace(system, bases=bases))
+                assert not result.passed
+                assert result.detail.startswith(f"striation {s}: vector {k} has eigenvalue ")
+                assert result.detail.endswith(f" on stabilizer {i}, not i^{exponents[k, i]}")
 
 
 @functools.lru_cache(maxsize=None)

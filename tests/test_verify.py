@@ -194,6 +194,12 @@ def test_mixed_basis_fails_eigenvalue_table_checks(angle, n, check):
     assert check_stabilizer_group(mixed).passed
 
 
+def test_bases_without_exponents_are_checked_on_residuals_only():
+    system = build_system(3)
+    bare = tuple(dataclasses.replace(basis, exponents=None) for basis in system.bases)
+    assert check_eigenvector_residuals(dataclasses.replace(system, bases=bare)) == check_eigenvector_residuals(system)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
     "check", [check_affine_axioms, check_translation_geometry, check_line_sums]
