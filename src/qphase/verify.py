@@ -27,10 +27,13 @@ users, not on its internal tables:
   eigen-residuals gather U_i v_k = sign_i * v_k[src_i]; lam must be i to
   the basis's integer exponent.  Only the uniqueness check scatters the
   matrices, for its group average.  No eigensolver.
-- Phase-point and line-sum checks compare stacked projectors and grids in
-  single broadcasts.
+- The phase-point structure is exact on the net's ``_i_powers``, the phase
+  table c that defines every A it hands out (the dense stack's Gram kept for
+  n <= 4); covariance compares ``phase_point_matrix`` with the paper's A_a,
+  the line projectors through a minus I from the net's vectors; line sums
+  compare W with v^dag rho v.  No N^4 array past n = 4.
 
-At n = 6 the geometry, operator and basis checks run under 150 MiB peak RSS.
+At n = 6 every check runs under 150 MiB peak RSS.
 """
 
 from __future__ import annotations
@@ -294,7 +297,8 @@ def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
         x, z = np.array([*(op.masks for op in ops), (0, 0)], dtype=np.intp).T
         i, j = np.arange(len(ops))[:, None], np.arange(len(ops))
         bad = (at < 0) | (symplectic_parity(x[i], z[i], x[j], z[j]) != 0)  # at < 0: a ray point with no stabilizer
-        bad |= _trace(*pauli_permutation(x, z, n_elems), i, j, at) != n_elems * (1 - 2 * _parity(z[i] & x[j]))
+        sign = 1 - 2 * _parity(z[i] & x[j]).astype(np.intp)  # int8 would overflow at N = 128
+        bad |= _trace(*pauli_permutation(x, z, n_elems), i, j, at) != n_elems * sign
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             return CheckResult(
@@ -383,8 +387,23 @@ def check_basis_uniqueness(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_a_structure(sys: PhaseSpaceSystem) -> CheckResult:
+    """A_a = (1/N) sum_b (-1)^<a,b> i^c_b U_b on the net's phase table c, exactly:
+    c[0, 0] = 0 gives tr A_a = 1, c[x, z] = popcount(x & z) (mod 2) makes each
+    i^c X^x Z^z Hermitian, and with the points' masks a bijection onto the N^2
+    mask pairs, the characters (-1)^<a,b> give sum_a A_a = N I and tr(A_a A_b)
+    = N delta_ab.  At n <= 4 the dense stack is checked too."""
+    name, dim = "phase-point operator structure", sys.dim
+    c, (px, pz) = sys.net._i_powers.astype(np.intp), sys.labeling.point_masks(np.arange(dim**2))
+    odd = np.argwhere((c - _parity(np.arange(dim)[:, None] & np.arange(dim))) % 2)
+    if c[0, 0] % 4:
+        return CheckResult(name, False, f"c[0, 0] = {c[0, 0]}, so tr A_a = i^{c[0, 0]}")
+    if len(odd):
+        return CheckResult(name, False, f"i^c X^x Z^z is not Hermitian at (x, z) = {tuple(odd[0].tolist())}")
+    if np.any(np.bincount(px * dim + pz, minlength=dim**2) != 1):
+        return CheckResult(name, False, "the points' masks are not a bijection onto the N^2 mask pairs")
+    if sys.n > 4:
+        return CheckResult(name, True, "exact on the phase table")
     stack = sys.net.phase_point_stack()
-    dim = sys.dim
     dev = float(np.max(np.abs(stack - np.conj(np.transpose(stack, (0, 2, 1))))))
     traces = np.einsum("aii->a", stack)
     dev = max(dev, float(np.max(np.abs(traces - 1.0))))
@@ -393,20 +412,21 @@ def check_a_structure(sys: PhaseSpaceSystem) -> CheckResult:
     gram = flat @ np.transpose(stack, (0, 2, 1)).reshape(len(stack), -1).T
     dev = max(dev, float(np.max(np.abs(gram - dim * np.eye(len(stack))))))
     dev = max(dev, float(np.max(np.abs(stack.sum(axis=0) - dim * np.eye(dim)))))
-    return _result("phase-point operator structure", dev)
+    return _result(name, dev)
 
 
 def check_a_covariance(sys: PhaseSpaceSystem) -> CheckResult:
-    """A at each point v is U_v A_0 U_v^dag = A_0[src_i, src_j] sign_i sign_j,
-    gathered N points at a time."""
-    n_elems = sys.dim
-    # one block per q index: the N points (q, p)
-    src, sign = (a.reshape(n_elems, n_elems, n_elems) for a in _translations(sys))
-    stack = sys.net.phase_point_stack().reshape(n_elems, n_elems, n_elems, n_elems)
+    """The paper's A_a, the projectors of the N+1 lines through a minus I from the
+    net's vectors, is the net's phase_point_matrix(a) = U_a A_0 U_a^dag: at every
+    point for n <= 5, the origin and 64 seeded points above."""
+    net, grid, points = sys.net, grid_points(sys.ctx), np.arange(sys.dim**2)
+    if sys.n > 5:
+        points = np.append(0, np.random.default_rng(10).choice(points[1:], 64, replace=False))
     dev = 0.0
-    for block, rows, signs in zip(stack, src, sign):
-        moved = stack[0, 0][rows[:, :, None], rows[:, None, :]] * (signs[:, :, None] * signs[:, None, :])
-        dev = max(dev, float(np.max(np.abs(block - moved))))
+    for a in points:
+        v = np.array([basis.vectors[k] for basis, k in zip(net.bases, net.outcome_index_table()[a])])
+        paper = v.T @ v.conj() - np.eye(sys.dim)  # the N+1 line projectors through a, minus I
+        dev = max(dev, float(np.max(np.abs(paper - net.phase_point_matrix(grid[a])))))
     return _result("phase-point covariance", dev)
 
 
@@ -423,20 +443,18 @@ def check_wigner_roundtrip(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_line_sums(sys: PhaseSpaceSystem) -> CheckResult:
-    """W summed over each index row is tr(rho P) for the net's projector of
-    that row's ``Line``: the one check that reads both forms of a line."""
-    points = np.stack([s.point_indices for s in sys.striations])
-    lines = [ln for s in sys.striations for ln in s.lines]
-    unknown = sum(ln not in sys.net.vector_index for ln in lines)
+    """W summed over each index row is tr(rho P) = v^dag rho v for the vector the
+    net's Line-keyed views give that row's ``Line``: it reads both forms of a line."""
+    net, lines = sys.net, [ln for s in sys.striations for ln in s.lines]
+    unknown = sum(ln not in net.vector_index for ln in lines)
     if unknown:
         return CheckResult("line sums = outcome probabilities", False, f"{unknown} lines not in the net")
-    projectors = np.array([sys.net.projector(ln) for ln in lines]).reshape(len(lines), -1)
+    vectors = np.array([net.bases[net.striation_of[ln]].vectors[net.vector_index[ln]] for ln in lines])
+    points = np.stack([s.point_indices for s in sys.striations]).reshape(len(lines), -1)
     rng = np.random.default_rng(12)
     rhos = [random_density_matrix(rng, sys.dim) for _ in range(20)]
-    grids = np.array([wigner_from_state(rho, sys.net).values.reshape(-1) for rho in rhos])
-    sums = grids[:, points.reshape(len(lines), -1)].sum(axis=2)
-    # tr(rho P) is the sum of the entries of rho^T * P.
-    probs = np.real(np.array([rho.T.reshape(-1) for rho in rhos]) @ projectors.T)
+    sums = np.array([wigner_from_state(rho, net).values.reshape(-1)[points].sum(axis=1) for rho in rhos])
+    probs = np.array([np.sum((vectors.conj() @ rho) * vectors, axis=1).real for rho in rhos])
     return _result("line sums = outcome probabilities", float(np.max(np.abs(sums - probs))))
 
 

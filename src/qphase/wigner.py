@@ -6,7 +6,7 @@ striations at once: each ray's vector is the basis vector with given
 stabilizer signs, and a translation flips a stabilizer eigenvector's signs
 where it anticommutes with the stabilizers, which flips the bits of the
 vector's index that belong to the n stabilizers with one-bit ``flips``;
-``verify`` checks the result against dense projectors.
+``verify`` checks the result against the line vectors.
 
 The Wigner map runs on Pauli expectations.  A ray's projector is the average
 of its stabilizer group, (1/N) sum_b i^c_b U_b over the N points b of the
@@ -23,8 +23,9 @@ Every sign is an entry of the N x N Sylvester-Hadamard matrix
 h[j, z] = (-1)^popcount(j & z), so each direction is three real or complex
 matrix products, O(N^3), and reads no basis vector; tomography's outcome
 probabilities start from ``_pauli_expectations``, and its counts end in
-``_grid_from_expectations``.  The phase-point operators, a dense stack of
-16 N^4 bytes built from the line projectors, exist only on request.
+``_grid_from_expectations``.  The phase-point operators exist only on
+request: A_0, the inverse map's last product and gather, and A_a = U_a A_0
+U_a^dag, one signed-permutation gather of it (all N^2: 16 N^4 bytes).
 """
 from __future__ import annotations
 
@@ -36,13 +37,11 @@ from typing import Mapping
 import numpy as np
 
 from .fields import ContextMismatchError, FieldContext
-from .geometry import Line, Point, Striation, enumerate_striations, grid_points, striation_points
+from .geometry import Line, Point, Striation, enumerate_striations, striation_points
 from .mub import StriationBasis, _sign_frame
 from .operators import _I_POWERS, QubitLabeling, _parity, pauli_permutation, symplectic_parity
 from .serialize import round_float
 from .states import validate_density_matrix
-
-CLOSURE_TOL = 1e-9
 
 
 class NetConstructionError(RuntimeError):
@@ -88,8 +87,8 @@ class QuantumNet:
     the point with masks (x, z), and c = 0 at the origin.  sign_frame is
     (x, z, exponent row 0, flips) of the bases, each (N+1, N-1) and
     read-only (``mub._sign_frame``), kept for the counts -> grid map of
-    tomography.  Views, tables and the phase-point stack are built on first
-    use and shared read-only.
+    tomography.  Views, tables and the phase-point operators, gathered from
+    the Pauli sum A_0, are built on first use and shared read-only.
     """
 
     ctx: FieldContext
@@ -119,36 +118,34 @@ class QuantumNet:
         return self.bases[self.striation_of[line]].projector(self.vector_index[line])
 
     def phase_point_matrix(self, pt: Point) -> np.ndarray:
-        """A at pt: a read-only row of phase_point_stack()."""
+        """A at pt, U_pt A_0 U_pt^dag: one O(N^2) gather of A_0, read-only."""
         if pt.ctx is not self.ctx:
             raise ContextMismatchError("point and net use different field contexts")
-        return self.phase_point_stack()[pt.index]
+        return self._phase_points(*self.labeling.masks(pt))
 
     def phase_point_stack(self) -> np.ndarray:
-        """All A operators as one array, indexed [q_index * N + p_index].
-
-        Each A starts at -I and gains the projectors of the lines through
-        its point in striation order; every A must have trace 1.
-        """
+        """All A operators as one array, indexed [q_index * N + p_index]."""
         return self._phase_point_stack
 
     @cached_property
     def _phase_point_stack(self) -> np.ndarray:
-        table = self.outcome_index_table()
-        stack = np.empty((len(table), self.dim, self.dim), dtype=complex)
-        stack[:] = -np.eye(self.dim, dtype=complex)
-        for s, basis in enumerate(self.bases):
-            for k in range(self.dim):
-                stack[table[:, s] == k] += basis.projector(k)
-        traces = np.trace(stack, axis1=1, axis2=2)
-        bad = np.flatnonzero(np.abs(traces - 1.0) > CLOSURE_TOL)
-        if bad.size:
-            raise NetConstructionError(
-                f"phase-point operator at {grid_points(self.ctx)[bad[0]]} "
-                f"has trace {complex(traces[bad[0]])}"
-            )
-        stack.setflags(write=False)
-        return stack
+        return self._phase_points(*self.labeling.point_masks(np.arange(self.dim**2)))
+
+    @cached_property
+    def _phase_point_origin(self) -> np.ndarray:
+        """A_0 = (1/N) sum_b i^c_b X^x Z^z, state_from_wigner's last product
+        and gather with every sign 1: sums of +-1/N and +-i/N, so exact."""
+        _, _, _, phase, h_scaled, gather = self._pauli_tables
+        return (phase @ h_scaled).take(gather)
+
+    def _phase_points(self, x, z) -> np.ndarray:
+        """U A_0 U^dag = A_0[src_i, src_j] sign_i sign_j for U = X^x Z^z, with
+        the masks' shape as leading axes, read-only."""
+        src, sign = pauli_permutation(x, z, self.dim)
+        moved = self._phase_point_origin[src[..., :, None], src[..., None, :]]
+        moved *= sign[..., :, None] * sign[..., None, :]
+        moved.setflags(write=False)
+        return moved
 
     @cached_property
     def _pauli_tables(self) -> tuple[np.ndarray, ...]:

@@ -17,6 +17,8 @@ from qphase.system import build_system
 from qphase.verify import (
     ALL_CHECKS,
     CheckResult,
+    check_a_covariance,
+    check_a_structure,
     check_affine_axioms,
     check_basis_uniqueness,
     check_eigenvector_residuals,
@@ -30,7 +32,7 @@ from qphase.verify import (
     check_unitarity,
     run_checks,
 )
-from qphase.wigner import QuantumNet
+from qphase.wigner import QuantumNet, default_net
 
 
 def test_all_checks_pass_for_n_up_to_4():
@@ -160,6 +162,23 @@ def mixed_basis(sys_, angle=np.pi / 4, b=2):
     bases = list(sys_.bases)
     bases[b] = dataclasses.replace(basis, vectors=vectors)
     return dataclasses.replace(sys_, bases=tuple(bases))
+
+
+def with_phase_table(sys_, edit):
+    """The net's phase table c, with edit applied to a copy, in a fresh net."""
+    table = sys_.net._i_powers.copy()
+    edit(table)
+    return dataclasses.replace(sys_, net=dataclasses.replace(sys_.net, _i_powers=table))
+
+
+def moved_phase(table):
+    """One entry of c moves by 1: its i^c X^x Z^z is no longer Hermitian."""
+    table[-1, -1] = (table[-1, -1] + 1) % 4
+
+
+def origin_phase_two(table):
+    """c[0, 0] = 2: the origin's term is -I, so tr A_a = -1."""
+    table[0, 0] = 2
 
 
 def corrupted_multiplication(sys_):
@@ -407,3 +426,33 @@ def test_corrupted_multiplication_fails_field_axioms(n):
     assert good.passed and not bad.passed
     assert bad.name == good.name
     assert bad.detail.endswith("failed")
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("edit", [moved_phase, origin_phase_two])
+def test_corrupted_phase_table_fails_a_structure_and_covariance(n, edit):
+    bad = with_phase_table(build_system(n), edit)
+    for check in (check_a_structure, check_a_covariance):
+        good, broken = check(build_system(n)), check(bad)
+        assert good.passed and not broken.passed and broken.name == good.name
+    assert check_a_structure(bad).detail.startswith("c[0, 0] = 2" if edit is origin_phase_two else "i^c X^x Z^z")
+
+
+def test_phase_point_checks_at_n6_build_no_stack():
+    # the stack of all N^2 operators alone is 256 MiB at n = 6
+    system = build_system(6)
+    system = dataclasses.replace(system, net=default_net(system.ctx, system.labeling, list(system.bases)))
+    tracemalloc.start()
+    try:
+        results = [check(system) for check in (check_a_structure, check_a_covariance, check_line_sums)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results), results
+    assert "_phase_point_stack" not in vars(system.net)
+    assert peak < 64 * 2**20, peak
+
+
+def test_stabilizer_group_passes_at_n7():
+    # N = 128 does not fit the int8 parities that the group law scales by N
+    assert check_stabilizer_group(build_system(7)).passed

@@ -157,6 +157,20 @@ class TestPhasePointOperators:
                 a = sys.net.phase_point_matrix(Point(q, p))
                 assert np.max(np.abs(a - u @ a0 @ u.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_one_operator_builds_no_stack(self, n):
+        sys = build_system(n)
+        net = default_net(sys.ctx, sys.labeling, list(sys.bases))
+        elems = sys.ctx.elements()
+        rng = np.random.default_rng(n)
+        pt = Point(elems[rng.integers(sys.dim)], elems[rng.integers(sys.dim)])
+        a0 = net.phase_point_matrix(Point(sys.ctx.zero, sys.ctx.zero))
+        a = net.phase_point_matrix(pt)
+        assert "_phase_point_stack" not in vars(net)
+        u = translation_unitary(pt, sys.labeling).unitary
+        assert np.max(np.abs(a - u @ a0 @ u.conj().T)) < 1e-12
+        assert not a.flags.writeable
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_structure(self, n):
         sys = build_system(n)
@@ -462,7 +476,7 @@ class TestNetAgainstDenseReference:
                 a = -np.eye(system.dim, dtype=complex)
                 for line in member:
                     a = a + net.projector(line)
-                assert stack[row].tobytes() == a.tobytes(), pt
+                assert np.max(np.abs(stack[row] - a)) < 1e-15, pt
 
 
 class TestNetGuards:
