@@ -257,7 +257,9 @@ class ConjugacyReport:
 
 def check_conjugacy(bases: list[StriationBasis], tolerance: float = CONJUGACY_TOL) -> ConjugacyReport:
     """Overlap audit of a basis collection; conjugacy failures go in the
-    report rather than raising (only mixed dimensions raise)."""
+    report rather than raising (only no bases or mixed dimensions raise)."""
+    if not bases:
+        raise ValueError("no bases to check")
     dims = {b.dim for b in bases}
     if len(dims) != 1:
         raise ValueError("bases have mixed dimensions")

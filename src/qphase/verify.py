@@ -18,22 +18,22 @@ users, not on its internal tables:
   a permutation of the point indices.  The affine check also compares the
   rows with the lines solved from tables of ``FieldElement`` ``+`` and ``*``.
 - Operator checks read each translation as the signed permutation of its
-  masks, U_v[j, src[v, j]] = sign[v, j].  ``check_unitarity`` ties every
-  dense ``unitary`` to it entry for entry, and one seeded point's to an
-  ``np.kron`` of slot factors read by ``FieldElement`` arithmetic; the
-  other operator checks compose and gather permutations.
+  masks, U_v[j, src[v, j]] = sign[v, j].  ``check_unitarity`` ties the
+  dense ``unitary`` to it entry for entry, sampled above n = 5, and one
+  seeded point's to an ``np.kron`` of slot factors read by ``FieldElement``
+  arithmetic; the other operator checks compose and gather permutations.
 - Stabilizers are read from their masks: the group check composes their
-  permutations, and each basis's table lam[i, k] = <v_k|U_i|v_k> and
-  eigen-residuals gather U_i v_k = sign_i * v_k[src_i]; lam must be i to
-  the basis's integer exponent.  Only the uniqueness check scatters the
-  matrices, for its group average.  No eigensolver.
+  permutations, each basis's table lam[i, k] = <v_k|U_i|v_k> and residuals
+  gather U_i v_k = sign_i * v_k[src_i]; lam must be i to the basis's integer
+  exponent, its N vectors must differ in their rows of codes, and the masks
+  of the N+1 groups must partition the Paulis.  No eigensolver.
 - The phase-point structure is exact on the net's ``_i_powers``, the phase
   table c that defines every A it hands out (the dense stack's Gram kept for
   n <= 4); covariance compares ``phase_point_matrix`` with the paper's A_a,
   the line projectors through a minus I from the net's vectors; line sums
   compare W with v^dag rho v.  No N^4 array past n = 4.
 
-At n = 6 every check runs under 150 MiB peak RSS.
+At n = 6 every check runs under 150 MiB peak RSS, at n = 7 under 400 MiB.
 """
 
 from __future__ import annotations
@@ -222,17 +222,21 @@ def check_ring_witness(sys: PhaseSpaceSystem) -> CheckResult:
 # -- operators ----------------------------------------------------------------
 
 
+def _sampled_points(sys: PhaseSpaceSystem) -> np.ndarray:
+    """Every point index for n <= 5; above, the origin and 64 points drawn with seed 10."""
+    points = np.arange(sys.dim**2)
+    return points if sys.n <= 5 else np.append(0, np.random.default_rng(10).choice(points[1:], 64, replace=False))
+
+
 def check_unitarity(sys: PhaseSpaceSystem) -> CheckResult:
-    """Each dense ``unitary`` is, entry for entry, the signed permutation of
-    its masks, so exactly unitary; at one seeded point it is the np.kron of
-    X^x Z^z slot factors, bit i of x being tr(q f_i) over the trace-dual
-    basis {f_i} of q_basis (likewise z), and bit i driving slot n-1-i."""
-    n_elems, lab = sys.dim, sys.labeling
+    """Each sampled dense ``unitary`` is, entry for entry, the signed permutation of its masks, so
+    exactly unitary; at one seeded point it is the np.kron of X^x Z^z slot factors, bit i of x being
+    tr(q f_i) over the trace-dual basis {f_i} of q_basis (likewise z), and bit i driving slot n-1-i."""
+    n_elems, lab, grid, points = sys.dim, sys.labeling, grid_points(sys.ctx), _sampled_points(sys)
     dev = 0.0
-    for point, src, sign in zip(grid_points(sys.ctx), *_translations(sys)):
-        expected = np.zeros((n_elems, n_elems), dtype=complex)
-        expected[np.arange(n_elems), src] = sign
-        dev = max(dev, float(np.max(np.abs(translation_unitary(point, lab).unitary - expected))))
+    for a, src, sign in zip(points, *pauli_permutation(*lab.point_masks(points), n_elems)):
+        expected = np.eye(n_elems)[src] * sign[:, None]  # expected[j, src[j]] = sign[j]
+        dev = max(dev, float(np.max(np.abs(translation_unitary(grid[a], lab).unitary - expected))))
     q, p = (sys.ctx.elements()[i] for i in np.random.default_rng(20).integers(1, n_elems, size=2))
     kron = np.ones((1, 1))
     for fq, fp in zip(trace_dual_basis(lab.q_basis)[::-1], trace_dual_basis(lab.p_basis)[::-1]):
@@ -314,8 +318,16 @@ def check_stabilizer_group(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_mub(sys: PhaseSpaceSystem) -> CheckResult:
+    """Each non-identity Pauli (x, z) is in exactly one group, so the eigenbases are mutually unbiased
+    (Bandyopadhyay et al., Algorithmica 34, 512 (2002)); every cross overlap is compared too."""
     if len(sys.bases) != sys.dim + 1:
         return CheckResult("mutual conjugacy", False, f"{len(sys.bases)} bases != N+1")
+    x, z = np.array([op.masks for b in sys.bases for op in b.stabilizers], dtype=np.intp).T
+    held = np.bincount(x * sys.dim + z, minlength=sys.dim**2)
+    wrong = np.flatnonzero(held != (np.arange(sys.dim**2) > 0))  # (0, 0) in no group, the rest in one
+    if len(wrong):
+        masks, count = divmod(int(wrong[0]), sys.dim), held[wrong[0]]
+        return CheckResult("mutual conjugacy", False, f"Pauli masks {masks} in {count} groups")
     report = check_conjugacy(list(sys.bases))
     return CheckResult(
         "mutual conjugacy",
@@ -325,10 +337,10 @@ def check_mub(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def _eigen_tables(bases):
-    """(src, sign, lam, residual) per basis: U_i[j, src[i, j]] = sign[i, j], lam[i, k]
-    = <v_k|U_i|v_k> and residual[i] = max_k |U_i v_k - lam[i, k] v_k|, U_i v_k gathered
-    as sign_i * v_k[src_i] into two buffers shared by the bases (fresh ones cost more in
-    page faults than the arithmetic)."""
+    """(lam, code, residual) per basis: lam[i, k] = <v_k|U_i|v_k>, code[i, k] = round(arg
+    lam[i, k] / (pi/2)) mod 4 and residual[i] = max_k |U_i v_k - lam[i, k] v_k|, U_i v_k
+    gathered as sign_i * v_k[src_i] into two buffers shared by the bases (fresh ones cost
+    more in page faults than the arithmetic)."""
     uv = diff = np.empty(0, dtype=complex)
     for basis in bases:
         vt = basis.vectors.T
@@ -341,7 +353,7 @@ def _eigen_tables(bases):
         np.subtract(uv, np.multiply(lam[:, None, :], vt, out=diff), out=diff)
         # |diff|^2 as np.linalg.norm forms it, in uv's buffer
         square = np.multiply(np.conjugate(diff, out=uv), diff, out=uv).real
-        yield src, sign, lam, np.sqrt(square.sum(axis=1)).max(axis=1)
+        yield lam, np.rint(np.angle(lam) / (np.pi / 2)).astype(int) % 4, np.sqrt(square.sum(axis=1)).max(axis=1)
 
 
 def check_eigenvector_residuals(sys: PhaseSpaceSystem) -> CheckResult:
@@ -350,11 +362,10 @@ def check_eigenvector_residuals(sys: PhaseSpaceSystem) -> CheckResult:
     lam[i, k] = <v_k|U_i|v_k> is a unit number with quarter-turn code
     exponents[k, i]; a basis without them is checked on residuals only."""
     dev = 0.0
-    for basis, (_, _, lam, residual) in zip(sys.bases, _eigen_tables(sys.bases)):
+    for basis, (lam, code, residual) in zip(sys.bases, _eigen_tables(sys.bases)):
         dev = max(dev, float(residual.max()))
         if basis.exponents is None:
             continue
-        code = np.rint(np.angle(lam) / (np.pi / 2)).astype(int) % 4
         bad = (np.abs(np.abs(lam) - 1) > TOL) | (code != basis.exponents.T)
         if bad.any():
             i, k = np.argwhere(bad)[0]
@@ -368,18 +379,14 @@ def check_eigenvector_residuals(sys: PhaseSpaceSystem) -> CheckResult:
 
 
 def check_basis_uniqueness(sys: PhaseSpaceSystem) -> CheckResult:
-    """Each vector alone spans its joint eigenspace: the group average
-    (1/N)(I + sum_i conj(lam_ik) U_i), the projector onto the eigenspace
-    with v_k's eigenvalues, equals |v_k><v_k|; the U_i are scattered from
-    their masks for this sum only."""
-    dim = sys.dim
+    """Each vector is a unit joint eigenvector (residual, |lam| - 1 within TOL) and the N have N
+    distinct rows of codes, so each spans its eigenspace: N commuting strings closed under products
+    (``check_stabilizer_group``) have N characters, each with a one-dimensional eigenspace."""
     dev = 0.0
-    for basis, (src, sign, lam, _) in zip(sys.bases, _eigen_tables(sys.bases)):
-        u = np.zeros((len(src), dim, dim), dtype=complex)
-        u[np.arange(len(src))[:, None], np.arange(dim), src] = sign
-        average = (np.eye(dim) + np.tensordot(lam.conj(), u, axes=(0, 0))) / dim
-        v = basis.vectors
-        dev = max(dev, float(np.max(np.abs(average - v[:, :, None] * v.conj()[:, None, :]))))
+    for basis, (lam, code, residual) in zip(sys.bases, _eigen_tables(sys.bases)):
+        dev = max(dev, float(residual.max()), float(np.max(np.abs(np.abs(lam) - 1))))
+        if len({row.tobytes() for row in code.T}) != sys.dim:
+            return CheckResult("basis uniqueness", False, f"striation {basis.striation}: two vectors share eigenvalues")
     return _result("basis uniqueness", dev)
 
 
@@ -419,11 +426,9 @@ def check_a_covariance(sys: PhaseSpaceSystem) -> CheckResult:
     """The paper's A_a, the projectors of the N+1 lines through a minus I from the
     net's vectors, is the net's phase_point_matrix(a) = U_a A_0 U_a^dag: at every
     point for n <= 5, the origin and 64 seeded points above."""
-    net, grid, points = sys.net, grid_points(sys.ctx), np.arange(sys.dim**2)
-    if sys.n > 5:
-        points = np.append(0, np.random.default_rng(10).choice(points[1:], 64, replace=False))
+    net, grid = sys.net, grid_points(sys.ctx)
     dev = 0.0
-    for a in points:
+    for a in _sampled_points(sys):
         v = np.array([basis.vectors[k] for basis, k in zip(net.bases, net.outcome_index_table()[a])])
         paper = v.T @ v.conj() - np.eye(sys.dim)  # the N+1 line projectors through a, minus I
         dev = max(dev, float(np.max(np.abs(paper - net.phase_point_matrix(grid[a])))))

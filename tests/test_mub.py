@@ -292,6 +292,10 @@ class TestMixedDimension:
         with pytest.raises(ValueError):
             check_conjugacy([b2, b4])
 
+    def test_no_bases_rejected(self):
+        with pytest.raises(ValueError, match="no bases to check"):
+            check_conjugacy([])
+
 
 def _digest(array, dtype):
     return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()

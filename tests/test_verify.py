@@ -6,12 +6,15 @@ import sys
 import tracemalloc
 import types
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qphase import verify
 from qphase.fields import FieldContext
 from qphase.geometry import Line, Striation, grid_points, line_from_equation
+from qphase.mub import check_conjugacy
 from qphase.operators import same_basis_labeling, translation_unitary
 from qphase.system import build_system
 from qphase.verify import (
@@ -25,6 +28,7 @@ from qphase.verify import (
     check_field_axioms,
     check_grid_covariance,
     check_line_sums,
+    check_mub,
     check_projective_closure,
     check_stabilizer_group,
     check_translation_geometry,
@@ -155,13 +159,31 @@ def mixed_basis(sys_, angle=np.pi / 4, b=2):
     """Vectors 0 and 1 of basis b become cos(t) v0 + sin(t) v1 and
     sin(t) v0 - cos(t) v1, (v0 +- v1)/sqrt(2) at the default angle: still an
     orthonormal basis, but no longer one of joint eigenvectors."""
-    basis = sys_.bases[b]
-    vectors = basis.vectors.copy()
     c, s = np.cos(angle), np.sin(angle)
-    vectors[:2] = np.array([[c, s], [s, -c]]) @ basis.vectors[:2]
+
+    def mix(vectors):
+        vectors[:2] = np.array([[c, s], [s, -c]]) @ vectors[:2]
+
+    return with_vectors(sys_, mix, b)
+
+
+def with_vectors(sys_, edit, b=2):
+    """Basis b's vectors, with edit applied to a copy."""
+    vectors = sys_.bases[b].vectors.copy()
+    edit(vectors)
     bases = list(sys_.bases)
-    bases[b] = dataclasses.replace(basis, vectors=vectors)
+    bases[b] = dataclasses.replace(bases[b], vectors=vectors)
     return dataclasses.replace(sys_, bases=tuple(bases))
+
+
+def repeated_vector(vectors):
+    """Vector 1 becomes a copy of vector 0, still a joint eigenvector."""
+    vectors[1] = vectors[0]
+
+
+def zeroed_vector(vectors):
+    """Vector 1 becomes 0: U_i 0 = lam 0 for any lam, so its residual is 0."""
+    vectors[1] = 0
 
 
 def with_phase_table(sys_, edit):
@@ -211,6 +233,33 @@ def test_mixed_basis_fails_eigenvalue_table_checks(angle, n, check):
     assert good.passed and not bad.passed
     assert bad.name == good.name
     assert check_stabilizer_group(mixed).passed
+
+
+# Every vector keeps a zero residual; the basis no longer spans the space.
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (repeated_vector, "striation 2: two vectors share eigenvalues"),
+        (zeroed_vector, "max deviation 1.000e+00 (tol 1e-09)"),
+    ],
+)
+def test_a_basis_missing_an_eigenspace_fails_uniqueness(edit, detail, n):
+    bad = check_basis_uniqueness(with_vectors(build_system(n), edit))
+    assert not bad.passed and bad.detail == detail
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_stabilizer_in_two_groups_fails_the_pauli_partition(n):
+    # the overlaps read only the vectors, which stay mutually unbiased
+    sys_ = build_system(n)
+    bases = list(sys_.bases)
+    lost, doubled = bases[2].stabilizers[0], bases[3].stabilizers[0]
+    bases[2] = dataclasses.replace(bases[2], stabilizers=(doubled, *bases[2].stabilizers[1:]))
+    bad = check_mub(dataclasses.replace(sys_, bases=tuple(bases)))
+    assert check_conjugacy(bases).all_conjugate and not bad.passed
+    masks = min(lost.masks, doubled.masks)
+    assert bad.detail == f"Pauli masks {masks} in {2 if masks == doubled.masks else 0} groups"
 
 
 def test_bases_without_exponents_are_checked_on_residuals_only():
@@ -354,6 +403,13 @@ def test_a_flipped_sign_in_one_dense_translation_fails_unitarity(n, monkeypatch)
     monkeypatch.setattr("qphase.verify.translation_unitary", flipped)
     bad = check_unitarity(sys_)
     assert not bad.passed and bad.detail == "max deviation 2.000e+00 (tol 1e-12)"
+
+
+def test_unitarity_samples_the_dense_translations_above_n5():
+    # the origin, 64 seeded points and the kron anchor, of N^2 = 4096 points
+    with mock.patch.object(verify, "translation_unitary", wraps=translation_unitary) as spy:
+        assert check_unitarity(build_system(6)).passed
+    assert spy.call_count <= 66
 
 
 @pytest.mark.parametrize("n", [2, 3])
