@@ -7,12 +7,13 @@ a field rather than a ring, two distinct lines meet in at most one point.
 breaks this geometry.
 
 The geometry is kept as integer index arrays: a point is the integer
-q_index * N + p_index (``Point.index``, decoded by ``grid_points``), and
-``striation_points`` gives the (N+1, N, N) array of every line's points,
-built with a few gathers from the field's index tables.  A ``Striation`` is
-only its context and direction; its ``Line`` objects are views of its row of
-that array, made on first read from the shared grid points without any
-sorting.  Building a system reads the arrays and makes no ``Line``.
+q_index * N + p_index (``Point.index``, decoded by ``grid_points``);
+``striation_rays`` gives the (N+1, N) rays through the origin and
+``striation_points`` the (N+1, N, N) array of every line's points, both
+gathered from the field's index tables.  A ``Striation`` is only its
+context and direction; its ``Line`` objects are views of its row of the
+point array, made on first read from the shared grid points without any
+sorting.  Building a system reads only the rays and makes no ``Line``.
 """
 
 from __future__ import annotations
@@ -168,15 +169,29 @@ def enumerate_striations(ctx: FieldContext) -> tuple[Striation, ...]:
     return cached
 
 
+def striation_rays(ctx: FieldContext) -> np.ndarray:
+    """rays[s, m] = striation_points(ctx)[s, 0, m], read-only and cached on
+    the context.  Line l of striation s is its ray moved by its first point,
+    point l of ray 1 for s = 0 and of ray 0 otherwise (Gibbons, Hoffman and
+    Wootters 2004), so rays[[1] + [0] * N] is striation_points(ctx)[:, :, 0]."""
+    cached = ctx._derived.get("striation_rays")
+    if cached is None:
+        _, mul = ctx.index_tables()
+        idx = np.arange(ctx.order)
+        cached = ctx._derived["striation_rays"] = np.concatenate(([idx], idx * ctx.order + mul))
+        cached.setflags(write=False)
+    return cached
+
+
 def striation_points(ctx: FieldContext) -> np.ndarray:
     """points[s, l, m] = q_index * N + p_index of point m of line l of
     striation s, in the order of ``enumerate_striations``; read-only, cached
     on the context.
 
-    With e_i the element of index i, line l of striation s >= 2 is
-    p = e_(s-1) * q + e_l and its point m has q = e_m, so the points come out
-    sorted by (q index, p index); the vertical and horizontal striations are
-    plain index grids.
+    With e_i the element of index i, line l of striation s >= 1 is
+    p = e_(s-1) * q + e_l (e_0 = 0 for the horizontal lines) and its point m
+    has q = e_m, so the points come out sorted by (q index, p index); the
+    vertical striation is a plain index grid.
     """
     cached = ctx._derived.get("striation_points")
     if cached is None:
@@ -185,10 +200,9 @@ def striation_points(ctx: FieldContext) -> np.ndarray:
         idx = np.arange(n_elems)
         cached = np.empty((n_elems + 1, n_elems, n_elems), dtype=np.intp)
         cached[0] = idx[:, None] * n_elems + idx[None, :]
-        cached[1] = idx[None, :] * n_elems + idx[:, None]
         # The gather in the smallest index type, so no second N^3 intp array is made.
-        cached[2:] = add.astype(np.min_scalar_type(n_elems - 1))[mul[1:, None, :], idx[None, :, None]]
-        cached[2:] += idx * n_elems
+        cached[1:] = add.astype(np.min_scalar_type(n_elems - 1))[mul[:, None, :], idx[None, :, None]]
+        cached[1:] += idx * n_elems
         cached.setflags(write=False)
         ctx._derived["striation_points"] = cached
     return cached

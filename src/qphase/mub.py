@@ -9,10 +9,10 @@ All N+1 bases are built in one batched integer pass over the stabilizers'
 Pauli masks (``operators.stabilizer_rows``): the stabilizer of ray point
 t d is the product of the pivots, those of t = 1, w, ..., w^(n-1), over the
 bits of t, which gives its integer eigenvalue exponent on one joint
-eigenvector, and the N points of a transverse ray carry that vector onto
-the whole basis.  Vector k is the one whose signs on the pivots are the
-bits of k, so its exponent row is row 0 with the signs flipped by those
-bits (``StriationBasis.flips``).  A basis's vectors are read off its row
+eigenvector.  Vector k is the one whose signs on the pivots are the bits of
+k, so its exponent row is row 0 with the signs flipped by those bits
+(``StriationBasis.flips``); the pass reads only the N+1 rays
+(``geometry.striation_rays``).  A basis's vectors are read off its row
 of that sign frame (x, z, exponent row 0, flips) when its ``vectors`` is
 first read: entry c ^ x of vector k is i^-e (-1)^popcount(c & z) /
 sqrt(support size) for each stabilizer X^x Z^z with exponent e, c the
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import FieldContext
-from .geometry import Striation, enumerate_striations, grid_points, striation_points
+from .geometry import Striation, enumerate_striations, grid_points, striation_rays
 from .operators import (
     NonCommutingError,
     QubitLabeling,
@@ -139,13 +139,11 @@ def basis_for_striation(striation: Striation, labeling: QubitLabeling, build: _B
     """Joint eigenbasis of the striation's stabilizer translations.
 
     build is ``full_mub_set``'s batched integer pass; the stabilizers are
-    the translations by the nonzero points of the ray, read from the
-    striation's ``point_indices``.
+    the translations by the nonzero points of the striation's ray.
     """
-    grid = grid_points(striation.ctx)
-    ray = striation.point_indices[0, 1:].tolist()
+    s, grid = striation.direction, grid_points(striation.ctx)
+    ray = striation_rays(striation.ctx)[s, 1:].tolist()
     stabilizers = tuple(translation_unitary(grid[i], labeling) for i in ray)
-    s = striation.direction
     return StriationBasis(s, build, stabilizers, build.rows.exponents[s], build.masks[s])
 
 
@@ -165,15 +163,11 @@ def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> li
 
 def _stabilizer_bases(labeling: QubitLabeling) -> _Build:
     """The integer pass of all striations, read-only, with masks[s] = (x, z)
-    of the ray's nonzero points t d, t's bits their coordinates.  Another ray
-    (horizontal for the vertical striation, else vertical) carries each
-    seed onto its basis."""
-    rays = striation_points(labeling.ctx)[:, 0]
-    x, z = labeling.point_masks(rays[:, 1:])
-    tx, tz = labeling.point_masks(rays[[1] + [0] * (len(rays) - 1)])
+    of the ray's nonzero points t d, t's bits their coordinates."""
+    x, z = labeling.point_masks(striation_rays(labeling.ctx)[:, 1:])
     coord = [e.bits for e in labeling.ctx.elements()[1:]]
     try:
-        rows = stabilizer_rows(x, z, labeling.dim, tx, tz, coord)
+        rows = stabilizer_rows(x, z, labeling.dim, coord)
     except NonCommutingError as exc:
         raise LabelingError(exc.group, exc) from exc
     masks = np.stack([rows.x, rows.z], axis=1)

@@ -18,18 +18,17 @@ and X^a Z^b X^c Z^d = (-1)^popcount(b & c) X^(a^c) Z^(b^d).
 from these rules alone, in integers.  A group is the translations by a ray
 {t d : t in GF(2^n)}: the string of t is the product of the pivots, those
 of t = 1, w, ..., w^(n-1), over the bits of t (Gibbons, Hoffman and
-Wootters 2004).  ``stabilizer_rows`` runs every exact check, rebuilds the
-strings from the pivots in one loop with their exponents on one joint
-eigenvector v, and places the N translations U_t that carry v onto the
-basis, vector k being the one whose signs on the pivots are the bits of k:
-its exponent row is row 0 with signs flipped by the bits of k.  That sign
-frame (x, z, row 0, flips) fixes the basis, and ``stabilizer_vectors``
-reads one group's vectors off it: a stabilizer state has entries
-i^e / sqrt(size) on an affine support, e read off the signs of the strings
-(Dehaene and De Moor 2003).  No dense eigendecomposition is run, and
-``verify`` reads each basis's stabilizers from their masks: their group
-law as composed signed permutations, and the vectors' eigenvalues against
-the integer exponents.
+Wootters 2004).  ``stabilizer_rows`` runs every exact check and rebuilds
+the strings from the pivots in one loop with their exponents on one joint
+eigenvector.  Vector k of the basis is the one whose signs on the pivots
+are the bits of k, so its exponent row is row 0 with signs flipped by the
+bits of k.  That sign frame (x, z, row 0, flips) fixes the basis, and
+``stabilizer_vectors`` reads one group's vectors off it: a stabilizer state
+has entries i^e / sqrt(size) on an affine support, e read off the signs of
+the strings (Dehaene and De Moor 2003).  No dense eigendecomposition is
+run, and ``verify`` reads each basis's stabilizers from their masks: their
+group law as composed signed permutations, and the vectors' eigenvalues
+against the integer exponents.
 """
 
 from __future__ import annotations
@@ -280,32 +279,25 @@ class StabilizerRows(NamedTuple):
     x, z: (G, N-1) masks of the strings.  exponents: (G, N, N-1) int8, with
     U_i v_k = i^exponents[g, k, i] v_k.  flips: (G, N-1), string i changes
     sign between vectors 0 and k exactly where popcount(k & flips[g, i]) is
-    odd.  seed: (G, N-1), the exponent row of the seed vector v.  tx, tz:
-    (G, N), the masks of the translation U_t with v_k ~ U_t v.  flips is
-    one read-only row broadcast over the groups.
+    odd.  flips is one read-only row broadcast over the groups.
     """
 
     x: np.ndarray
     z: np.ndarray
     exponents: np.ndarray
     flips: np.ndarray
-    seed: np.ndarray
-    tx: np.ndarray
-    tz: np.ndarray
 
 
-def stabilizer_rows(x, z, dim: int, tx, tz, coord) -> StabilizerRows:
+def stabilizer_rows(x, z, dim: int, coord) -> StabilizerRows:
     """Joint eigenbases of groups of commuting Pauli strings U_i = X^x[g, i]
     Z^z[g, i] in integers: every check, and each basis's order and exponent
     rows.  Row g of the masks holds the N-1 nonzero elements of an
-    n-generator group, N = dim = 2^n, and row g of (tx, tz) N strings that
-    meet it in N different commutation patterns (the points of another
-    ray); U_i is the product of the pivots, the strings of coordinate 2^j,
-    over the bits j of coord[i], one row for all groups.  Rows ascend in the
-    exponent tuples when the pivots lead in coordinate order.  The first
-    group with a string that anticommutes with a pivot raises
-    NonCommutingError at its first odd symplectic pair (i < j), deviation 2,
-    the norm of U_i U_j - U_j U_i.
+    n-generator group, N = dim = 2^n; U_i is the product of the pivots, the
+    strings of coordinate 2^j, over the bits j of coord[i], one row for all
+    groups.  Rows ascend in the exponent tuples when the pivots lead in
+    coordinate order.  The first group with a string that anticommutes with
+    a pivot raises NonCommutingError at its first odd symplectic pair
+    (i < j), deviation 2, the norm of U_i U_j - U_j U_i.
 
     The seed vector v is +1 on i^parity(a & b) P for every pivot P = X^a Z^b.
     One loop over the pivots rebuilds each string as the product of those of
@@ -313,13 +305,13 @@ def stabilizer_rows(x, z, dim: int, tx, tz, coord) -> StabilizerRows:
     Z^(b^d) at each step, and collects its exponent on v; parity is linear,
     so one parity of the XOR of the b & c gives all the signs.  Row k is row
     0 flipped by 2 where popcount(k & flips) is odd, flips being the
-    coordinates with pivot j on bit n-1-j; U_t v has v's row flipped by 2
-    where U_t anticommutes, so n parities per translation place it.
+    coordinates with pivot j on bit n-1-j, and v is the vector whose number
+    has its signs on the pivots as bits.
     """
-    x, z, tx, tz, coord = (np.asarray(a, dtype=np.intp) for a in (x, z, tx, tz, coord))
+    x, z, coord = (np.asarray(a, dtype=np.intp) for a in (x, z, coord))
     if x.shape[-1] != dim - 1:
         raise ValueError(f"need {dim - 1} stabilizer masks for dimension {dim}, got {x.shape[-1]}")
-    n, groups, combo = dim.bit_length() - 1, np.arange(len(x)), np.arange(dim)
+    n, combo = dim.bit_length() - 1, np.arange(dim)
     if coord.shape != (dim - 1,) or np.any(np.sort(coord) != combo[1:]):
         raise ValueError(f"coordinates must be a permutation of 1..{dim - 1}")
     pivots = np.argsort(coord)[(1 << np.arange(n)) - 1]
@@ -348,20 +340,14 @@ def stabilizer_rows(x, z, dim: int, tx, tz, coord) -> StabilizerRows:
     base += 2 * _parity(swaps)
     base %= 4
 
-    # v is vector number seat, its pivot signs; U_t v is v flipped where U_t anticommutes.
+    # v is vector number seat, its pivot signs.
     weights = 1 << np.arange(n - 1, -1, -1)
     flips = (coord[:, None] >> np.arange(n) & 1) @ weights
     seat = (base[:, pivots] >> 1) @ weights
-    at = symplectic_parity(tx[..., None], tz[..., None], px[:, None], pz[:, None]) @ weights ^ seat[:, None]
-    order = np.full((len(x), dim), -1)
-    order[groups[:, None], at] = combo
-    if np.any(order < 0):
-        raise ValueError("the translations do not reach every joint eigenvector")
-    tx, tz = tx[groups[:, None], order], tz[groups[:, None], order]
     exponents = (2 * _parity(combo[:, None] & combo)).astype(np.int8)[combo[:, None], flips]
     exponents = exponents ^ (base ^ 2 * _parity(seat[:, None] & flips)).astype(np.int8)[:, None]
     flips = np.broadcast_to(flips, (len(x), len(flips)))
-    return StabilizerRows(x, z, exponents, flips, base, tx, tz)
+    return StabilizerRows(x, z, exponents, flips)
 
 
 def stabilizer_vectors(x, z, row0, flips) -> np.ndarray:

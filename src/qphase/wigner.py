@@ -37,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .fields import ContextMismatchError, FieldContext
-from .geometry import Line, Point, Striation, enumerate_striations, striation_points
+from .geometry import Line, Point, Striation, enumerate_striations, striation_points, striation_rays
 from .mub import StriationBasis, _sign_frame
 from .operators import _I_POWERS, QubitLabeling, _parity, pauli_permutation, symplectic_parity
 from .serialize import round_float
@@ -217,7 +217,7 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     pivots = by_flips[:, 1 << np.arange(ctx.n)]
     # X^x Z^z is anti-Hermitian exactly when X^x and Z^z anticommute.
     ray = _ray_index((row0 + symplectic_parity(x, 0, 0, z)) % 4 == 2, flips, pivots, ctx.n)
-    fx, fz = labeling.point_masks(striation_points(ctx)[:, :, 0])  # each line's first point
+    fx, fz = labeling.point_masks(striation_rays(ctx)[[1] + [0] * ctx.order])  # each line's first point
     px, pz = x[rows, pivots], z[rows, pivots]
     moved = symplectic_parity(fx[..., None], fz[..., None], px[:, None], pz[:, None]) @ (1 << np.arange(ctx.n))
     line_vector = moved ^ ray[:, None]

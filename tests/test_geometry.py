@@ -20,6 +20,7 @@ from qphase.geometry import (
     ring_line_points,
     striation_ascii,
     striation_points,
+    striation_rays,
     striation_to_json_dict,
 )
 from qphase.system import build_system
@@ -194,6 +195,19 @@ class TestIntegerStriations:
         assert striation_points(ctx) is points
         with pytest.raises(ValueError):
             points[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_rays_are_each_striations_first_line(self, n):
+        ctx = field_create(n)
+        rays = striation_rays(ctx)
+        assert striation_rays(ctx) is rays
+        with pytest.raises(ValueError):
+            rays[0, 0] = 1
+        points = striation_points(ctx)
+        assert rays.dtype == points.dtype and np.array_equal(rays, points[:, 0])
+        # Each line's first point, as the net reads them: point l of ray 1 for
+        # the vertical striation and of ray 0 for every other.
+        assert np.array_equal(rays[[1] + [0] * ctx.order], points[:, :, 0])
 
     def test_build_peaks_near_what_it_keeps(self):
         # Every striation's lines are read from the index array one

@@ -1,5 +1,6 @@
 """The build's integer pass: pivot-ordered exponent rows, each basis's vectors
-built only when read, and the memory a build takes without them."""
+and the striations' point array built only when read, and the memory a
+build takes without them."""
 
 import collections
 import dataclasses
@@ -85,7 +86,8 @@ class TestPivotOrder:
     )
     def test_exponents_equal_sorted_translated_rows(self, n, kind, seed):
         # Every ray in the field's order, under each labeling whose stabilizers
-        # commute (same-basis only for n <= 2), with any transverse ray per group.
+        # commute (same-basis only for n <= 2); the dense reference translates
+        # its eigenvector along any other ray of each group.
         assume(kind != "same-basis" or n <= 2)
         rng = np.random.default_rng(seed)
         lab = labeling_of(kind, field_create(n))
@@ -95,7 +97,7 @@ class TestPivotOrder:
         transverse = (np.arange(groups) + 1 + rng.integers(0, groups - 1, groups)) % groups
         tx, tz = lab.point_masks(rays[transverse])
         coord = [e.bits for e in lab.ctx.elements()[1:]]
-        vectors, exponents = stabilizer_eigenbases(x, z, dim, tx, tz, coord)
+        vectors, exponents = stabilizer_eigenbases(x, z, dim, coord)
         assert np.array_equal(exponents, reference_exponents(x, z, tx, tz, n))
         u = np.stack([pauli_strings(x[g], z[g], n) for g in range(groups)])
         lam = np.array([1, 1j, -1, -1j])[exponents]
@@ -179,7 +181,51 @@ class TestVectorsOnlyWhenRead:
         assert len(vector_reads) == 9
 
 
+@pytest.fixture
+def cold():
+    build_system.cache_clear()
+    yield
+    build_system.cache_clear()
+
+
+def has_point_array(system):
+    return "striation_points" in system.ctx._derived
+
+
+class TestPointArrayOnlyWhenRead:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_reading_point_indices_builds_it(self, n, cold):
+        system = build_system(n)
+        assert not has_point_array(system)
+        indices = system.striations[-1].point_indices
+        assert has_point_array(system) and indices.shape == (system.dim, system.dim)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_the_outcome_table_builds_it(self, n, cold):
+        system = build_system(n)
+        assert not has_point_array(system)
+        system.net.outcome_index_table()
+        assert has_point_array(system)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])  # the CLI's degrees
+    def test_wigner_lines_builds_it(self, n, cold, capsys):
+        assert cli.main(["wigner", str(n), "--state", basis_state(n)]) == 0
+        assert not has_point_array(build_system(n))
+        assert cli.main(["wigner", str(n), "--state", basis_state(n), "--lines"]) == 0
+        assert has_point_array(build_system(n))
+
+
 class TestBuildMemory:
+    def test_cold_n7_build_stays_below_the_point_array(self, cold):
+        tracemalloc.start()
+        try:
+            sys = build_system(7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not has_point_array(sys)
+        assert peak < 8 * (sys.dim + 1) * sys.dim**2, peak  # 16.9 MB
+
     def test_cold_n7_build_stays_below_the_vector_stack(self):
         build_system.cache_clear()
         tracemalloc.start()

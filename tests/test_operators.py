@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qphase.fields import field_create
-from qphase.geometry import Point, striation_points
+from qphase.geometry import Point, striation_rays
 from qphase.operators import (
     NonCommutingError,
     QubitLabeling,
@@ -370,37 +370,29 @@ def pauli_string(x, z, n):
     return u
 
 
-# I, Z, X and XZ on slot 0; I, X on slot 1, Z on slot 0 and their product.
-# Each meets its two-qubit group below in four different commutation patterns.
-SLOT0 = ([0, 0, 0b10, 0b10], [0, 0b10, 0, 0b10])
-SLOT1 = ([0, 0b01, 0, 0b01], [0, 0, 0b10, 0b10])
-
-
 # Coordinates of two-qubit groups (A, B, AB): the pivots come first.
 COORD2 = [1, 2, 3]
 NOT_CLOSED = r"^stabilizer masks are not closed under products: string 2 of group 0 is not the product of its pivots$"
 
 
-def one_group(x, z, t):
+def one_group(x, z):
     """stabilizer_eigenbases on a batch of one group."""
-    vectors, exponents = stabilizer_eigenbases([x], [z], 4, [t[0]], [t[1]], COORD2)
+    vectors, exponents = stabilizer_eigenbases([x], [z], 4, COORD2)
     return vectors[0], exponents[0]
 
 
 def ray_masks(n):
-    """Stabilizer masks of every striation, those of a transverse ray, and
-    the coordinates of the ray points."""
+    """Stabilizer masks of every striation and the coordinates of the ray points."""
     lab = trace_dual_labeling(field_create(n))
-    rays = striation_points(lab.ctx)[:, 0]
     coord = [e.bits for e in lab.ctx.elements()[1:]]
-    return (*lab.point_masks(rays[:, 1:]), *lab.point_masks(rays[[1] + [0] * lab.dim]), coord)
+    return (*lab.point_masks(striation_rays(lab.ctx)[:, 1:]), coord)
 
 
 class TestStabilizerEigenbasis:
     def test_bell_basis_from_zz_xx(self):
         # ZZ, XX and their product XZ.XZ = -YY: the four Bell states
         x, z = [0b00, 0b11, 0b11], [0b11, 0b00, 0b11]
-        vectors, exponents = one_group(x, z, SLOT0)
+        vectors, exponents = one_group(x, z)
         dense = joint_eigenprojectors([pauli_string(a, b, 2) for a, b in zip(x, z)])
         match, dev = projector_matching(vectors, dense)
         assert dev <= 1e-15 and sorted(match.tolist()) == [0, 1, 2, 3]
@@ -411,7 +403,7 @@ class TestStabilizerEigenbasis:
     def test_eigenvalue_exponents_of_anti_hermitian_strings(self):
         # XZ.I, I.Z and their product XZ.Z; XZ = -iY has eigenvalues +-i
         x, z = [0b10, 0b00, 0b10], [0b10, 0b01, 0b11]
-        vectors, exponents = one_group(x, z, SLOT1)
+        vectors, exponents = one_group(x, z)
         assert sorted(exponents[:, 0].tolist()) == [1, 1, 3, 3]
         for i, (a, b) in enumerate(zip(x, z)):
             u = pauli_string(a, b, 2)
@@ -420,24 +412,12 @@ class TestStabilizerEigenbasis:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_a_batch_gives_each_group_its_own_rows(self, n):
-        x, z, tx, tz, coord = ray_masks(n)
-        vectors, exponents = stabilizer_eigenbases(x, z, 1 << n, tx, tz, coord)
+        x, z, coord = ray_masks(n)
+        vectors, exponents = stabilizer_eigenbases(x, z, 1 << n, coord)
         for g in range(len(x)):
-            alone = stabilizer_eigenbases(x[g : g + 1], z[g : g + 1], 1 << n, tx[g : g + 1], tz[g : g + 1], coord)
+            alone = stabilizer_eigenbases(x[g : g + 1], z[g : g + 1], 1 << n, coord)
             assert alone[0].tobytes() == vectors[g].tobytes(), g
             assert alone[1].tobytes() == exponents[g].tobytes(), g
-
-    def test_other_transverse_rays_give_the_same_basis(self):
-        x, z, tx, tz, coord = ray_masks(3)
-        vectors, exponents = stabilizer_eigenbases(x, z, 8, tx, tz, coord)
-        lab = trace_dual_labeling(field_create(3))
-        for t in (1, 5):
-            # every ray but the striation's own is transverse to it
-            others = np.where(np.arange(len(x)) == t, 0, t)
-            ox, oz = lab.point_masks(striation_points(lab.ctx)[others, 0])
-            again = stabilizer_eigenbases(x, z, 8, ox, oz, coord)
-            assert again[0].tobytes() == vectors.tobytes()
-            assert again[1].tobytes() == exponents.tobytes()
 
     def test_first_odd_pair_raises_like_the_dense_check(self):
         x, z = [0b00, 0b11, 0b00], [0b11, 0b00, 0b10]  # ZZ, XX, ZI: only (1, 2) anticommutes
@@ -446,52 +426,47 @@ class TestStabilizerEigenbasis:
         # Bell stabilizers first, which commute; IX, IZ, IY last, which do not either
         xs, zs = [[0b00, 0b11, 0b11], x, [0b01, 0, 0b01]], [[0b11, 0b00, 0b11], z, [0, 0b01, 0b01]]
         with pytest.raises(NonCommutingError) as err:
-            stabilizer_eigenbases(xs, zs, 4, [SLOT0[0]] * 3, [SLOT0[1]] * 3, COORD2)
+            stabilizer_eigenbases(xs, zs, 4, COORD2)
         assert err.value.pair == expected.pair == (1, 2)
         assert err.value.group == 1
         assert str(err.value) == str(expected)
 
     def test_wrong_number_of_strings_rejected(self):
         with pytest.raises(ValueError, match=r"^need 3 stabilizer masks for dimension 4, got 1$"):
-            stabilizer_eigenbases([[0b11]], [[0b00]], 4, [SLOT0[0]], [SLOT0[1]], [1])
+            stabilizer_eigenbases([[0b11]], [[0b00]], 4, [1])
 
     @pytest.mark.parametrize("coord", [[1, 2], [1, 2, 2], [0, 1, 2], [1, 2, 4]])
     def test_coordinates_must_permute_the_nonzero_vectors(self, coord):
         with pytest.raises(ValueError, match=r"^coordinates must be a permutation of 1\.\.3$"):
-            stabilizer_eigenbases([[0, 0, 0]], [[0b10, 0b01, 0b11]], 4, [SLOT0[0]], [SLOT0[1]], coord)
+            stabilizer_eigenbases([[0, 0, 0]], [[0b10, 0b01, 0b11]], 4, coord)
 
     def test_dependent_strings_rejected(self):
         # IZ three times: the pivots' product is I, not IZ
         with pytest.raises(ValueError, match=NOT_CLOSED):
-            stabilizer_eigenbases([[0, 0, 0]], [[0b01, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+            stabilizer_eigenbases([[0, 0, 0]], [[0b01, 0b01, 0b01]], 4, COORD2)
 
     def test_repeated_strings_are_not_a_group(self):
         # ZI, IZ and IZ again: two generators, but ZZ is missing
         with pytest.raises(ValueError, match=NOT_CLOSED):
-            stabilizer_eigenbases([[0, 0, 0]], [[0b10, 0b01, 0b01]], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+            stabilizer_eigenbases([[0, 0, 0]], [[0b10, 0b01, 0b01]], 4, COORD2)
 
     @pytest.mark.parametrize("p", [(0, 0b01), (0b10, 0), (0b11, 0b11)])
     def test_dependent_pivots_rejected(self, p):
         # (P, P, I): every string is its pivots' product, but only one generator
         x, z = [p[0], p[0], 0], [p[1], p[1], 0]
         with pytest.raises(ValueError, match=r"^stabilizer masks span fewer than 2 generators$"):
-            stabilizer_eigenbases([x], [z], 4, [SLOT0[0]], [SLOT0[1]], COORD2)
+            stabilizer_eigenbases([x], [z], 4, COORD2)
 
 
 def maximal_two_qubit_groups():
     """Every maximal commuting group of two-qubit strings as masks (A, B,
-    AB), with four strings that meet it in four different commutation
-    patterns: 15 groups, of X-rank 0, 1 and 2."""
+    AB): 15 groups, of X-rank 0, 1 and 2."""
     strings = [(x, z) for x in range(4) for z in range(4)]
     groups = {}
     for (ax, az), (bx, bz) in itertools.combinations(strings[1:], 2):
         key = frozenset([(ax, az), (bx, bz), (ax ^ bx, az ^ bz)])
         if not symplectic_parity(ax, az, bx, bz) and key not in groups:
-            patterns = {}
-            for tx, tz in strings:
-                patterns.setdefault((symplectic_parity(tx, tz, ax, az), symplectic_parity(tx, tz, bx, bz)), (tx, tz))
-            t = tuple(zip(*patterns.values()))
-            groups[key] = ([ax, bx, ax ^ bx], [az, bz, az ^ bz], t)
+            groups[key] = ([ax, bx, ax ^ bx], [az, bz, az ^ bz])
     return list(groups.values())
 
 
@@ -506,13 +481,13 @@ TWO_QUBIT_GROUPS = maximal_two_qubit_groups()
 class TestVectorLookup:
     def test_the_groups_cover_every_x_rank(self):
         assert len(TWO_QUBIT_GROUPS) == 15
-        assert sorted({x_rank(x) for x, _, _ in TWO_QUBIT_GROUPS}) == [0, 1, 2]
+        assert sorted({x_rank(x) for x, _ in TWO_QUBIT_GROUPS}) == [0, 1, 2]
 
     @pytest.mark.parametrize(
-        "x,z,t", TWO_QUBIT_GROUPS, ids=[f"group{g}-xrank{x_rank(x)}" for g, (x, _, _) in enumerate(TWO_QUBIT_GROUPS)]
+        "x,z", TWO_QUBIT_GROUPS, ids=[f"group{g}-xrank{x_rank(x)}" for g, (x, _) in enumerate(TWO_QUBIT_GROUPS)]
     )
-    def test_every_two_qubit_group_matches_the_dense_projectors(self, x, z, t):
-        vectors, exponents = one_group(x, z, t)
+    def test_every_two_qubit_group_matches_the_dense_projectors(self, x, z):
+        vectors, exponents = one_group(x, z)
         ops = [pauli_string(a, b, 2) for a, b in zip(x, z)]
         match, dev = projector_matching(vectors, joint_eigenprojectors(ops))
         assert dev <= 1e-12 and sorted(match.tolist()) == [0, 1, 2, 3]
