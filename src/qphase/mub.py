@@ -12,18 +12,20 @@ bits of t, which gives its integer eigenvalue exponent on one joint
 eigenvector.  Vector k is the one whose signs on the pivots are the bits of
 k, so its exponent row is row 0 with the signs flipped by those bits
 (``StriationBasis.flips``); the pass reads only the N+1 rays
-(``geometry.striation_rays``).  A basis's vectors are read off its row
-of that sign frame (x, z, exponent row 0, flips) when its ``vectors`` is
-first read: entry c ^ x of vector k is i^-e (-1)^popcount(c & z) /
-sqrt(support size) for each stabilizer X^x Z^z with exponent e, c the
-first point of the support (``operators.stabilizer_vectors``).  Building a
-system, the quantum net and tomography never read them, and no dense
-stabilizer matrix is formed.
+(``geometry.striation_rays``) and returns only the sign frame (x, z,
+exponent row 0, flips), one row per basis.  A basis reads its masks,
+exponent table and vectors off its row when each is first read: exponent
+row k is row 0 XOR 2 parity(k & flips) (``operators.exponent_rows``), and
+entry c ^ x of vector k is i^-e (-1)^popcount(c & z) / sqrt(support size)
+for each stabilizer X^x Z^z with exponent e, c the first point of the
+support (``operators.stabilizer_vectors``).  Building a system, the quantum
+net and tomography read only the frame, and no dense stabilizer matrix is
+formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,10 +35,10 @@ from .geometry import Striation, enumerate_striations, grid_points, striation_ra
 from .operators import (
     NonCommutingError,
     QubitLabeling,
-    TranslationOperator,
-    _parity,
     StabilizerRows,
+    TranslationOperator,
     default_labeling,
+    exponent_rows,
     stabilizer_rows,
     stabilizer_vectors,
     translation_unitary,
@@ -57,24 +59,34 @@ class LabelingError(RuntimeError):
         )
 
 
-class _Vectors:
-    """The ``vectors`` field of StriationBasis: the array given at
-    construction, or for a basis that ``full_mub_set`` built, read off its
-    row of the build's sign frame on the first read and kept, read-only, in
-    the basis's ``vars``."""
+class _FromFrame:
+    """A field of StriationBasis: the array given at construction, or for a
+    basis that ``full_mub_set`` built, read off its row (x, z, exponent row
+    0, flips) of the build's sign frame on the first read and kept,
+    read-only, in the basis's ``vars``."""
+
+    def __init__(self, read):
+        self.read = read
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, basis, owner=None):
-        if basis is None:
-            raise AttributeError("vectors")  # a required field: no default
-        vectors = basis.__dict__.get("vectors")
-        if vectors is None:
-            frame = (a[basis.striation] for a in basis._build.frame)
-            vectors = basis.__dict__["vectors"] = stabilizer_vectors(*frame)
-            vectors.setflags(write=False)
-        return vectors
+        if basis is None:  # the dataclass default: vectors is required, the rest default to None
+            if self.name == "vectors":
+                raise AttributeError(self.name)
+            return None
+        value = basis.__dict__.get(self.name)
+        if value is None and basis._frame is not None:
+            value = basis.__dict__[self.name] = self.read(*(a[basis.striation] for a in basis._frame))
+            value.setflags(write=False)
+        return value
 
     def __set__(self, basis, value):
-        basis.__dict__["_build" if isinstance(value, _Build) else "vectors"] = value
+        if isinstance(value, StabilizerRows):
+            basis.__dict__["_frame"] = value
+        elif value is not None:
+            basis.__dict__[self.name] = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,67 +96,48 @@ class StriationBasis:
     vectors[k] is the k-th unit vector; every vector is a simultaneous
     eigenvector of all the striation's stabilizer unitaries, with
     stabilizers[i] v_k = i^exponents[k, i] v_k, and masks[:, i] = (x, z)
-    of stabilizers[i]; measurement and the quantum net read only these (and
-    ``flips``).  A basis from ``full_mub_set`` reads its vectors off its
-    sign frame on their first read (see ``_Vectors``), each basis on its
-    own.  A basis assembled by hand may leave exponents
-    and masks as None: ``check_conjugacy`` audits it, ``MeasurementPlan``
-    and ``default_net`` refuse it.
+    of stabilizers[i].  A basis from ``full_mub_set`` holds the build's sign
+    frame and reads each of the three off its row when first read
+    (``_FromFrame``); measurement and the quantum net read only the frame.
+    A basis assembled by hand may leave exponents and masks as None:
+    ``check_conjugacy`` audits it, ``MeasurementPlan`` and ``default_net``
+    refuse it.
     """
 
     striation: int
-    vectors: np.ndarray = _Vectors()
+    vectors: np.ndarray = _FromFrame(lambda *row: stabilizer_vectors(*row))
     stabilizers: tuple[TranslationOperator, ...]
-    exponents: np.ndarray | None = field(default=None, repr=False)
-    masks: np.ndarray | None = field(default=None, repr=False)
+    exponents: np.ndarray | None = _FromFrame(lambda x, z, row0, flips: exponent_rows(row0, flips))
+    masks: np.ndarray | None = _FromFrame(lambda x, z, row0, flips: np.stack([x, z]))
+    _frame = None  # not a field: a built basis's sign frame, put in its vars by ``_FromFrame``
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1] if self.exponents is None else len(self.exponents)
-
-    @property
-    def _build(self) -> _Build | None:
-        """The shared build of a basis from ``full_mub_set``, else None."""
-        return self.__dict__.get("_build")
+        return self.vectors.shape[1] if self.masks is None else self.masks.shape[1] + 1
 
     @cached_property
     def flips(self) -> np.ndarray:
         """Stabilizer i flips sign on outcomes k with popcount(k & flips[i]) odd:
         the build's, or for any other basis read off and checked by ``_sign_flips``."""
-        build = self._build
-        if build is not None:
-            return build.rows.flips[self.striation]
-        return _sign_flips(self.exponents[None], [self.striation])[0]
+        if self._frame is not None:
+            return self._frame.flips[self.striation]
+        return _sign_flips(self.exponents, self.striation)
 
     def projector(self, k: int) -> np.ndarray:
         v = self.vectors[k]
         return np.outer(v, v.conj())
 
 
-@dataclass(frozen=True, eq=False)
-class _Build:
-    """The integer pass of one ``full_mub_set`` call, read-only and shared by
-    its bases: rows[s] and masks[s] = (x, z) belong to striation s."""
-
-    rows: StabilizerRows
-    masks: np.ndarray
-
-    @cached_property
-    def frame(self) -> tuple[np.ndarray, ...]:
-        """(x, z, exponent row 0, flips), as ``_sign_frame`` stacks them."""
-        return self.rows.x, self.rows.z, self.rows.exponents[:, 0], self.rows.flips
-
-
-def basis_for_striation(striation: Striation, labeling: QubitLabeling, build: _Build) -> StriationBasis:
+def basis_for_striation(striation: Striation, labeling: QubitLabeling, frame: StabilizerRows) -> StriationBasis:
     """Joint eigenbasis of the striation's stabilizer translations.
 
-    build is ``full_mub_set``'s batched integer pass; the stabilizers are
+    frame is ``full_mub_set``'s batched integer pass; the stabilizers are
     the translations by the nonzero points of the striation's ray.
     """
     s, grid = striation.direction, grid_points(striation.ctx)
     ray = striation_rays(striation.ctx)[s, 1:].tolist()
     stabilizers = tuple(translation_unitary(grid[i], labeling) for i in ray)
-    return StriationBasis(s, build, stabilizers, build.rows.exponents[s], build.masks[s])
+    return StriationBasis(s, frame, stabilizers)
 
 
 def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> list[StriationBasis]:
@@ -157,64 +150,61 @@ def full_mub_set(ctx: FieldContext, labeling: QubitLabeling | None = None) -> li
     """
     if labeling is None:
         labeling = default_labeling(ctx)
-    build = _stabilizer_bases(labeling)
-    return [basis_for_striation(s, labeling, build) for s in enumerate_striations(ctx)]
+    frame = _stabilizer_bases(labeling)
+    return [basis_for_striation(s, labeling, frame) for s in enumerate_striations(ctx)]
 
 
-def _stabilizer_bases(labeling: QubitLabeling) -> _Build:
-    """The integer pass of all striations, read-only, with masks[s] = (x, z)
-    of the ray's nonzero points t d, t's bits their coordinates."""
+def _stabilizer_bases(labeling: QubitLabeling) -> StabilizerRows:
+    """The sign frame of all striations, read-only: row s holds the masks of
+    the ray's nonzero points t d, t's bits their coordinates."""
     x, z = labeling.point_masks(striation_rays(labeling.ctx)[:, 1:])
     coord = [e.bits for e in labeling.ctx.elements()[1:]]
     try:
-        rows = stabilizer_rows(x, z, labeling.dim, coord)
+        frame = stabilizer_rows(x, z, labeling.dim, coord)
     except NonCommutingError as exc:
         raise LabelingError(exc.group, exc) from exc
-    masks = np.stack([rows.x, rows.z], axis=1)
-    for a in (*rows, masks):
+    for a in frame:
         a.setflags(write=False)
-    return _Build(rows, masks)
+    return frame
 
 
-def _sign_flips(exponents: np.ndarray, striations) -> np.ndarray:
-    """flips[s, i] of a stack of (N, N-1) exponent tables, read-only: bit j is
-    set where row 2^j differs from row 0 in column i.  Exact check: row k is
-    row 0 + 2 parity(k & flips) mod 4 (for exponents 0..3, row 0 XOR that) and
-    the flips are a permutation of 1..N-1; else ValueError naming the striation."""
-    dim = exponents.shape[1]
-    k, bits = np.arange(dim), 1 << np.arange(dim.bit_length() - 1)
-    d = (exponents ^ exponents[:, :1]).swapaxes(1, 2)  # d[s, i, k]: 2 where outcome k flips sign i
-    flips = (d[..., bits] >> 1) @ bits
-    bad = ((2 * _parity(k[:, None] & k)).astype(np.int8)[flips] != d).any(axis=(1, 2))
-    bad |= (np.sort(flips, axis=-1) != k[1:]).any(axis=-1)
-    if bad.any():
-        s = striations[np.argmax(bad)]
-        raise ValueError(f"exponent rows of striation {s} are not row 0 with signs flipped by outcome bits")
+def _sign_flips(exponents: np.ndarray, striation: int) -> np.ndarray:
+    """flips[i] of an (N, N-1) exponent table, read-only: bit j is set where
+    row 2^j differs from row 0 in column i.  Exact check: the table is
+    ``exponent_rows`` of its row 0 and these flips, and the flips are a
+    permutation of 1..N-1; else ValueError naming the striation."""
+    dim = len(exponents)
+    bits = 1 << np.arange(dim.bit_length() - 1)
+    flips = ((exponents[bits] ^ exponents[0]) >> 1).T @ bits
+    if (exponent_rows(exponents[0], flips) != exponents).any() or (np.sort(flips) != np.arange(1, dim)).any():
+        raise ValueError(f"exponent rows of striation {striation} are not row 0 with signs flipped by outcome bits")
     flips.setflags(write=False)
     return flips
 
 
-def _sign_frame(bases) -> tuple[np.ndarray, ...]:
-    """(x, z, exponent row 0, flips) of bases, each (len(bases), N-1) and
-    read-only; row s, column i names stabilizer i of bases[s] and its sign
-    pattern (``StriationBasis.flips``).  The bases of one ``full_mub_set``
-    call in striation order give their build's frame; any other list is
-    checked (ValueError for none, mixed dimensions, or a basis, named, with
-    no exponents or masks or rows that fail ``_sign_flips``) and stacked."""
+def _sign_frame(bases) -> StabilizerRows:
+    """The sign frame (x, z, exponent row 0, flips) of bases, each
+    (len(bases), N-1) and read-only; row s, column i names stabilizer i of
+    bases[s] and its sign pattern (``StriationBasis.flips``).  The bases of
+    one ``full_mub_set`` call in striation order give their build's frame;
+    any other list is checked (ValueError for none, mixed dimensions, or a
+    basis, named, with no exponents or masks or rows that fail
+    ``_sign_flips``) and stacked, a built basis's row 0 read off its frame."""
     if not bases:
         raise ValueError("no bases to measure")
-    build = bases[0]._build
-    if build is not None and len(bases) == len(build.masks):
-        if all(b._build is build and b.striation == s for s, b in enumerate(bases)):
-            return build.frame
+    frame = bases[0]._frame
+    if frame is not None and len(bases) == len(frame.x):
+        if all(b._frame is frame and b.striation == s for s, b in enumerate(bases)):
+            return frame
     for b in bases:
-        if b.exponents is None or b.masks is None:
+        if b.masks is None or (b._frame is None and b.exponents is None):
             raise ValueError(f"basis of striation {b.striation} carries no stabilizer exponents or masks")
         b.flips  # the exact row check, naming the striation
     if len({b.dim for b in bases}) != 1:
         raise ValueError("bases have mixed dimensions")
     x, z = np.array([b.masks for b in bases]).transpose(1, 0, 2)
-    frame = x, z, np.array([b.exponents[0] for b in bases]), np.array([b.flips for b in bases])
+    row0 = [b.exponents[0] if b._frame is None else b._frame.row0[b.striation] for b in bases]
+    frame = StabilizerRows(x, z, np.array(row0), np.array([b.flips for b in bases]))
     for a in frame:
         a.setflags(write=False)
     return frame

@@ -22,13 +22,14 @@ Wootters 2004).  ``stabilizer_rows`` runs every exact check and rebuilds
 the strings from the pivots in one loop with their exponents on one joint
 eigenvector.  Vector k of the basis is the one whose signs on the pivots
 are the bits of k, so its exponent row is row 0 with signs flipped by the
-bits of k.  That sign frame (x, z, row 0, flips) fixes the basis, and
-``stabilizer_vectors`` reads one group's vectors off it: a stabilizer state
-has entries i^e / sqrt(size) on an affine support, e read off the signs of
-the strings (Dehaene and De Moor 2003).  No dense eigendecomposition is
-run, and ``verify`` reads each basis's stabilizers from their masks: their
-group law as composed signed permutations, and the vectors' eigenvalues
-against the integer exponents.
+bits of k (``exponent_rows``).  That sign frame (x, z, row 0, flips) fixes
+the basis and is all ``stabilizer_rows`` returns; ``stabilizer_vectors``
+reads one group's vectors off it: a stabilizer state has entries i^e /
+sqrt(size) on an affine support, e read off the signs of the strings
+(Dehaene and De Moor 2003).  No dense eigendecomposition is run, and
+``verify`` reads each basis's stabilizers from their masks: their group
+law as composed signed permutations, and the vectors' eigenvalues against
+the integer exponents.
 """
 
 from __future__ import annotations
@@ -274,24 +275,33 @@ def projective_check(u: TranslationOperator, w: TranslationOperator) -> complex:
 
 
 class StabilizerRows(NamedTuple):
-    """What ``stabilizer_rows`` finds for G groups.
+    """The sign frame that ``stabilizer_rows`` finds for G groups.
 
-    x, z: (G, N-1) masks of the strings.  exponents: (G, N, N-1) int8, with
-    U_i v_k = i^exponents[g, k, i] v_k.  flips: (G, N-1), string i changes
-    sign between vectors 0 and k exactly where popcount(k & flips[g, i]) is
-    odd.  flips is one read-only row broadcast over the groups.
+    x, z: (G, N-1) masks of the strings.  row0: (G, N-1) int8, with
+    U_i v_0 = i^row0[g, i] v_0.  flips: (G, N-1), one read-only row broadcast
+    over the groups; string i changes sign between vectors 0 and k exactly
+    where popcount(k & flips[g, i]) is odd (``exponent_rows``).
     """
 
     x: np.ndarray
     z: np.ndarray
-    exponents: np.ndarray
+    row0: np.ndarray
     flips: np.ndarray
+
+
+def exponent_rows(row0, flips, k=None) -> np.ndarray:
+    """Rows k of a sign frame's exponent table, int8: U_i v_k = i^e[k, i] v_k
+    with e[k] = row0 XOR 2 parity(k & flips), k broadcast against row0 and
+    flips; by default every outcome, the (N, N-1) table of one frame row."""
+    if k is None:
+        k = np.arange(len(flips) + 1)[:, None]
+    return (row0 ^ 2 * _parity(k & flips)).astype(np.int8)
 
 
 def stabilizer_rows(x, z, dim: int, coord) -> StabilizerRows:
     """Joint eigenbases of groups of commuting Pauli strings U_i = X^x[g, i]
-    Z^z[g, i] in integers: every check, and each basis's order and exponent
-    rows.  Row g of the masks holds the N-1 nonzero elements of an
+    Z^z[g, i] in integers: every check, and each basis's order and sign
+    frame.  Row g of the masks holds the N-1 nonzero elements of an
     n-generator group, N = dim = 2^n; U_i is the product of the pivots, the
     strings of coordinate 2^j, over the bits j of coord[i], one row for all
     groups.  Rows ascend in the exponent tuples when the pivots lead in
@@ -306,13 +316,13 @@ def stabilizer_rows(x, z, dim: int, coord) -> StabilizerRows:
     so one parity of the XOR of the b & c gives all the signs.  Row k is row
     0 flipped by 2 where popcount(k & flips) is odd, flips being the
     coordinates with pivot j on bit n-1-j, and v is the vector whose number
-    has its signs on the pivots as bits.
+    has its signs on the pivots as bits; only row 0 is returned.
     """
     x, z, coord = (np.asarray(a, dtype=np.intp) for a in (x, z, coord))
     if x.shape[-1] != dim - 1:
         raise ValueError(f"need {dim - 1} stabilizer masks for dimension {dim}, got {x.shape[-1]}")
-    n, combo = dim.bit_length() - 1, np.arange(dim)
-    if coord.shape != (dim - 1,) or np.any(np.sort(coord) != combo[1:]):
+    n = dim.bit_length() - 1
+    if coord.shape != (dim - 1,) or np.any(np.sort(coord) != np.arange(1, dim)):
         raise ValueError(f"coordinates must be a permutation of 1..{dim - 1}")
     pivots = np.argsort(coord)[(1 << np.arange(n)) - 1]
     px, pz = x[:, pivots], z[:, pivots]
@@ -344,16 +354,13 @@ def stabilizer_rows(x, z, dim: int, coord) -> StabilizerRows:
     weights = 1 << np.arange(n - 1, -1, -1)
     flips = (coord[:, None] >> np.arange(n) & 1) @ weights
     seat = (base[:, pivots] >> 1) @ weights
-    exponents = (2 * _parity(combo[:, None] & combo)).astype(np.int8)[combo[:, None], flips]
-    exponents = exponents ^ (base ^ 2 * _parity(seat[:, None] & flips)).astype(np.int8)[:, None]
-    flips = np.broadcast_to(flips, (len(x), len(flips)))
-    return StabilizerRows(x, z, exponents, flips)
+    return StabilizerRows(x, z, exponent_rows(base, flips, seat[:, None]), np.broadcast_to(flips, x.shape))
 
 
 def stabilizer_vectors(x, z, row0, flips) -> np.ndarray:
     """The (N, N) joint eigenvectors of one checked group of N-1 strings
     U_i = X^x[i] Z^z[i], read off its sign frame: U_i v_k = i^e[k, i] v_k
-    with e[k] = row0 XOR 2 parity(k & flips), as ``stabilizer_rows`` gives them.
+    with e = ``exponent_rows(row0, flips)``, as ``stabilizer_rows`` gives them.
 
     (X^x Z^z v)[c ^ x] = (-1)^popcount(c & z) v[c], so v_k has code 0 at the
     first point c_k of its support c_k ^ {x_i} and code (2 parity(c_k & z_i)
@@ -365,8 +372,8 @@ def stabilizer_vectors(x, z, row0, flips) -> np.ndarray:
     dim = len(x) + 1
     combo = np.arange(dim)
     # the identity, then every string
-    x, z, row0, flips = (np.pad(a, (1, 0)) for a in (x, z, row0, flips))
-    rows = row0 ^ 2 * _parity(combo[:, None] & flips)
+    rows = np.pad(exponent_rows(row0, flips), ((0, 0), (1, 0)))
+    x, z = np.pad(x, (1, 0)), np.pad(z, (1, 0))
     ztype = x == 0
     count = np.count_nonzero(ztype)
     signs = 1.0 - 2 * _parity(combo[:, None] & z[ztype])

@@ -16,9 +16,9 @@ from .wigner import QuantumNet, default_net
 class PhaseSpaceSystem:
     """Field, geometry, labeling, conjugate bases and quantum net for one n.
 
-    The bases are the net's, and each holds read-only views of the batched
-    integer pass's exponent and mask arrays (``mub.full_mub_set``); a
-    basis's vectors are read off its own sign frame when first read.
+    The bases are the net's and share the batched integer pass's sign frame
+    (``mub.full_mub_set``); a basis reads its masks, exponents and vectors
+    off its own row of that frame when each is first read.
     """
 
     n: int

@@ -39,7 +39,7 @@ import numpy as np
 from .fields import ContextMismatchError, FieldContext
 from .geometry import Line, Point, Striation, enumerate_striations, striation_points, striation_rays
 from .mub import StriationBasis, _sign_frame
-from .operators import _I_POWERS, QubitLabeling, _parity, pauli_permutation, symplectic_parity
+from .operators import _I_POWERS, QubitLabeling, _parity, exponent_rows, pauli_permutation, symplectic_parity
 from .serialize import round_float
 from .states import validate_density_matrix
 
@@ -228,7 +228,7 @@ def default_net(ctx: FieldContext, labeling: QubitLabeling, mub_set: list[Striat
     # Each nonzero point lies on one ray; the ray's vector v has U_b v = i^e_b v,
     # so i^-e_b U_b is in its stabilizer group.
     i_powers = np.zeros((ctx.order, ctx.order), dtype=np.int8)
-    i_powers[x, z] = -(row0 ^ 2 * _parity(ray[:, None] & flips)) % 4
+    i_powers[x, z] = -exponent_rows(row0, flips, ray[:, None]) % 4
     i_powers.setflags(write=False)
 
     return QuantumNet(

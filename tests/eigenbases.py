@@ -2,13 +2,14 @@
 
 import numpy as np
 
-from qphase.operators import stabilizer_rows, stabilizer_vectors
+from qphase.operators import exponent_rows, stabilizer_rows, stabilizer_vectors
 
 
 def stabilizer_eigenbases(x, z, dim, coord):
     """(vectors, exponents), (G, N, N) and (G, N, N-1), of G groups:
-    ``stabilizer_rows``, then each group's vectors read off its sign frame
-    (x, z, exponent row 0, flips) by ``stabilizer_vectors``."""
-    rows = stabilizer_rows(x, z, dim, coord)
-    frame = zip(rows.x, rows.z, rows.exponents[:, 0], rows.flips)
-    return np.array([stabilizer_vectors(*row) for row in frame]), rows.exponents
+    ``stabilizer_rows``, then each group's vectors and exponent table read
+    off its sign frame (x, z, exponent row 0, flips) by
+    ``stabilizer_vectors`` and ``exponent_rows``."""
+    frame = stabilizer_rows(x, z, dim, coord)
+    vectors = np.array([stabilizer_vectors(*row) for row in zip(*frame)])
+    return vectors, np.array([exponent_rows(row0, flips) for row0, flips in zip(frame.row0, frame.flips)])

@@ -17,6 +17,7 @@ import qphase.mub
 from qphase import cli
 from qphase.fields import field_create
 from qphase.geometry import striation_points
+from qphase.mub import _sign_frame
 from qphase.operators import (
     default_labeling,
     same_basis_labeling,
@@ -126,9 +127,9 @@ def masks_key(x, z):
     return tuple(x.tolist()), tuple(z.tolist())
 
 
-def computed(bases):
-    """The striations of the bases holding computed vectors."""
-    return [b.striation for b in bases if "vectors" in vars(b)]
+def computed(bases, name="vectors"):
+    """The striations of the bases holding a computed ``name`` array."""
+    return [b.striation for b in bases if name in vars(b)]
 
 
 def basis_state(n):
@@ -145,7 +146,7 @@ class TestVectorsOnlyWhenRead:
         counts = simulate_counts(rho, MeasurementPlan(bases=sys.bases, shots_per_basis=64, seed=1))
         estimate_state(counts, sys.net, truth=rho)
         assert vector_reads == []
-        assert computed(sys.bases) == []
+        assert computed(sys.bases) == computed(sys.bases, "exponents") == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])  # the CLI's degrees
     def test_no_cli_state_command_builds_vectors(self, n, vector_reads, capsys):
@@ -179,6 +180,24 @@ class TestVectorsOnlyWhenRead:
         assert all(b.vectors is v and v.shape == (8, 8) and not v.flags.writeable for b, v in zip(sys.bases, vectors))
         assert not any(np.shares_memory(v, w) for v, w in itertools.combinations(vectors, 2))
         assert len(vector_reads) == 9
+
+
+class TestExponentsOnlyWhenRead:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_reading_one_basis_expands_that_basis_only(self, n, cold):
+        sys = build_system(n)
+        assert computed(sys.bases, "exponents") == []
+        for s in reversed(range(sys.dim + 1)):
+            sys.bases[s].exponents
+            assert computed(sys.bases, "exponents") == list(range(s, sys.dim + 1))
+        assert computed(sys.bases) == []
+
+    def test_a_stacked_frame_reads_built_rows_off_the_build(self, cold):
+        sys = build_system(3)
+        frame = _sign_frame(sys.bases[::-1])
+        for got, ref in zip(frame, sys.net.sign_frame):
+            assert np.array_equal(got, ref[::-1]) and not got.flags.writeable
+        assert computed(sys.bases) == computed(sys.bases, "exponents") == []
 
 
 @pytest.fixture
@@ -216,6 +235,15 @@ class TestPointArrayOnlyWhenRead:
 
 
 class TestBuildMemory:
+    def test_cold_n8_build_stays_below_twice_the_exponent_table(self, cold):
+        tracemalloc.start()
+        try:
+            sys = build_system(8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (sys.dim + 1) * sys.dim * (sys.dim - 1), peak  # 32 MiB
+
     def test_cold_n7_build_stays_below_the_point_array(self, cold):
         tracemalloc.start()
         try:

@@ -16,6 +16,7 @@ from qphase.mub import (
 from qphase.operators import (
     TranslationOperator,
     default_labeling,
+    exponent_rows,
     pauli,
     same_basis_labeling,
     translation_unitary,
@@ -234,19 +235,15 @@ class TestBuildWithoutDenseAlgebra:
 
 class TestOneIntegerStack:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_bases_are_read_only_views_of_the_net_stack(self, n):
+    def test_bases_read_their_arrays_off_the_net_frame(self, n):
         system = build_system(n)
-        dim = system.dim
+        dim, frame = system.dim, system.net.sign_frame
         assert system.bases is system.net.bases
-        for name, shape in (("exponents", (dim, dim - 1)), ("masks", (2, dim - 1))):
-            stack = getattr(system.bases[0], name).base
-            assert stack.shape == (dim + 1, *shape)
-            assert not stack.flags.writeable
-            for s, basis in enumerate(system.bases):
-                array = getattr(basis, name)
-                assert array.base is stack
-                assert np.array_equal(array, stack[s])
-                assert not array.flags.writeable
+        for s, basis in enumerate(system.bases):
+            assert basis.exponents.shape == (dim, dim - 1) and basis.masks.shape == (2, dim - 1)
+            assert np.array_equal(basis.exponents, exponent_rows(frame.row0[s], frame.flips[s]))
+            assert np.array_equal(basis.masks, [frame.x[s], frame.z[s]])
+            assert not basis.exponents.flags.writeable and not basis.masks.flags.writeable
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_each_basis_holds_its_own_read_only_vectors(self, n):
@@ -374,8 +371,9 @@ class TestBuildPinnedByBytes:
         assert got == BUILD_DIGESTS[n]
 
     def test_integer_pass_bytes_at_n8(self):
-        rows = _stabilizer_bases(default_labeling(field_create(8))).rows
-        got = (_digest(rows.exponents, "<i1"), _digest(rows.flips, "<i8"))
+        frame = _stabilizer_bases(default_labeling(field_create(8)))
+        exponents = np.stack([exponent_rows(row0, flips) for row0, flips in zip(frame.row0, frame.flips)])
+        got = (_digest(exponents, "<i1"), _digest(frame.flips, "<i8"))
         assert got == INTEGER_PASS_DIGESTS_8
 
     def test_vector_bytes_at_n8(self):

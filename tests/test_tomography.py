@@ -328,7 +328,7 @@ class TestNetSignFrame:
 
     def test_simulate_counts_reads_the_build_frame(self, monkeypatch):
         sys = build_system(3)
-        frame = sys.bases[0]._build.frame
+        frame = sys.bases[0]._frame
         assert _sign_frame(sys.bases) is frame and _sign_frame(list(sys.bases)) is frame
         assert all(not a.flags.writeable for a in frame)
         seen = []
